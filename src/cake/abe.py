@@ -7,6 +7,13 @@ a symmetric key derived per attribute from the authority's master secret.
 A reader holding wrap keys for a satisfying attribute set unwraps enough
 shares to rebuild the data key; anyone else learns nothing but the policy.
 
+Decryption decides from the key's attribute names alone whether the policy
+is satisfied, and then opens only the shares of a minimal satisfying leaf
+set; a key that does not satisfy the policy opens none. The per-policy
+header checks (the text parses, is canonical, and compiles to a tree) are
+memoized by the canonical policy text in a fixed-size LRU table; the check
+that a ciphertext's wrapped shares mirror that tree runs on every read.
+
 Keys:
 
 * attribute wrap key  = HKDF-SHA256(root_key, info="cake/attribute-key/" + name)
@@ -24,6 +31,7 @@ see the project README for the trust model this implements.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import time
@@ -204,57 +212,70 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     """Recover the slice plaintext, or explain why not.
 
-    Raises :class:`PolicyNotSatisfied` when the key's attributes do not
-    satisfy the slice policy, and :class:`IntegrityFailure` when the
-    ciphertext structure, a share held by this key, or the payload fails
-    authentication.
+    The key's attribute names alone decide satisfiability: a minimal
+    satisfying leaf set is chosen (:func:`policy.min_satisfying_leaves`)
+    and only the shares of that set are opened.
+
+    Raises :class:`IntegrityFailure` when the policy header does not parse,
+    is not canonical, or its wrapped shares do not mirror its tree (checked
+    before anything else); :class:`PolicyNotSatisfied` when the key's
+    attributes do not satisfy the policy, without opening any share; and
+    :class:`IntegrityFailure` when a chosen share or the payload fails
+    authentication. Tampering with a share that is not opened, held or
+    not, fails the payload AEAD, which binds the whole header.
     """
-    tree = _checked_tree(ct)
+    tree, attributes = _compiled_header(ct.policy_text)
+    if [(ws.leaf_index, ws.attribute) for ws in ct.wrapped_shares] \
+            != list(enumerate(attributes, start=1)):
+        raise IntegrityFailure("wrapped shares do not match the policy tree")
 
-    available: dict[int, int] = {}
-    unwrap_failed = False
-    for ws in ct.wrapped_shares:
-        wrap_key = uk.attribute_keys.get(ws.attribute)
-        if wrap_key is None:
-            continue
-        try:
-            raw = AESGCM(wrap_key).decrypt(
-                ws.nonce, ws.wrapped, _share_aad(ws.leaf_index, ws.attribute))
-            available[ws.leaf_index] = sss.decode_field(raw)
-        except (InvalidTag, sss.FieldDecodeError):
-            # A wrap key this user legitimately holds must open an honest
-            # share; failure is evidence of tampering, but only decisive if
-            # it changes the outcome below.
-            unwrap_failed = True
-
-    data_key = sss.reconstruct_tree(tree, available)
-    if data_key is None:
-        if unwrap_failed:
-            raise IntegrityFailure("wrapped share failed authentication")
+    chosen = policy_mod.min_satisfying_leaves(tree, uk.attribute_keys)
+    if chosen is None:
         raise PolicyNotSatisfied(f"attributes do not satisfy {ct.policy_text!r}")
 
-    header = SliceCiphertext(ct.policy_text, ct.wrapped_shares, b"", b"")
+    available: dict[int, int] = {}
+    for leaf_index in chosen:
+        ws = ct.wrapped_shares[leaf_index - 1]
+        try:
+            raw = AESGCM(uk.attribute_keys[ws.attribute]).decrypt(
+                ws.nonce, ws.wrapped, _share_aad(leaf_index, ws.attribute))
+            available[leaf_index] = sss.decode_field(raw)
+        except (InvalidTag, sss.FieldDecodeError) as exc:
+            # A wrap key this user legitimately holds must open an honest share.
+            raise IntegrityFailure("wrapped share failed authentication") from exc
+
+    data_key = sss.reconstruct_tree(tree, available)
     try:
         return AESGCM(_payload_key(data_key)).decrypt(
-            ct.payload_nonce, ct.payload, header_hash(header))
+            ct.payload_nonce, ct.payload, header_hash(ct))
     except InvalidTag as exc:
         raise IntegrityFailure("payload or header authentication failed") from exc
 
 
-def _checked_tree(ct: SliceCiphertext) -> policy_mod.AccessTree:
-    """Parse the header policy and verify the wrapped shares mirror its tree."""
+# Compiled headers kept by :func:`_compiled_header`. Every reader of a slice
+# checks the same header, so reads of one policy outnumber its writes; the
+# bound caps the memory a stream of distinct policies can pin (a 32-leaf
+# entry is about 4 KB).
+_POLICY_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_POLICY_MEMO_SIZE)
+def _compiled_header(policy_text: str) -> tuple[policy_mod.AccessTree, tuple[str, ...]]:
+    """The compiled tree of a header's policy text and the attribute of each
+    of its leaves, in leaf-index order.
+
+    Raises :class:`IntegrityFailure` for text that does not parse or is not
+    canonical; ``lru_cache`` keeps no entry for a call that raises, so such
+    a header fails on every read.
+    """
     try:
-        ast = policy_mod.parse_policy(ct.policy_text)
+        ast = policy_mod.parse_policy(policy_text)
     except policy_mod.PolicyError as exc:
         raise IntegrityFailure(f"unparseable policy header: {exc}") from exc
-    if policy_mod.render_policy(ast) != ct.policy_text:
+    if policy_mod.render_policy(ast) != policy_text:
         raise IntegrityFailure("policy header is not in canonical form")
     tree = policy_mod.compile_policy(ast)
-    expected = [(leaf.leaf_index, leaf.attribute) for leaf in policy_mod.tree_leaves(tree)]
-    actual = [(ws.leaf_index, ws.attribute) for ws in ct.wrapped_shares]
-    if expected != actual:
-        raise IntegrityFailure("wrapped shares do not match the policy tree")
-    return tree
+    return tree, tuple(leaf.attribute for leaf in policy_mod.tree_leaves(tree))
 
 
 def new_message_id(rng: Optional[random.Random] = None) -> bytes:
@@ -298,7 +319,7 @@ def decrypt_container(uk: UserKey,
 
 # --- canonical serialization -------------------------------------------------
 
-def serialize_slice(ct: SliceCiphertext) -> bytes:
+def _write_slice(ct: SliceCiphertext, payload_nonce: bytes, payload: bytes) -> bytes:
     w = Writer()
     w.put_str(ct.policy_text)
     w.put_u32(len(ct.wrapped_shares))
@@ -307,15 +328,18 @@ def serialize_slice(ct: SliceCiphertext) -> bytes:
         w.put_str(ws.attribute)
         w.put_bytes(ws.nonce)
         w.put_bytes(ws.wrapped)
-    w.put_bytes(ct.payload_nonce)
-    w.put_bytes(ct.payload)
+    w.put_bytes(payload_nonce)
+    w.put_bytes(payload)
     return w.getvalue()
+
+
+def serialize_slice(ct: SliceCiphertext) -> bytes:
+    return _write_slice(ct, ct.payload_nonce, ct.payload)
 
 
 def header_hash(ct: SliceCiphertext) -> bytes:
     """Digest of the canonical slice form with the payload fields emptied."""
-    stripped = SliceCiphertext(ct.policy_text, ct.wrapped_shares, b"", b"")
-    return hashlib.sha256(serialize_slice(stripped)).digest()
+    return hashlib.sha256(_write_slice(ct, b"", b"")).digest()
 
 
 def parse_slice(data: bytes) -> SliceCiphertext:

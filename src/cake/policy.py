@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Container, Iterator, Optional, Union
 
 from .errors import CakeError
 
@@ -245,13 +245,13 @@ def attributes_of(ast: PolicyAst) -> frozenset[str]:
 
 # --- threshold access trees ------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeLeaf:
     attribute: str
     leaf_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeGate:
     threshold: int
     children: tuple["AccessTree", ...]
@@ -295,3 +295,22 @@ def tree_leaves(tree: AccessTree) -> Iterator[TreeLeaf]:
     else:
         for child in tree.children:
             yield from tree_leaves(child)
+
+
+def min_satisfying_leaves(tree: AccessTree,
+                          attrs: Container[str]) -> Optional[list[int]]:
+    """Indices of a smallest leaf set that satisfies the tree using only
+    the given attributes, or ``None`` when they do not satisfy it.
+
+    Each gate takes its ``threshold`` children with the fewest leaves, ties
+    going to the lowest position. Subtrees share no leaves, so this sum of
+    per-gate minima is a global minimum.
+    """
+    if isinstance(tree, TreeLeaf):
+        return [tree.leaf_index] if tree.attribute in attrs else None
+    picks = [p for p in (min_satisfying_leaves(c, attrs) for c in tree.children)
+             if p is not None]
+    if len(picks) < tree.threshold:
+        return None
+    picks.sort(key=len)  # stable: equal sizes keep their tree order
+    return [index for pick in picks[:tree.threshold] for index in pick]

@@ -47,6 +47,7 @@ entropy source, as the scenario harness does.
 from __future__ import annotations
 
 import hashlib
+import logging
 import random
 import socket
 import socketserver
@@ -68,11 +69,14 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 
 from . import abe, cas, ledger
 from . import policy as policy_mod
-from .codec import CodecError, Reader, Writer
+from .codec import Reader, Writer
 from .errors import CakeError
 
 MAX_FRAME_BYTES = 80 * 1024 * 1024
 NONCE_LEN = 16
+# Pre-authentication frames have fixed sizes; the server reads no more.
+HELLO_BYTES = 1 + ledger.ADDRESS_BYTES + 32 + NONCE_LEN
+AUTH_BYTES = 1 + 64
 
 TAG_HELLO = 0x01
 TAG_CHALLENGE = 0x02
@@ -93,6 +97,8 @@ _DIR_CLIENT_TO_SERVER = 0x01
 _DIR_SERVER_TO_CLIENT = 0x02
 
 Clock = Callable[[], int]
+
+_log = logging.getLogger(__name__)
 
 
 def _system_clock() -> int:
@@ -245,7 +251,9 @@ class Transport:
     def send_frame(self, body: bytes) -> None:
         raise NotImplementedError
 
-    def recv_frame(self) -> bytes:
+    def recv_frame(self, limit: int = MAX_FRAME_BYTES) -> bytes:
+        """Next frame body; raises :class:`ProtocolError`, without reading
+        the body, when it is longer than ``limit``."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -269,16 +277,17 @@ class MemoryTransport(Transport):
             raise ProtocolError("frame exceeds size limit")
         self._outbox.put(body)
 
-    def recv_frame(self) -> bytes:
-        while True:
-            try:
-                item = self._inbox.get(timeout=30.0)
-            except Empty:
-                raise TransportClosed("peer went silent")
-            if item is MemoryTransport._CLOSE:
-                self._inbox.put(item)  # keep raising for later readers
-                raise TransportClosed("peer closed the channel")
-            return item
+    def recv_frame(self, limit: int = MAX_FRAME_BYTES) -> bytes:
+        try:
+            item = self._inbox.get(timeout=30.0)
+        except Empty:
+            raise TransportClosed("peer went silent")
+        if item is MemoryTransport._CLOSE:
+            self._inbox.put(item)  # keep raising for later readers
+            raise TransportClosed("peer closed the channel")
+        if len(item) > limit:
+            raise ProtocolError("incoming frame exceeds size limit")
+        return item
 
     def close(self) -> None:
         if not self._closed:
@@ -319,9 +328,9 @@ class SocketTransport(Transport):
             n -= len(chunk)
         return b"".join(chunks)
 
-    def recv_frame(self) -> bytes:
+    def recv_frame(self, limit: int = MAX_FRAME_BYTES) -> bytes:
         length = int.from_bytes(self._recv_exact(4), "big")
-        if length > MAX_FRAME_BYTES:
+        if length > limit:
             raise ProtocolError("incoming frame exceeds size limit")
         return self._recv_exact(length)
 
@@ -384,7 +393,10 @@ def _x25519_public(private: X25519PrivateKey) -> bytes:
 
 
 def _exchange(private: X25519PrivateKey, peer_public: bytes) -> bytes:
-    return private.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    try:
+        return private.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    except ValueError as exc:  # a low-order point gives an all-zero secret
+        raise AuthFailure("peer key agreement failed") from exc
 
 
 def _session_key(shared: bytes, transcript_hash: bytes) -> bytes:
@@ -491,39 +503,44 @@ class Service:
         return self.identity.public()
 
     def serve_session(self, transport: Transport) -> None:
-        """Serve one connection until the peer closes it."""
+        """Serve one connection until the peer closes it.
+
+        The transport is always closed on return. An exception that is not
+        the peer leaving is logged with its traceback, never raised, so one
+        session cannot take its thread down uncleanly.
+        """
         try:
-            session = self._server_handshake(transport)
+            self._serve(transport)
         except TransportClosed:
-            transport.close()
-            return
-        except CakeError as exc:
-            try:
-                transport.send_frame(bytes([TAG_ERROR]) + _encode_error(exc))
-            except TransportClosed:
-                pass
-            transport.close()
-            return
-        try:
-            while True:
-                try:
-                    tag, payload = session.receive()
-                except TransportClosed:
-                    return
-                except AuthFailure:
-                    return  # garbage within a sealed session: drop the peer
-                try:
-                    resp_tag, resp_payload = self._handle(session, tag, payload)
-                except (CakeError, CodecError) as exc:
-                    session.send(TAG_ERROR, _encode_error(exc))
-                    continue
-                session.send(resp_tag, resp_payload)
+            pass
+        except Exception:
+            _log.exception("%s session failed", type(self).__name__)
         finally:
             transport.close()
 
+    def _serve(self, transport: Transport) -> None:
+        try:
+            session = self._server_handshake(transport)
+        except TransportClosed:
+            return
+        except CakeError as exc:
+            transport.send_frame(bytes([TAG_ERROR]) + _encode_error(exc))
+            return
+        while True:
+            try:
+                tag, payload = session.receive()
+            except AuthFailure:
+                return  # garbage within a sealed session: drop the peer
+            try:
+                resp_tag, resp_payload = self._handle(session, tag, payload)
+            except CakeError as exc:
+                session.send(TAG_ERROR, _encode_error(exc))
+                continue
+            session.send(resp_tag, resp_payload)
+
     def _server_handshake(self, transport: Transport) -> Session:
-        hello = transport.recv_frame()
-        if len(hello) != 1 + ledger.ADDRESS_BYTES + 32 + NONCE_LEN or hello[0] != TAG_HELLO:
+        hello = transport.recv_frame(HELLO_BYTES)
+        if len(hello) != HELLO_BYTES or hello[0] != TAG_HELLO:
             raise AuthFailure("expected client hello")
         client_address = hello[1:21]
         client_ephemeral = hello[21:53]
@@ -543,8 +560,8 @@ class Service:
         challenge = bytes([TAG_CHALLENGE]) + challenge_core + server_sig
         transport.send_frame(challenge)
 
-        auth = transport.recv_frame()
-        if len(auth) != 1 + 64 or auth[0] != TAG_AUTH:
+        auth = transport.recv_frame(AUTH_BYTES)
+        if len(auth) != AUTH_BYTES or auth[0] != TAG_AUTH:
             raise AuthFailure("expected client auth")
         try:
             Ed25519PublicKey.from_public_bytes(client_signing).verify(

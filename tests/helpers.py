@@ -19,6 +19,7 @@ from cake.policy import (
     TreeLeaf,
     and_of,
     or_of,
+    tree_leaves,
 )
 
 ATTRIBUTE_POOL = ["a1", "b2", "c3", "d4", "e5", "f6"]
@@ -53,6 +54,16 @@ def tree_satisfied(tree: AccessTree, leaf_indices: set[int]) -> bool:
         return tree.leaf_index in leaf_indices
     hits = sum(tree_satisfied(c, leaf_indices) for c in tree.children)
     return hits >= tree.threshold
+
+
+def min_satisfying_size(tree: AccessTree, attrs: frozenset[str] | set[str]):
+    """Size of the smallest set of held leaves satisfying the tree, by
+    exhaustive search; ``None`` when the held leaves do not satisfy it."""
+    held = [leaf.leaf_index for leaf in tree_leaves(tree) if leaf.attribute in attrs]
+    for size in range(len(held) + 1):
+        if any(tree_satisfied(tree, set(combo)) for combo in combinations(held, size)):
+            return size
+    return None
 
 
 def attribute_subsets(attrs: frozenset[str]):

@@ -2,12 +2,26 @@ import random
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from cake import abe
 from cake.codec import CodecError
-from cake.policy import attributes_of, evaluate, parse_policy, render_policy
+from cake.policy import (
+    attributes_of,
+    compile_policy,
+    evaluate,
+    parse_policy,
+    render_policy,
+    tree_leaves,
+)
 from cake.sss import FieldDecodeError
-from helpers import ATTRIBUTE_POOL, attribute_subsets, hkdf_sha256, random_policy
+from helpers import (
+    ATTRIBUTE_POOL,
+    attribute_subsets,
+    hkdf_sha256,
+    min_satisfying_size,
+    random_policy,
+)
 
 IMPORT_DECLARATION = "(29837 and ((economic_operator) or (customs)))"
 TRANSPORT_DOCUMENT = "(29837 and ((economic_operator) or (customs) or (courier)))"
@@ -29,9 +43,33 @@ def make_key(ms, attrs, holder=HOLDER):
     return abe.keygen(ms, holder, frozenset(attrs), issued_at=0)
 
 
+def flip_last_byte(ws: abe.WrappedShare) -> abe.WrappedShare:
+    return replace(ws, wrapped=ws.wrapped[:-1] + bytes([ws.wrapped[-1] ^ 1]))
+
+
 @pytest.fixture
 def ms():
     return abe.setup(random.Random(1))
+
+
+@pytest.fixture
+def aead_opens(monkeypatch):
+    """Records every AES-GCM decryption ``abe`` performs."""
+    opens: list[bytes] = []
+
+    class CountingAESGCM:
+        def __init__(self, key: bytes) -> None:
+            self._aead = AESGCM(key)
+
+        def encrypt(self, nonce, data, aad):
+            return self._aead.encrypt(nonce, data, aad)
+
+        def decrypt(self, nonce, data, aad):
+            opens.append(aad)
+            return self._aead.decrypt(nonce, data, aad)
+
+    monkeypatch.setattr(abe, "AESGCM", CountingAESGCM)
+    return opens
 
 
 class TestSetup:
@@ -223,6 +261,75 @@ class TestIntegrity:
         franken = replace(one, wrapped_shares=two.wrapped_shares)
         with pytest.raises(abe.IntegrityFailure):
             abe.decrypt_slice(make_key(ms, {"a"}), franken)
+
+
+class TestMinimalUnwrap:
+    def test_opens_exactly_a_minimal_set(self, ms, aead_opens):
+        # share opens = all AES-GCM opens minus the one payload open
+        rng = random.Random(30)
+        policies = 0
+        while policies < 25:
+            ast = random_policy(rng, ATTRIBUTE_POOL, depth=3)
+            tree = compile_policy(ast)
+            if len(list(tree_leaves(tree))) > 10:
+                continue  # keep the exhaustive oracle cheap
+            policies += 1
+            ct = abe.encrypt_slice(ms, render_policy(ast), b"payload", rng)
+            for subset in attribute_subsets(attributes_of(ast)):
+                if not subset:
+                    continue
+                key = make_key(ms, subset)
+                need = min_satisfying_size(tree, subset)
+                aead_opens.clear()
+                if evaluate(ast, subset):
+                    assert abe.decrypt_slice(key, ct) == b"payload"
+                    assert len(aead_opens) - 1 == need
+                else:
+                    assert need is None
+                    with pytest.raises(abe.PolicyNotSatisfied):
+                        abe.decrypt_slice(key, ct)
+                    assert aead_opens == []
+
+    def test_tampered_share_held_but_not_opened_detected(self, ms, aead_opens):
+        ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(31))
+        key = make_key(ms, {"a", "b"})
+        first, second = ct.wrapped_shares
+        with pytest.raises(abe.IntegrityFailure):
+            abe.decrypt_slice(key, replace(ct, wrapped_shares=(first, flip_last_byte(second))))
+        # only share 1 and the payload were opened; the payload AEAD caught it
+        assert len(aead_opens) == 2
+
+    def test_unsatisfying_key_with_tampered_share_is_not_satisfied(self, ms):
+        # such a reader could not rebuild the data key either way
+        ct = abe.encrypt_slice(ms, "(a and b)", b"m", random.Random(32))
+        first, second = ct.wrapped_shares
+        with pytest.raises(abe.PolicyNotSatisfied):
+            abe.decrypt_slice(make_key(ms, {"a"}),
+                              replace(ct, wrapped_shares=(flip_last_byte(first), second)))
+
+    def test_bad_header_fails_every_read(self, ms):
+        ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(33))
+        key = make_key(ms, {"a", "b"})
+        for text in ("(a or", "a or b", "(a or b))"):
+            misses = abe._compiled_header.cache_info().misses
+            for _ in range(3):
+                with pytest.raises(abe.IntegrityFailure):
+                    abe.decrypt_slice(key, replace(ct, policy_text=text))
+            assert abe._compiled_header.cache_info().misses == misses + 3
+
+    def test_share_list_checked_on_memo_hit(self, ms):
+        ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(34))
+        key = make_key(ms, {"a", "b"})
+        assert abe.decrypt_slice(key, ct) == b"m"
+        hits = abe._compiled_header.cache_info().hits
+        with pytest.raises(abe.IntegrityFailure):
+            abe.decrypt_slice(key, replace(ct, wrapped_shares=ct.wrapped_shares[::-1]))
+        with pytest.raises(abe.IntegrityFailure):
+            abe.decrypt_slice(key, replace(ct, wrapped_shares=ct.wrapped_shares[:1]))
+        assert abe._compiled_header.cache_info().hits == hits + 2
+
+    def test_memo_is_bounded(self):
+        assert 0 < abe._compiled_header.cache_info().maxsize <= 256
 
 
 class TestContainers:

@@ -16,13 +16,21 @@ from cake.policy import (
     attributes_of,
     compile_policy,
     evaluate,
+    min_satisfying_leaves,
     normalize_attribute,
     or_of,
     parse_policy,
     render_policy,
     tree_leaves,
 )
-from helpers import ATTRIBUTE_POOL, attribute_subsets, random_policy, sympy_eval, tree_satisfied
+from helpers import (
+    ATTRIBUTE_POOL,
+    attribute_subsets,
+    min_satisfying_size,
+    random_policy,
+    sympy_eval,
+    tree_satisfied,
+)
 
 IMPORT_DECLARATION = "(29837 and ((economic_operator) or (customs)))"
 TRANSPORT_DOCUMENT = "(29837 and ((economic_operator) or (customs) or (courier)))"
@@ -182,6 +190,32 @@ class TestCompile:
             TreeGate(3, (TreeLeaf("a", 1), TreeLeaf("b", 2)))
         with pytest.raises(ValueError):
             TreeGate(0, (TreeLeaf("a", 1), TreeLeaf("b", 2)))
+
+
+class TestMinSatisfyingLeaves:
+    def test_examples(self):
+        tree = compile_policy(parse_policy(TRANSPORT_DOCUMENT))
+        # customs (leaf 3) and courier (leaf 4) tie: the lower position wins
+        assert min_satisfying_leaves(tree, {"29837", "customs", "courier"}) == [1, 3]
+        assert min_satisfying_leaves(tree, {"customs", "courier"}) is None
+        cheap_last = compile_policy(parse_policy("(a and b) or c"))
+        assert min_satisfying_leaves(cheap_last, {"a", "b", "c"}) == [3]
+        assert min_satisfying_leaves(cheap_last, {"a", "b"}) == [1, 2]
+
+    def test_minimal_and_satisfying_iff_evaluation(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            ast = random_policy(rng, ATTRIBUTE_POOL[:4], depth=3)
+            tree = compile_policy(ast)
+            held_by_index = {leaf.leaf_index: leaf.attribute for leaf in tree_leaves(tree)}
+            for subset in attribute_subsets(attributes_of(ast)):
+                chosen = min_satisfying_leaves(tree, subset)
+                if not evaluate(ast, subset):
+                    assert chosen is None
+                    continue
+                assert all(held_by_index[i] in subset for i in chosen)
+                assert tree_satisfied(tree, set(chosen))
+                assert len(set(chosen)) == len(chosen) == min_satisfying_size(tree, subset)
 
 
 class TestAttributesOf:

@@ -1,0 +1,129 @@
+import hashlib
+import logging
+import random
+import socket
+import threading
+
+import pytest
+
+from cake import protocol
+from cake.codec import Reader
+from cake.protocol import TAG_AUTH, TAG_CHALLENGE, TAG_ERROR, TAG_HELLO
+
+# u = 0 is a low-order X25519 point: any exchange with it gives the all-zero
+# secret, which the key-agreement primitive refuses.
+LOW_ORDER_KEY = bytes(32)
+
+
+@pytest.fixture
+def deployment():
+    return protocol.provision(random.Random(1), clock=lambda: 0)
+
+
+@pytest.fixture
+def client(deployment):
+    identity = protocol.Identity.generate(random.Random(2))
+    deployment.register(identity)
+    return identity
+
+
+def serve(service):
+    server_side, client_side = protocol.memory_pair()
+    thread = threading.Thread(target=service.serve_session, args=(server_side,),
+                              daemon=True)
+    thread.start()
+    return client_side, thread
+
+
+def signing_input(context: bytes, *parts: bytes) -> bytes:
+    return hashlib.sha256(context + b"".join(parts)).digest()
+
+
+def wire_error_code(frame: bytes) -> str:
+    assert frame[0] == TAG_ERROR
+    return Reader(frame[1:]).take_str()
+
+
+class TestLowOrderKeys:
+    def test_server_answers_auth_failure_and_closes(self, deployment, client):
+        transport, thread = serve(deployment.sdm)
+        hello = bytes([TAG_HELLO]) + client.address + LOW_ORDER_KEY + bytes(range(16))
+        transport.send_frame(hello)
+        challenge = transport.recv_frame()
+        assert challenge[0] == TAG_CHALLENGE
+        signature = client.signer.sign(
+            signing_input(b"cake/handshake/client/v1", hello, challenge))
+        transport.send_frame(bytes([TAG_AUTH]) + signature)
+
+        assert wire_error_code(transport.recv_frame()) == "AuthFailure"
+        with pytest.raises(protocol.TransportClosed):
+            transport.recv_frame()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_client_raises_auth_failure(self, deployment, client):
+        server = deployment.sdm.identity
+        client_side, server_side = protocol.memory_pair()
+        outcome: list[BaseException] = []
+
+        def handshake() -> None:
+            try:
+                protocol.client_handshake(client, server.public(), client_side,
+                                          random.Random(3))
+            except BaseException as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=handshake, daemon=True)
+        thread.start()
+        hello = server_side.recv_frame()
+        core = LOW_ORDER_KEY + bytes(16)
+        signature = server.signer.sign(
+            signing_input(b"cake/handshake/server/v1", hello, core))
+        server_side.send_frame(bytes([TAG_CHALLENGE]) + core + signature)
+        assert server_side.recv_frame()[0] == TAG_AUTH
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], protocol.AuthFailure)
+
+
+class TestSessionBoundary:
+    def test_unexpected_handler_error_is_logged_and_closes(
+            self, deployment, client, monkeypatch, caplog):
+        def broken_handler(session, tag, payload):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(deployment.sdm, "_handle", broken_handler)
+        sdm = deployment.connect_sdm(client, random.Random(4))
+        with caplog.at_level(logging.ERROR, logger="cake.protocol"):
+            with pytest.raises(protocol.TransportClosed):
+                sdm.store([("doc", "a", b"body")])
+        [record] = [r for r in caplog.records if r.name == "cake.protocol"]
+        assert record.exc_info is not None
+        assert "handler bug" in caplog.text
+
+
+class TestPreAuthFrameLimits:
+    def test_memory_transport_enforces_limit(self):
+        left, right = protocol.memory_pair()
+        left.send_frame(bytes(protocol.HELLO_BYTES + 1))
+        with pytest.raises(protocol.ProtocolError):
+            right.recv_frame(protocol.HELLO_BYTES)
+
+    def test_oversized_hello_prefix_refused_without_reading_body(self, deployment):
+        server = protocol.serve_tcp(deployment.sdm, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                # Only the length prefix is sent: a server waiting for the
+                # 1 MiB body would never answer, and the read below times out.
+                sock.sendall((1 << 20).to_bytes(4, "big"))
+                transport = protocol.SocketTransport(sock)
+                assert wire_error_code(transport.recv_frame()) == "ProtocolError"
+                with pytest.raises(protocol.TransportClosed):
+                    transport.recv_frame()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()

@@ -13,6 +13,9 @@ set; a key that does not satisfy the policy opens none. The per-policy
 header checks (the text parses, is canonical, and compiles to a tree) are
 memoized by the canonical policy text in a fixed-size LRU table; the check
 that a ciphertext's wrapped shares mirror that tree runs on every read.
+Attribute wrap keys are memoized likewise, in a bounded LRU table keyed by
+master secret and attribute, since every leaf of every slice and every
+issued key needs one and attributes repeat.
 
 Keys:
 
@@ -152,8 +155,21 @@ def _hkdf(ikm: bytes, info: bytes) -> bytes:
     return HKDF(algorithm=SHA256(), length=KEY_BYTES, salt=None, info=info).derive(ikm)
 
 
+# Wrap keys kept by :func:`attribute_wrap_key`. Every slice wraps a share per
+# policy leaf and every issued key re-derives its holder's attributes, from
+# a small attribute vocabulary; the bound caps what a stream of distinct
+# attributes or master secrets can pin (an entry is 200-450 bytes, the more
+# when it alone keeps its master secret alive).
+_WRAP_KEY_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_WRAP_KEY_MEMO_SIZE)
 def attribute_wrap_key(ms: MasterSecret, attribute: str) -> bytes:
-    """Deterministic 32-byte wrap key for one attribute."""
+    """Deterministic 32-byte wrap key for one attribute.
+
+    Memoized by (master secret, attribute as given); an invalid name raises
+    :class:`policy.InvalidAttributeError` and is not cached.
+    """
     name = policy_mod.normalize_attribute(attribute)
     return _hkdf(ms.root_key, _ATTRIBUTE_KEY_INFO + name.encode())
 
@@ -193,20 +209,25 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     data_key = sss.random_element(rng)
     leaf_values = sss.share_tree(tree, data_key, rng)
 
+    # Every nonce (one per leaf, then the payload's) comes from one draw: a
+    # draw from the system source is a system call, and each one lets other
+    # sessions' threads take the interpreter lock from this one. A seeded
+    # generator gives the same bytes as one draw per nonce in this order.
+    nonces = _random_bytes(rng, NONCE_BYTES * (len(leaf_values) + 1))
     wrapped: list[WrappedShare] = []
     for leaf in policy_mod.tree_leaves(tree):
         wrap_key = attribute_wrap_key(ms, leaf.attribute)
-        nonce = _random_bytes(rng, NONCE_BYTES)
+        nonce = nonces[NONCE_BYTES * (leaf.leaf_index - 1):NONCE_BYTES * leaf.leaf_index]
         sealed = AESGCM(wrap_key).encrypt(
             nonce, sss.encode_field(leaf_values[leaf.leaf_index]),
             _share_aad(leaf.leaf_index, leaf.attribute))
         wrapped.append(WrappedShare(leaf.leaf_index, leaf.attribute, nonce, sealed))
 
-    header = SliceCiphertext(canonical, tuple(wrapped), b"", b"")
-    payload_nonce = _random_bytes(rng, NONCE_BYTES)
+    shares = tuple(wrapped)
+    payload_nonce = nonces[-NONCE_BYTES:]
     payload = AESGCM(_payload_key(data_key)).encrypt(
-        payload_nonce, plaintext, header_hash(header))
-    return SliceCiphertext(canonical, tuple(wrapped), payload_nonce, payload)
+        payload_nonce, plaintext, _header_digest(canonical, shares))
+    return SliceCiphertext(canonical, shares, payload_nonce, payload)
 
 
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
@@ -319,11 +340,12 @@ def decrypt_container(uk: UserKey,
 
 # --- canonical serialization -------------------------------------------------
 
-def _write_slice(ct: SliceCiphertext, payload_nonce: bytes, payload: bytes) -> bytes:
+def _write_slice(policy_text: str, wrapped_shares: tuple[WrappedShare, ...],
+                 payload_nonce: bytes, payload: bytes) -> bytes:
     w = Writer()
-    w.put_str(ct.policy_text)
-    w.put_u32(len(ct.wrapped_shares))
-    for ws in ct.wrapped_shares:
+    w.put_str(policy_text)
+    w.put_u32(len(wrapped_shares))
+    for ws in wrapped_shares:
         w.put_u32(ws.leaf_index)
         w.put_str(ws.attribute)
         w.put_bytes(ws.nonce)
@@ -334,12 +356,16 @@ def _write_slice(ct: SliceCiphertext, payload_nonce: bytes, payload: bytes) -> b
 
 
 def serialize_slice(ct: SliceCiphertext) -> bytes:
-    return _write_slice(ct, ct.payload_nonce, ct.payload)
+    return _write_slice(ct.policy_text, ct.wrapped_shares, ct.payload_nonce, ct.payload)
 
 
 def header_hash(ct: SliceCiphertext) -> bytes:
     """Digest of the canonical slice form with the payload fields emptied."""
-    return hashlib.sha256(_write_slice(ct, b"", b"")).digest()
+    return _header_digest(ct.policy_text, ct.wrapped_shares)
+
+
+def _header_digest(policy_text: str, wrapped_shares: tuple[WrappedShare, ...]) -> bytes:
+    return hashlib.sha256(_write_slice(policy_text, wrapped_shares, b"", b"")).digest()
 
 
 def parse_slice(data: bytes) -> SliceCiphertext:

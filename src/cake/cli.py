@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -373,27 +375,39 @@ def cmd_scenario_run(args: argparse.Namespace, home: Home) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, home: Home) -> int:
+    """Serve until SIGINT or SIGTERM, then stop and save the chain.
+
+    Both signals are handled explicitly, so the chain is saved on SIGTERM
+    too, and SIGINT stops the server even when it was started ignoring it
+    (as a background job of a non-interactive shell is). A second signal
+    during the save is ignored.
+    """
     deployment = home.open()
     servers = [
         protocol.serve_tcp(deployment.sdm, args.host, args.sdm_port),
         protocol.serve_tcp(deployment.ud, args.host, args.ud_port),
         protocol.serve_tcp(deployment.skm, args.host, args.skm_port),
     ]
-    import threading
     for server in servers:
         threading.Thread(target=server.serve_forever, daemon=True).start()
-    print(f"sdm={args.host}:{args.sdm_port} ud={args.host}:{args.ud_port} "
-          f"skm={args.host}:{args.skm_port}", file=sys.stderr)
-    print("serving; ctrl-c to stop (chain changes are saved on exit)",
-          file=sys.stderr)
+    previous = {sig: signal.signal(sig, signal.default_int_handler)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
+        print(f"sdm={args.host}:{args.sdm_port} ud={args.host}:{args.ud_port} "
+              f"skm={args.host}:{args.skm_port}", file=sys.stderr)
+        print("serving; ctrl-c to stop (chain changes are saved on exit)",
+              file=sys.stderr)
         threading.Event().wait()
     except KeyboardInterrupt:
         pass
     finally:
+        for sig in previous:
+            signal.signal(sig, signal.SIG_IGN)
         for server in servers:
             server.shutdown()
         home.save_chain(deployment.chain)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return EXIT_OK
 
 

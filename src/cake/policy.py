@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterator, Optional, Union
+from typing import Container, Iterator, NamedTuple, Optional, Union
 
 from .errors import CakeError
 
 ATTRIBUTE_RE = re.compile(r"[a-z0-9_]{1,64}")
 
 _KEYWORDS = ("and", "or")
-_WHITESPACE = b" \t\r\n"
-_PARENS = b"()"
 
 
 class PolicyError(CakeError):
@@ -112,35 +110,30 @@ def normalize_attribute(token: str) -> str:
 
 # --- tokenizer -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "(" | ")" | "and" | "or" | "attr" | "end"
     text: str
     offset: int
 
 
+# A parenthesis, or a word: a maximal run of bytes that are neither
+# whitespace (space, tab, CR, LF) nor parentheses. Other bytes, vertical tab
+# and form feed included, belong to words.
+_TOKEN_RE = re.compile(rb"([()])|[^ \t\r\n()]+")
+
+
 def _tokenize(text: str) -> list[_Token]:
-    # Scan the UTF-8 encoding so reported offsets are byte offsets.
+    # Scan the UTF-8 encoding so reported offsets are byte offsets. Words
+    # split only at ASCII bytes, so each one decodes on its own.
     data = text.encode("utf-8")
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(data):
-        byte = data[pos:pos + 1]
-        if byte in _WHITESPACE:
-            pos += 1
+    for match in _TOKEN_RE.finditer(data):
+        start = match.start()
+        paren = match.group(1)
+        if paren is not None:
+            tokens.append(_Token(paren.decode(), paren.decode(), start))
             continue
-        if byte in _PARENS:
-            tokens.append(_Token(byte.decode(), byte.decode(), pos))
-            pos += 1
-            continue
-        start = pos
-        while pos < len(data) and data[pos:pos + 1] not in _WHITESPACE + _PARENS:
-            pos += 1
-        raw = data[start:pos]
-        try:
-            word = raw.decode("utf-8").lower()
-        except UnicodeDecodeError:
-            raise InvalidAttributeError(f"malformed attribute token {raw!r}", start)
+        word = match.group().decode("utf-8").lower()
         if word in _KEYWORDS:
             tokens.append(_Token(word, word, start))
         elif ATTRIBUTE_RE.fullmatch(word):

@@ -21,7 +21,17 @@ After the handshake, every frame is AES-GCM sealed under the session key
 with a per-direction counter as the nonce and the transcript hash as
 associated data; counters strictly increase, so recorded frames cannot be
 replayed into a live session. Frame layout on the wire is a 4-byte
-big-endian length followed by the (sealed) body.
+big-endian length followed by the (sealed) body, written with one send.
+TCP sockets carry ``TCP_NODELAY``: a client writes AUTH and then its first
+request without waiting for a reply in between, and Nagle's algorithm would
+hold that second write back until the server's delayed acknowledgement,
+some 40 ms later; each frame is one write, so no extra small segments go
+out in its place.
+
+A service reports a failed request as an error frame that names the
+exception's class; the client raises that :class:`CakeError` subclass with
+the same message (policy errors keep their byte offset), or
+:class:`RemoteServiceError` when no such class is loaded.
 
 Services:
 
@@ -55,7 +65,7 @@ import threading
 import time
 from dataclasses import dataclass
 from queue import Empty, Queue
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -302,10 +312,13 @@ def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
 
 
 class SocketTransport(Transport):
-    """Stream-socket transport with the same framing."""
+    """Stream-socket transport with the same framing; turns Nagle's
+    algorithm off on TCP sockets (see the module docstring)."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send_frame(self, body: bytes) -> None:
         if len(body) > MAX_FRAME_BYTES:
@@ -344,27 +357,25 @@ class SocketTransport(Transport):
 
 # --- wire errors ----------------------------------------------------------------
 
-# Exception classes a service may report to its client. All constructible
-# from a single message, except the policy errors which carry an offset.
-_WIRE_ERROR_CLASSES: dict[str, Callable[[str, int], CakeError]] = {
-    "PolicySyntaxError": lambda m, off: policy_mod.PolicySyntaxError(m, off),
-    "InvalidAttributeError": lambda m, off: policy_mod.InvalidAttributeError(m, off),
-    "EmptyContainer": lambda m, _: abe.EmptyContainer(m),
-    "DuplicateLabel": lambda m, _: abe.DuplicateLabel(m),
-    "EmptyAttributeSet": lambda m, _: abe.EmptyAttributeSet(m),
-    "IntegrityFailure": lambda m, _: abe.IntegrityFailure(m),
-    "BlobTooLarge": lambda m, _: cas.BlobTooLarge(m),
-    "StorageFailure": lambda m, _: cas.StorageFailure(m),
-    "BlobNotFound": lambda m, _: cas.BlobNotFound(m),
-    "IntegrityViolation": lambda m, _: cas.IntegrityViolation(m),
-    "NotCertifier": lambda m, _: ledger.NotCertifier(m),
-    "RecordNotFound": lambda m, _: ledger.RecordNotFound(m),
-    "AuthFailure": lambda m, _: AuthFailure(m),
-    "UnknownClient": lambda m, _: UnknownClient(m),
-    "ReplayDetected": lambda m, _: ReplayDetected(m),
-    "NotCertified": lambda m, _: NotCertified(m),
-    "LedgerRejected": lambda m, _: LedgerRejected(m),
-}
+def _error_classes(base: type) -> Iterator[type]:
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+def _wire_error(code: str, message: str, offset: int) -> CakeError:
+    """The exception an error frame names: the first loaded :class:`CakeError`
+    subclass called ``code`` that is built from its message alone (or, for a
+    policy error, from its message and offset); otherwise
+    :class:`RemoteServiceError`."""
+    for cls in _error_classes(CakeError):
+        if cls.__name__ != code:
+            continue
+        if issubclass(cls, policy_mod.PolicyError):
+            return cls(message, offset)
+        if cls.__init__ is CakeError.__init__:
+            return cls(message)
+    return RemoteServiceError(code, message)
 
 
 def _encode_error(exc: Exception) -> bytes:
@@ -380,10 +391,7 @@ def _raise_wire_error(payload: bytes) -> None:
     code = r.take_str()
     message = r.take_str()
     offset = r.take_u64()
-    factory = _WIRE_ERROR_CLASSES.get(code)
-    if factory is None:
-        raise RemoteServiceError(code, message)
-    raise factory(message, offset)
+    raise _wire_error(code, message, offset)
 
 
 # --- handshake and sealed session ------------------------------------------------

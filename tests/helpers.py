@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import sympy
 
 from cake.policy import (
+    ATTRIBUTE_RE,
     AccessTree,
     And,
+    InvalidAttributeError,
     Leaf,
     Or,
     PolicyAst,
@@ -111,3 +114,49 @@ def alt_base58_encode(data: bytes) -> str:
         pad += 1
     body = "" if digits == [0] else "".join(_B58[d] for d in reversed(digits))
     return _B58[0] * pad + body
+
+
+# The byte-at-a-time tokenizer the policy parser used before it scanned with
+# one regular expression, kept verbatim as the reference for that scan.
+_KEYWORDS = ("and", "or")
+_WHITESPACE = b" \t\r\n"
+_PARENS = b"()"
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "(" | ")" | "and" | "or" | "attr" | "end"
+    text: str
+    offset: int
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    # Scan the UTF-8 encoding so reported offsets are byte offsets.
+    data = text.encode("utf-8")
+    tokens: list[_Token] = []
+    pos = 0
+    while pos < len(data):
+        byte = data[pos:pos + 1]
+        if byte in _WHITESPACE:
+            pos += 1
+            continue
+        if byte in _PARENS:
+            tokens.append(_Token(byte.decode(), byte.decode(), pos))
+            pos += 1
+            continue
+        start = pos
+        while pos < len(data) and data[pos:pos + 1] not in _WHITESPACE + _PARENS:
+            pos += 1
+        raw = data[start:pos]
+        try:
+            word = raw.decode("utf-8").lower()
+        except UnicodeDecodeError:
+            raise InvalidAttributeError(f"malformed attribute token {raw!r}", start)
+        if word in _KEYWORDS:
+            tokens.append(_Token(word, word, start))
+        elif ATTRIBUTE_RE.fullmatch(word):
+            tokens.append(_Token("attr", word, start))
+        else:
+            raise InvalidAttributeError(f"malformed attribute token {word!r}", start)
+    tokens.append(_Token("end", "", len(data)))
+    return tokens

@@ -98,6 +98,27 @@ class TestAttributeWrapKey:
         assert hkdf_sha256(bytes.fromhex(root_hex),
                            b"cake/attribute-key/" + attr.encode()).hex() == expected
 
+    @pytest.mark.parametrize("root_hex,attr,expected", KDF_VECTORS)
+    def test_memo_hit_matches_independent_kdf(self, root_hex, attr, expected):
+        secret = abe.MasterSecret(bytes.fromhex(root_hex))
+        abe.attribute_wrap_key(secret, attr)
+        hits = abe.attribute_wrap_key.cache_info().hits
+        assert abe.attribute_wrap_key(secret, attr).hex() == expected
+        assert abe.attribute_wrap_key.cache_info().hits == hits + 1
+
+    def test_master_secrets_never_share_entries(self):
+        secrets = [abe.setup(random.Random(seed)) for seed in (7, 8)]
+        abe.attribute_wrap_key.cache_clear()
+        for _ in range(2):
+            for secret in secrets:
+                assert abe.attribute_wrap_key(secret, "Customs") == hkdf_sha256(
+                    secret.root_key, b"cake/attribute-key/customs")
+        info = abe.attribute_wrap_key.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+    def test_memo_is_bounded(self):
+        assert abe.attribute_wrap_key.cache_info().maxsize == abe._WRAP_KEY_MEMO_SIZE
+
 
 class TestKeygen:
     def test_exact_entries(self, ms):
@@ -201,6 +222,22 @@ class TestSliceRoundtrip:
                                random.Random(10))
         with pytest.raises(abe.PolicyNotSatisfied):
             abe.decrypt_slice(writer, ct)
+
+    def test_nonces_come_from_one_draw(self, ms):
+        class CountingRandom(random.Random):
+            draws: list[int] = []
+
+            def randbytes(self, n):
+                self.draws.append(n)
+                return super().randbytes(n)
+
+        rng = CountingRandom(11)
+        ct = abe.encrypt_slice(ms, TRANSPORT_DOCUMENT, b"payload", rng)
+        nonces = [ws.nonce for ws in ct.wrapped_shares] + [ct.payload_nonce]
+        assert rng.draws == [abe.NONCE_BYTES * len(nonces)]
+        assert all(len(n) == abe.NONCE_BYTES for n in nonces)
+        assert len(set(nonces)) == len(nonces)
+        assert abe.decrypt_slice(make_key(ms, {"29837", "courier"}), ct) == b"payload"
 
 
 class TestIntegrity:

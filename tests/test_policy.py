@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cake import policy
 from cake.policy import (
     And,
     InvalidAttributeError,
@@ -28,6 +29,7 @@ from helpers import (
     attribute_subsets,
     min_satisfying_size,
     random_policy,
+    reference_tokenize,
     sympy_eval,
     tree_satisfied,
 )
@@ -108,6 +110,41 @@ class TestParse:
         with pytest.raises(InvalidAttributeError) as exc:
             parse_policy("ok and café")
         assert exc.value.offset == 7
+
+
+# Pieces policy text is made of, plus the bytes that edge cases turn on:
+# vertical tab and form feed (not separators), non-ASCII letters, some of
+# which lowercase to ASCII (KELVIN SIGN), and over-long or stray words.
+token_pieces = st.sampled_from([
+    "a1", "B2", "and", "AND", "Or", "or", "(", ")", " ", "\t", "\r\n", "\x0b",
+    "\x0c", "\u212a", "caf\u00e9", "\u0130", "\u00a0", "x" * 64, "y" * 65,
+    "-", "!", "_", "9", "\x00", "\U0001f600",
+])
+policy_texts = st.one_of(
+    st.lists(token_pieces, max_size=24).map("".join),
+    st.text(max_size=40),
+    st.text(st.characters(exclude_categories=()), max_size=12),
+)
+
+
+def outcome(tokenize, text):
+    """Tokens as (kind, text, offset), or the error's class, text and offset."""
+    try:
+        return [(t.kind, t.text, t.offset) for t in tokenize(text)]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+class TestTokenize:
+    @settings(max_examples=500)
+    @given(policy_texts)
+    @example("a\x0band b")
+    @example("a\x0cb or (c)")
+    @example("\u212a and K")
+    @example("ok and caf\u00e9")
+    @example("\ud800 or a")
+    def test_matches_reference_tokenizer(self, text):
+        assert outcome(policy._tokenize, text) == outcome(reference_tokenize, text)
 
 
 class TestRender:

@@ -6,8 +6,11 @@ import threading
 
 import pytest
 
+import cake.cli  # noqa: F401  (loads every module that defines an error class)
+from cake import policy as policy_mod
 from cake import protocol
-from cake.codec import Reader
+from cake.codec import Reader, Writer
+from cake.errors import CakeError
 from cake.protocol import TAG_AUTH, TAG_CHALLENGE, TAG_ERROR, TAG_HELLO
 
 # u = 0 is a low-order X25519 point: any exchange with it gives the all-zero
@@ -127,3 +130,87 @@ class TestPreAuthFrameLimits:
             server.server_close()
             thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+def nodelay(sock: socket.socket) -> bool:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+class TestNoDelay:
+    def test_both_ends_of_a_tcp_session(self, deployment, monkeypatch):
+        accepted: list[bool] = []
+
+        def record(transport):
+            accepted.append(nodelay(transport._sock))
+            transport.close()
+
+        monkeypatch.setattr(deployment.sdm, "serve_session", record)
+        server = protocol.serve_tcp(deployment.sdm, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = protocol.connect_tcp(*server.server_address)
+            try:
+                assert nodelay(transport._sock)
+                with pytest.raises(protocol.TransportClosed):
+                    transport.recv_frame()
+            finally:
+                transport.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert accepted == [True]
+
+
+def cake_error_classes():
+    found, pending = [], [CakeError]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            found.append(cls)
+            pending.append(cls)
+    return found
+
+
+class TestWireErrors:
+    def test_every_error_a_handler_raises_arrives_as_its_own_type(
+            self, deployment, client, monkeypatch):
+        raised: list[Exception] = []
+        monkeypatch.setattr(deployment.sdm, "_handle",
+                            lambda session, tag, payload: raise_(raised[-1]))
+        sdm = deployment.connect_sdm(client, random.Random(5))
+        try:
+            for cls in cake_error_classes():
+                if issubclass(cls, policy_mod.PolicyError):
+                    error = cls("bad token", 7)
+                elif cls.__init__ is CakeError.__init__:
+                    error = cls("went wrong")
+                else:
+                    continue  # needs fields an error frame does not carry
+                raised.append(error)
+                with pytest.raises(cls) as caught:
+                    sdm.store([("doc", "a", b"body")])
+                assert type(caught.value) is cls
+                assert str(caught.value) == str(error)
+                assert getattr(caught.value, "offset", None) == getattr(error, "offset", None)
+        finally:
+            sdm.close()
+        assert {type(e).__name__ for e in raised} >= {
+            "BadNonce", "AlreadyRecorded", "ProtocolError", "PolicyNotSatisfied",
+            "CodecError", "MalformedLocator", "PolicySyntaxError"}
+
+    @pytest.mark.parametrize("code", ["NoSuchError", "RemoteServiceError"])
+    def test_unknown_or_structured_error_is_remote_service_error(self, code):
+        w = Writer()
+        w.put_str(code)
+        w.put_str("upstream failed")
+        w.put_u64(0)
+        with pytest.raises(protocol.RemoteServiceError) as caught:
+            protocol._raise_wire_error(w.getvalue())
+        assert type(caught.value) is protocol.RemoteServiceError
+        assert caught.value.code == code
+
+
+def raise_(exc: Exception):
+    raise exc

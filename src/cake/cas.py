@@ -14,6 +14,7 @@ locator raises :class:`IntegrityViolation` instead of being returned.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
@@ -180,10 +181,15 @@ class DirectoryBlobStore(BlobStore):
             return  # idempotent re-put
         try:
             fd, tmp = tempfile.mkstemp(dir=self._blob_dir, prefix=".tmp-")
+        except OSError as exc:
+            raise StorageFailure(f"cannot persist blob: {exc}") from exc
+        try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
             os.replace(tmp, path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
             raise StorageFailure(f"cannot persist blob: {exc}") from exc
 
     def _read(self, loc: Locator) -> bytes:

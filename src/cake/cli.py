@@ -384,9 +384,9 @@ def cmd_serve(args: argparse.Namespace, home: Home) -> int:
     """
     deployment = home.open()
     servers = [
-        protocol.serve_tcp(deployment.sdm, args.host, args.sdm_port),
-        protocol.serve_tcp(deployment.ud, args.host, args.ud_port),
-        protocol.serve_tcp(deployment.skm, args.host, args.skm_port),
+        protocol.ServiceServer(deployment.sdm, args.host, args.sdm_port),
+        protocol.ServiceServer(deployment.ud, args.host, args.ud_port),
+        protocol.ServiceServer(deployment.skm, args.host, args.skm_port),
     ]
     for server in servers:
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -259,6 +259,8 @@ class Chain:
         self.blocks: list[Block] = []
         self._pending: list[Transaction] = []
         self._receipts: dict[bytes, TxReceipt] = {}
+        # tx_hash -> the account key ``submit`` verified its signature with.
+        self._signature_checked: dict[bytes, bytes] = {}
         self._next_nonce: dict[bytes, int] = {}
         self._messages: dict[bytes, MessageRecord] = {}
         self._actors: dict[bytes, ActorRecord] = {}
@@ -282,7 +284,8 @@ class Chain:
         self._next_nonce[tx.sender] = expected + 1
         self._pending.append(tx)
         receipt = TxReceipt(tx_hash=tx.tx_hash)
-        self._receipts[tx.tx_hash] = receipt
+        self._receipts[receipt.tx_hash] = receipt
+        self._signature_checked[receipt.tx_hash] = public_key
         return receipt
 
     def seal_block(self) -> Block:
@@ -346,7 +349,16 @@ class Chain:
     # -- integrity ---------------------------------------------------------
 
     def verify(self) -> ChainVerification:
-        """Recompute every block hash, link, and transaction signature."""
+        """Recompute every block height, link and hash, and check every
+        transaction signature.
+
+        Each signature is checked once per ``Chain`` object: a transaction
+        whose signature :meth:`submit` verified, against the key its sender
+        still has, is not verified again. Its hash covers the signature and
+        everything signed, so the result is the one a fresh check would
+        give. A chain from :meth:`load` was never submitted to, so all of
+        its signatures are checked.
+        """
         prev_hash = GENESIS_PREV_HASH
         for expected_height, block in enumerate(self.blocks):
             ok = (
@@ -362,8 +374,10 @@ class Chain:
 
     def _tx_valid(self, tx: Transaction) -> bool:
         public_key = self.accounts.get(tx.sender)
-        return public_key is not None and verify_signature(
-            public_key, tx.signature, tx.signing_bytes())
+        if public_key is None:
+            return False
+        return (self._signature_checked.get(tx.tx_hash) == public_key
+                or verify_signature(public_key, tx.signature, tx.signing_bytes()))
 
     # -- persistence --------------------------------------------------------
 

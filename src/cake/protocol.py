@@ -46,8 +46,11 @@ Services:
   latest certified metadata through chain + store, re-derives wrap keys,
   and returns the bundle over the sealed channel only.
 
-Reading is a pure client-side operation (``client_read``): ledger lookup,
-verified content fetch, container decryption.
+Reading is a pure client-side operation. ``client_read`` is
+``fetch_container`` (ledger lookup, verified content fetch, parse, and the
+check that the container carries the notarized id) followed by
+``abe.decrypt_container``; a caller reading one document with several keys
+fetches it once and decrypts it with each.
 
 Services may serve many sessions concurrently (state per session is local),
 but a deterministic deployment should drive them sequentially with a seeded
@@ -755,20 +758,30 @@ class ServiceClient:
         self.session.close()
 
 
-def client_read(chain: ledger.Chain, store: cas.BlobStore, message_id: bytes,
-                key: abe.UserKey) -> list[tuple[str, Optional[bytes]]]:
-    """Resolve, fetch, verify, and decrypt a notarized container.
+def fetch_container(chain: ledger.Chain, store: cas.BlobStore,
+                    message_id: bytes) -> abe.CiphertextContainer:
+    """Resolve a notarized id, fetch and verify its content, and parse it.
 
     Raises :class:`ledger.RecordNotFound` for unknown ids and
     :class:`cas.IntegrityViolation` / :class:`abe.IntegrityFailure` for
-    tampered content; per-slice policy failures come back as ``None``.
+    tampered content.
     """
     record = chain.message_get(message_id)
     blob = store.get(cas.parse_locator(record.locator))
     container = abe.parse_container(blob)
     if container.message_id != message_id:
         raise abe.IntegrityFailure("container does not carry the notarized id")
-    return abe.decrypt_container(key, container)
+    return container
+
+
+def client_read(chain: ledger.Chain, store: cas.BlobStore, message_id: bytes,
+                key: abe.UserKey) -> list[tuple[str, Optional[bytes]]]:
+    """Fetch a notarized container and decrypt it with ``key``.
+
+    Raises what :func:`fetch_container` raises; per-slice policy failures
+    come back as ``None``.
+    """
+    return abe.decrypt_container(key, fetch_container(chain, store, message_id))
 
 
 # --- deployment plumbing ---------------------------------------------------------
@@ -851,17 +864,14 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 
 
 class ServiceServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP server for one service; the caller runs serve_forever."""
+
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, service: Service, host: str, port: int) -> None:
         super().__init__((host, port), _SessionHandler)
         self.cake_service = service
-
-
-def serve_tcp(service: Service, host: str, port: int) -> ServiceServer:
-    """Bind a threaded TCP server for the service; caller runs serve_forever."""
-    return ServiceServer(service, host, port)
 
 
 def connect_tcp(host: str, port: int) -> SocketTransport:

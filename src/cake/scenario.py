@@ -3,10 +3,12 @@
 A scenario script names the actors with their certified attributes and the
 documents to exchange, each with a sender, an access policy, and a payload.
 Running it provisions a fresh deployment, certifies every actor through the
-user directory, stores every document through the data manager (as its
-sender), then has every actor request a key and attempt to read every
-document. The realized access matrix, the notarized ids and locators, and
-the chain verification result land in the report.
+user directory, and stores every document, in script order, through the
+data manager as its sender: each sender opens one session, on its first
+document, and stores all of its documents over it. Every actor then
+requests a key, and each document is fetched once and decrypted with every
+actor's key. The realized access matrix, the notarized ids and locators,
+and the chain verification result land in the report.
 
 With a seeded run the whole exchange is reproducible: identical seeds give
 byte-identical ledgers and identical message ids and locators.
@@ -210,28 +212,40 @@ def run_scenario(script: ScenarioScript, seed: Optional[int] = None,
     message_ids: dict[str, str] = {}
     locators: dict[str, str] = {}
     raw_ids: dict[str, bytes] = {}
-    for doc in script.documents:
-        sdm_client = step(f"store/{doc.name}/connect", lambda d=doc:
-                          deployment.connect_sdm(identities[d.sender], rng))
-        message_id, locator = step(f"store/{doc.name}", lambda d=doc, c=sdm_client:
-                                   c.store([(d.name, d.policy, d.payload)]))
-        sdm_client.close()
-        raw_ids[doc.name] = message_id
-        message_ids[doc.name] = message_id.hex()
-        locators[doc.name] = locator
+    sdm_clients: dict[str, protocol.ServiceClient] = {}
+    try:
+        for doc in script.documents:
+            if doc.sender not in sdm_clients:
+                sdm_clients[doc.sender] = step(
+                    f"store/{doc.name}/connect", lambda d=doc:
+                    deployment.connect_sdm(identities[d.sender], rng))
+            message_id, locator = step(
+                f"store/{doc.name}", lambda d=doc:
+                sdm_clients[d.sender].store([(d.name, d.policy, d.payload)]))
+            raw_ids[doc.name] = message_id
+            message_ids[doc.name] = message_id.hex()
+            locators[doc.name] = locator
+    finally:
+        for sdm_client in sdm_clients.values():
+            sdm_client.close()
 
-    matrix: dict[str, dict[str, bool]] = {doc.name: {} for doc in script.documents}
+    user_keys: dict[str, abe.UserKey] = {}
     for name, _ in script.actors:
         skm_client = step(f"key/{name}/connect", lambda n=name:
                           deployment.connect_skm(identities[n], rng))
-        user_key = step(f"key/{name}", skm_client.request_key)
-        skm_client.close()
-        for doc in script.documents:
-            def attempt(d=doc, k=user_key):
-                results = protocol.client_read(
-                    deployment.chain, deployment.store, raw_ids[d.name], k)
-                return all(body is not None for _, body in results)
-            matrix[doc.name][name] = step(f"read/{doc.name}/{name}", attempt)
+        try:
+            user_keys[name] = step(f"key/{name}", skm_client.request_key)
+        finally:
+            skm_client.close()
+
+    matrix: dict[str, dict[str, bool]] = {doc.name: {} for doc in script.documents}
+    for doc in script.documents:
+        container = step(f"read/{doc.name}", lambda d=doc: protocol.fetch_container(
+            deployment.chain, deployment.store, raw_ids[d.name]))
+        for name, key in user_keys.items():
+            results = step(f"read/{doc.name}/{name}", lambda k=key, c=container:
+                           abe.decrypt_container(k, c))
+            matrix[doc.name][name] = all(body is not None for _, body in results)
 
     expected = {doc.name: {actor: script.expected_access[(doc.name, actor)]
                            for actor, _ in script.actors}

@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+from cake import cas
 from cake.cas import (
     BlobNotFound,
     BlobTooLarge,
@@ -10,6 +12,7 @@ from cake.cas import (
     Locator,
     MalformedLocator,
     MemoryBlobStore,
+    StorageFailure,
     base58_encode,
     locator_for,
     parse_locator,
@@ -51,6 +54,19 @@ class TestPut:
 
     def test_locator_is_pure_function_of_bytes(self, store):
         assert store.put(HELLO) == locator_for(HELLO)
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        store = DirectoryBlobStore(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cas.os, "replace", refuse)
+        with pytest.raises(StorageFailure, match="disk full"):
+            store.put(HELLO)
+        assert os.listdir(tmp_path / "blobs") == []
+        monkeypatch.undo()
+        assert store.get(store.put(HELLO)) == HELLO
 
 
 class TestGet:

@@ -113,7 +113,7 @@ class TestPreAuthFrameLimits:
             right.recv_frame(protocol.HELLO_BYTES)
 
     def test_oversized_hello_prefix_refused_without_reading_body(self, deployment):
-        server = protocol.serve_tcp(deployment.sdm, "127.0.0.1", 0)
+        server = protocol.ServiceServer(deployment.sdm, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -145,7 +145,7 @@ class TestNoDelay:
             transport.close()
 
         monkeypatch.setattr(deployment.sdm, "serve_session", record)
-        server = protocol.serve_tcp(deployment.sdm, "127.0.0.1", 0)
+        server = protocol.ServiceServer(deployment.sdm, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

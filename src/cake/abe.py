@@ -27,9 +27,9 @@ its associated data is the SHA-256 of the canonical slice serialization with
 the payload fields emptied, so any header mutation fails authentication
 rather than decrypting to garbage.
 
-Derived wrap keys are deterministic, so two users certified for the same
-attribute hold identical wrap keys and colluding users can pool attributes;
-see the project README for the trust model this implements.
+Trust model: wrap keys are deterministic per attribute, so users certified
+for the same attribute hold identical wrap keys, and colluding holders can
+pool their attributes to satisfy a policy none of them satisfies alone.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ _EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
     ((cas.StorageFailure, cas.BlobTooLarge), EXIT_STORAGE),
     ((abe.EmptyContainer, abe.DuplicateLabel, abe.EmptyAttributeSet,
       cas.MalformedLocator, CodecError, scenario.ScenarioError), EXIT_BAD_REQUEST),
-    ((CakeError,), EXIT_OTHER),
 ]
 
 
@@ -100,7 +99,7 @@ class Home:
         self.keys_dir.mkdir(exist_ok=True)
         master = abe.setup()
         services = {name: protocol.Identity.generate().to_dict()
-                    for name in ("sdm", "ud", "skm", "certifier")}
+                    for name in protocol.SERVICE_ROLES}
         self.services_file.write_text(json.dumps(services, indent=2))
         self.master_file.write_text(master.root_key.hex())
         self.chain_file.write_bytes(b"")
@@ -113,30 +112,18 @@ class Home:
         services = json.loads(self.services_file.read_text())
         identities = {name: protocol.Identity.from_dict(blob)
                       for name, blob in services.items()}
-        certifier = identities["certifier"]
-        chain = ledger.Chain.load(
-            accounts=[identities["sdm"].signing_public, certifier.signing_public],
-            certifiers=[certifier.address],
-            data=self.chain_file.read_bytes())
-        self._loaded_height = chain.height
-        store = cas.DirectoryBlobStore(self.path)
-        directory = protocol.IdentityDirectory()
-        directory.register(certifier.public())
+        deployment = protocol.deploy(master, identities,
+                                     cas.DirectoryBlobStore(self.path),
+                                     self.chain_file.read_bytes())
+        self._loaded_height = deployment.chain.height
         for peer in json.loads(self.directory_file.read_text())["peers"].values():
-            directory.register(protocol.PeerIdentity.from_dict(peer))
-        sdm = protocol.SdmService(identities["sdm"], directory, master, chain, store)
-        ud = protocol.UdService(identities["ud"], directory, chain, store,
-                                {certifier.address: certifier.signer})
-        skm = protocol.SkmService(identities["skm"], directory, master, chain, store)
-        return protocol.Deployment(master, chain, store, directory,
-                                   sdm, ud, skm, certifier)
+            deployment.register(protocol.PeerIdentity.from_dict(peer))
+        return deployment
 
     def save_chain(self, chain: ledger.Chain) -> None:
         """Append blocks sealed since load; the file stays append-only."""
         with self.chain_file.open("ab") as fh:
-            for block in chain.blocks[self._loaded_height:]:
-                body = block.serialize()
-                fh.write(len(body).to_bytes(4, "big") + body)
+            fh.write(ledger.serialize_blocks(chain.blocks[self._loaded_height:]))
         self._loaded_height = chain.height
 
     # named identities and keys
@@ -185,15 +172,13 @@ def _remote_addr(var: str) -> Optional[tuple[str, int]]:
     return host, int(port)
 
 
-def _connect(home: Home, deployment: protocol.Deployment, which: str,
+def _connect(deployment: protocol.Deployment, which: str,
              identity: protocol.Identity) -> protocol.ServiceClient:
     remote = _remote_addr(f"CAKE_{which.upper()}_ADDR")
     service = getattr(deployment, which)
-    if remote is None:
-        return protocol.ServiceClient(identity, service.public(),
-                                      protocol.serve_in_background(service))
-    return protocol.ServiceClient(identity, service.public(),
-                                  protocol.connect_tcp(*remote))
+    transport = (protocol.serve_in_background(service) if remote is None
+                 else protocol.connect_tcp(*remote))
+    return protocol.ServiceClient(identity, service.public(), transport)
 
 
 # --- output helpers -------------------------------------------------------------
@@ -219,7 +204,7 @@ def cmd_identity_new(args: argparse.Namespace, home: Home) -> int:
 def cmd_certify(args: argparse.Namespace, home: Home) -> int:
     deployment = home.open()
     actor = home.address_of(args.actor)
-    client = _connect(home, deployment, "ud", deployment.certifier)
+    client = _connect(deployment, "ud", deployment.certifier)
     try:
         locator = client.certify(actor, args.attributes)
     finally:
@@ -258,7 +243,7 @@ def _collect_slices(args: argparse.Namespace) -> list[tuple[str, str, bytes]]:
 def cmd_store(args: argparse.Namespace, home: Home) -> int:
     slices = _collect_slices(args)
     deployment = home.open()
-    client = _connect(home, deployment, "sdm", home.identity(args.as_name))
+    client = _connect(deployment, "sdm", home.identity(args.as_name))
     try:
         message_id, locator = client.store(slices)
     finally:
@@ -272,7 +257,7 @@ def cmd_store(args: argparse.Namespace, home: Home) -> int:
 
 def cmd_key_request(args: argparse.Namespace, home: Home) -> int:
     deployment = home.open()
-    client = _connect(home, deployment, "skm", home.identity(args.as_name))
+    client = _connect(deployment, "skm", home.identity(args.as_name))
     try:
         key = client.request_key()
     finally:
@@ -499,7 +484,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CakeError, CodecError) as exc:
+    except CakeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     except OSError as exc:

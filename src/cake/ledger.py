@@ -42,7 +42,6 @@ from .errors import CakeError
 
 ADDRESS_BYTES = 20
 HASH_BYTES = 32
-SIGNATURE_BYTES = 64
 GENESIS_PREV_HASH = b"\x00" * HASH_BYTES
 
 CONTRACT_MESSAGE_REGISTRY = "message_registry"
@@ -292,14 +291,7 @@ class Chain:
         """Apply pending transactions in order and append the next block."""
         height = len(self.blocks)
         for tx in self._pending:
-            receipt = self._receipts[tx.tx_hash]
-            try:
-                self._apply(tx, height)
-                receipt.status = STATUS_APPLIED
-            except LedgerError as exc:
-                receipt.status = STATUS_REJECTED
-                receipt.error = type(exc).__name__
-            receipt.height = height
+            self._apply_with_receipt(tx, height)
         prev_hash = self.blocks[-1].block_hash if self.blocks else GENESIS_PREV_HASH
         transactions = tuple(self._pending)
         body = _block_body(height, prev_hash, transactions)
@@ -307,6 +299,19 @@ class Chain:
         self.blocks.append(block)
         self._pending = []
         return block
+
+    def _apply_with_receipt(self, tx: Transaction, height: int) -> None:
+        """Apply ``tx`` and fill in its receipt. A transaction that the
+        contracts refuse or whose arguments do not decode is rejected, so it
+        never stops a block from being sealed or loaded."""
+        receipt = self._receipts.setdefault(tx.tx_hash, TxReceipt(tx.tx_hash))
+        receipt.height = height
+        try:
+            self._apply(tx, height)
+        except (LedgerError, CodecError) as exc:
+            receipt.status, receipt.error = STATUS_REJECTED, type(exc).__name__
+        else:
+            receipt.status, receipt.error = STATUS_APPLIED, None
 
     def _apply(self, tx: Transaction, height: int) -> None:
         if tx.contract == CONTRACT_MESSAGE_REGISTRY and tx.method == "store":
@@ -382,11 +387,8 @@ class Chain:
     # -- persistence --------------------------------------------------------
 
     def serialize(self) -> bytes:
-        """Append-only file form: each sealed block length-prefixed in order."""
-        w = Writer()
-        for block in self.blocks:
-            w.put_bytes(block.serialize())
-        return w.getvalue()
+        """The chain file form of every sealed block; see :func:`serialize_blocks`."""
+        return serialize_blocks(self.blocks)
 
     @classmethod
     def load(cls, accounts: Iterable[bytes], certifiers: Iterable[bytes],
@@ -403,16 +405,18 @@ class Chain:
             for tx in block.transactions:
                 chain._next_nonce[tx.sender] = max(
                     chain._next_nonce.get(tx.sender, 1), tx.sender_nonce + 1)
-                receipt = TxReceipt(tx_hash=tx.tx_hash, height=block.height)
-                try:
-                    chain._apply(tx, block.height)
-                    receipt.status = STATUS_APPLIED
-                except (LedgerError, CodecError) as exc:
-                    receipt.status = STATUS_REJECTED
-                    receipt.error = type(exc).__name__
-                chain._receipts[tx.tx_hash] = receipt
+                chain._apply_with_receipt(tx, block.height)
             chain.blocks.append(block)
         return chain
+
+
+def serialize_blocks(blocks: Iterable[Block]) -> bytes:
+    """Chain file form: each block length-prefixed, in order. The file is
+    append-only: the form of a later run of blocks is appended to it as is."""
+    w = Writer()
+    for block in blocks:
+        w.put_bytes(block.serialize())
+    return w.getvalue()
 
 
 def _decode_store_args(args: bytes) -> tuple[bytes, str]:

@@ -52,6 +52,14 @@ check that the container carries the notarized id) followed by
 ``abe.decrypt_container``; a caller reading one document with several keys
 fetches it once and decrypts it with each.
 
+Every service owns the deployment's chain and content store; the data
+manager and the user directory write through ``Service._notarize`` (store
+put, submit, seal, and :class:`LedgerRejected` unless applied). ``deploy``
+is the one place that wires a deployment: the chain, the identity directory
+(address -> signing key, seeded with the certifier) and the three services.
+``provision`` draws a fresh master secret and ``SERVICE_ROLES`` identities
+and deploys them on an empty chain; the CLI reads them from its home.
+
 Services may serve many sessions concurrently (state per session is local),
 but a deterministic deployment should drive them sequentially with a seeded
 entropy source, as the scenario harness does.
@@ -105,6 +113,9 @@ TAG_ERROR = 0x1F
 _SERVER_SIG_CONTEXT = b"cake/handshake/server/v1"
 _CLIENT_SIG_CONTEXT = b"cake/handshake/client/v1"
 _SESSION_KEY_INFO = b"cake/session-key/v1"
+
+# The identities a deployment is made of, in the order provisioning draws them.
+SERVICE_ROLES = ("sdm", "ud", "skm", "certifier")
 
 _DIR_CLIENT_TO_SERVER = 0x01
 _DIR_SERVER_TO_CLIENT = 0x02
@@ -211,19 +222,8 @@ class PeerIdentity:
                    bytes.fromhex(data["kx_public"]))
 
 
-class IdentityDirectory:
-    """address -> signing key map the services authenticate clients against."""
-
-    def __init__(self) -> None:
-        self._signing_keys: dict[bytes, bytes] = {}
-
-    def register(self, peer: PeerIdentity | Identity) -> None:
-        self._signing_keys[peer.address] = (
-            peer.signing_public if isinstance(peer, PeerIdentity)
-            else peer.signer.public_bytes)
-
-    def resolve(self, address: bytes) -> Optional[bytes]:
-        return self._signing_keys.get(address)
+# address -> Ed25519 signing key; the services authenticate clients by it.
+IdentityDirectory = dict[bytes, bytes]
 
 
 @dataclass(frozen=True)
@@ -500,12 +500,15 @@ def client_handshake(identity: Identity, server: PeerIdentity, transport: Transp
 # --- services ----------------------------------------------------------------
 
 class Service:
-    """Base: server-side handshake plus the request/response loop."""
+    """Base: handshake, request loop, and the deployment's chain and store."""
 
     def __init__(self, identity: Identity, directory: IdentityDirectory,
+                 chain: ledger.Chain, store: cas.BlobStore,
                  rng: Optional[random.Random] = None) -> None:
         self.identity = identity
         self.directory = directory
+        self.chain = chain
+        self.store = store
         self._rng = rng if rng is not None else random.SystemRandom()
         self._seen_nonces: set[bytes] = set()
         self._lock = threading.Lock()
@@ -556,7 +559,7 @@ class Service:
         client_address = hello[1:21]
         client_ephemeral = hello[21:53]
         client_nonce = hello[53:]
-        client_signing = self.directory.resolve(client_address)
+        client_signing = self.directory.get(client_address)
         if client_signing is None:
             raise UnknownClient(f"no identity registered for {client_address.hex()}")
         with self._lock:
@@ -589,6 +592,18 @@ class Service:
     def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
         raise NotImplementedError
 
+    def _notarize(self, blob: bytes,
+                  submit: Callable[[str], ledger.TxReceipt]) -> str:
+        """Put ``blob`` on the content store, seal the transaction that
+        ``submit`` makes for its locator into a block, and return the
+        locator; raises :class:`LedgerRejected` unless the chain applied it."""
+        locator = self.store.put(blob).render()
+        receipt = submit(locator)
+        self.chain.seal_block()
+        if receipt.status != ledger.STATUS_APPLIED:
+            raise LedgerRejected(f"transaction rejected: {receipt.error}")
+        return locator
+
 
 class SdmService(Service):
     """Secure data manager: encrypt, store, notarize."""
@@ -596,10 +611,8 @@ class SdmService(Service):
     def __init__(self, identity: Identity, directory: IdentityDirectory,
                  master: abe.MasterSecret, chain: ledger.Chain, store: cas.BlobStore,
                  rng: Optional[random.Random] = None) -> None:
-        super().__init__(identity, directory, rng)
+        super().__init__(identity, directory, chain, store, rng)
         self.master = master
-        self.chain = chain
-        self.store = store
 
     def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
         if tag != TAG_STORE_REQ:
@@ -611,16 +624,14 @@ class SdmService(Service):
 
         message_id = abe.new_message_id(self._rng)
         container = abe.encrypt_container(self.master, message_id, slices, self._rng)
-        locator = self.store.put(abe.serialize_container(container))
-        receipt = ledger.message_store(self.chain, self.identity.signer,
-                                       message_id, locator.render())
-        self.chain.seal_block()
-        if receipt.status != ledger.STATUS_APPLIED:
-            raise LedgerRejected(f"store transaction rejected: {receipt.error}")
+        locator = self._notarize(
+            abe.serialize_container(container),
+            lambda loc: ledger.message_store(self.chain, self.identity.signer,
+                                             message_id, loc))
 
         w = Writer()
         w.put_bytes(message_id)
-        w.put_str(locator.render())
+        w.put_str(locator)
         return TAG_STORE_RESP, w.getvalue()
 
 
@@ -636,9 +647,7 @@ class UdService(Service):
                  certifier_signers: dict[bytes, ledger.Signer],
                  clock: Clock = _system_clock,
                  rng: Optional[random.Random] = None) -> None:
-        super().__init__(identity, directory, rng)
-        self.chain = chain
-        self.store = store
+        super().__init__(identity, directory, chain, store, rng)
         self.certifier_signers = dict(certifier_signers)
         self.clock = clock
 
@@ -658,14 +667,12 @@ class UdService(Service):
             raise abe.EmptyAttributeSet("cannot certify an empty attribute set")
 
         metadata = ActorMetadata(actor, attrs, self.clock(), signer.address)
-        locator = self.store.put(serialize_actor_metadata(metadata))
-        receipt = ledger.actor_certify(self.chain, signer, actor, locator.render())
-        self.chain.seal_block()
-        if receipt.status != ledger.STATUS_APPLIED:
-            raise LedgerRejected(f"certify transaction rejected: {receipt.error}")
+        locator = self._notarize(
+            serialize_actor_metadata(metadata),
+            lambda loc: ledger.actor_certify(self.chain, signer, actor, loc))
 
         w = Writer()
-        w.put_str(locator.render())
+        w.put_str(locator)
         return TAG_CERTIFY_RESP, w.getvalue()
 
 
@@ -676,10 +683,8 @@ class SkmService(Service):
                  master: abe.MasterSecret, chain: ledger.Chain, store: cas.BlobStore,
                  clock: Clock = _system_clock,
                  rng: Optional[random.Random] = None) -> None:
-        super().__init__(identity, directory, rng)
+        super().__init__(identity, directory, chain, store, rng)
         self.master = master
-        self.chain = chain
-        self.store = store
         self.clock = clock
 
     def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
@@ -799,8 +804,7 @@ class Deployment:
     certifier: Identity
 
     def register(self, identity: Identity | PeerIdentity) -> None:
-        self.directory.register(
-            identity.public() if isinstance(identity, Identity) else identity)
+        self.directory[identity.address] = identity.signing_public
 
     def connect_sdm(self, identity: Identity,
                     rng: Optional[random.Random] = None) -> ServiceClient:
@@ -818,35 +822,36 @@ class Deployment:
                              serve_in_background(self.skm), rng)
 
 
+def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
+           store: cas.BlobStore, chain_data: bytes,
+           clock: Clock = _system_clock,
+           rng: Optional[random.Random] = None) -> Deployment:
+    """Wire a deployment: ``identities`` maps each of :data:`SERVICE_ROLES`
+    to its identity; the chain replays ``chain_data`` and accepts
+    transactions from the data manager and the certifier only."""
+    sdm, ud, skm, certifier = (identities[role] for role in SERVICE_ROLES)
+    chain = ledger.Chain.load(accounts=[sdm.signing_public, certifier.signing_public],
+                              certifiers=[certifier.address], data=chain_data)
+    directory: IdentityDirectory = {certifier.address: certifier.signing_public}
+    return Deployment(
+        master, chain, store, directory,
+        SdmService(sdm, directory, master, chain, store, rng),
+        UdService(ud, directory, chain, store, {certifier.address: certifier.signer},
+                  clock, rng),
+        SkmService(skm, directory, master, chain, store, clock, rng),
+        certifier)
+
+
 def provision(rng: Optional[random.Random] = None,
               store: Optional[cas.BlobStore] = None,
               clock: Clock = _system_clock) -> Deployment:
-    """Stand up master secret, chain, store, and the three services.
-
-    One certifier identity is created and given chain write access alongside
-    the data manager; its sessions go through the user directory like any
-    other client's.
-    """
+    """Draw a master secret and the :data:`SERVICE_ROLES` identities, in that
+    order, and :func:`deploy` them on an empty chain."""
     rng = rng if rng is not None else random.SystemRandom()
     store = store if store is not None else cas.MemoryBlobStore()
     master = abe.setup(rng)
-
-    sdm_identity = Identity.generate(rng)
-    ud_identity = Identity.generate(rng)
-    skm_identity = Identity.generate(rng)
-    certifier = Identity.generate(rng)
-
-    chain = ledger.Chain(
-        accounts=[sdm_identity.signing_public, certifier.signing_public],
-        certifiers=[certifier.address])
-    directory = IdentityDirectory()
-    directory.register(certifier.public())
-
-    sdm = SdmService(sdm_identity, directory, master, chain, store, rng)
-    ud = UdService(ud_identity, directory, chain, store,
-                   {certifier.address: certifier.signer}, clock, rng)
-    skm = SkmService(skm_identity, directory, master, chain, store, clock, rng)
-    return Deployment(master, chain, store, directory, sdm, ud, skm, certifier)
+    identities = {role: Identity.generate(rng) for role in SERVICE_ROLES}
+    return deploy(master, identities, store, b"", clock, rng)
 
 
 def serve_in_background(service: Service) -> Transport:

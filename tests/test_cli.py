@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import socket
@@ -79,3 +80,101 @@ class TestServeSignals:
         assert cli.main(["--home", str(home_dir), "ledger", "verify"]) == 0
         chain = cli.Home(home_dir).open().chain
         assert chain.message_get(message_id).locator
+
+
+@pytest.fixture
+def cake(tmp_path, monkeypatch, capsys):
+    """Runs ``cake --home <tmp> --format json ...`` in this process, with the
+    in-process services; returns the exit code and the parsed output."""
+    for var in ("CAKE_HOME", "CAKE_SDM_ADDR", "CAKE_UD_ADDR", "CAKE_SKM_ADDR"):
+        monkeypatch.delenv(var, raising=False)
+    home = tmp_path / "home"
+
+    def run(*args: str) -> tuple[int, object]:
+        capsys.readouterr()
+        code = cli.main(["--home", str(home), "--format", "json", *args])
+        out = capsys.readouterr().out
+        return code, json.loads(out) if out else None
+
+    return run
+
+
+@pytest.fixture
+def stored(cake, tmp_path):
+    """A home where ``owner`` stored two slices and ``owner`` and ``clerk``
+    hold keys for different attributes; returns the message id."""
+    (tmp_path / "terms.txt").write_bytes(b"payment terms")
+    (tmp_path / "notes.txt").write_bytes(b"internal notes")
+    for name in ("owner", "clerk", "stranger"):
+        assert cake("identity", "new", name)[0] == 0
+    assert cake("certify", "owner", "finance", "audit")[0] == 0
+    assert cake("certify", "clerk", "sales")[0] == 0
+    code, out = cake("store", "--as", "owner",
+                     "--policy", "finance", "--label", "terms",
+                     str(tmp_path / "terms.txt"),
+                     "--policy", "finance and audit",
+                     "--slice", f"notes={tmp_path / 'notes.txt'}")
+    assert code == 0 and out["slices"] == ["terms", "notes"]
+    for name in ("owner", "clerk"):
+        assert cake("key", "request", "--as", name)[0] == 0
+    return out["message_id"]
+
+
+class TestInProcessCommands:
+    def test_allowed_read_writes_every_slice(self, cake, stored, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out = cake("read", stored, "--as", "owner", "--out-dir", str(out_dir))
+        assert code == cli.EXIT_OK
+        assert [s["readable"] for s in out["slices"]] == [True, True]
+        assert (out_dir / "terms").read_bytes() == b"payment terms"
+        assert (out_dir / "notes").read_bytes() == b"internal notes"
+
+    def test_denied_read(self, cake, stored):
+        code, out = cake("read", stored, "--as", "clerk")
+        assert code == cli.EXIT_POLICY_NOT_SATISFIED == 67
+        assert [s["readable"] for s in out["slices"]] == [False, False]
+
+    def test_ledger_show_and_verify(self, cake, stored):
+        code, out = cake("ledger", "show", stored)
+        assert code == 0
+        assert out["message_id"] == stored and out["height"] == 2
+        code, out = cake("ledger", "verify")
+        assert code == 0
+        assert out == {"ok": True, "failed_height": None, "height": 3}
+
+    @pytest.mark.parametrize("args", [
+        ("read", "not-hex", "--as", "owner"),
+        ("ledger", "show", "not-hex"),
+        ("store", "--as", "nobody", "--policy", "finance", "{terms}"),
+        ("key", "request", "--as", "nobody"),
+        ("read", "00", "--as", "nobody"),
+    ], ids=["read-non-hex", "show-non-hex", "store-unknown-as",
+            "key-unknown-as", "read-unknown-as"])
+    def test_usage_errors(self, cake, stored, tmp_path, args):
+        args = [arg.format(terms=tmp_path / "terms.txt") for arg in args]
+        assert cake(*args)[0] == cli.EXIT_USAGE == 64
+
+    @pytest.mark.parametrize("args", [
+        ("ledger", "show", "00" * 16),
+        ("read", "00" * 16, "--as", "owner"),
+    ], ids=["show", "read"])
+    def test_unknown_message_id(self, cake, stored, args):
+        assert cake(*args)[0] == cli.EXIT_NOT_FOUND == 66
+
+    def test_policy_syntax_error(self, cake, stored, tmp_path):
+        code, _ = cake("store", "--as", "owner", "--policy", "(a or",
+                       str(tmp_path / "terms.txt"))
+        assert code == cli.EXIT_POLICY_SYNTAX == 65
+
+    def test_key_request_from_uncertified_identity(self, cake, stored):
+        assert cake("key", "request", "--as", "stranger")[0] == \
+            cli.EXIT_NOT_CERTIFIED == 70
+
+    def test_tampered_chain_file(self, cake, stored, tmp_path):
+        chain_file = tmp_path / "home" / "chain.bin"
+        data = bytearray(chain_file.read_bytes())
+        data[-1] ^= 0x01
+        chain_file.write_bytes(bytes(data))
+        code, out = cake("ledger", "verify")
+        assert code == cli.EXIT_CHAIN_INVALID == 73
+        assert out["ok"] is False and out["failed_height"] == 2

@@ -106,6 +106,31 @@ class TestContracts:
         assert loaded.receipt(second.tx_hash).error == "AlreadyRecorded"
         assert loaded.message_get(b"id").locator == "first"
 
+    @pytest.mark.parametrize("sender,contract,method", [
+        (SDM, ledger.CONTRACT_MESSAGE_REGISTRY, "store"),
+        (CERTIFIER, ledger.CONTRACT_ACTOR_REGISTRY, "certify"),
+    ], ids=["store", "certify"])
+    def test_malformed_arguments_are_rejected_without_wedging(self, sender,
+                                                               contract, method):
+        chain = fresh_chain()
+        good = ledger.message_store(chain, SDM, b"id-0", "loc-0")
+        bad = chain.submit(ledger.make_transaction(
+            sender, contract, method, b"\x00", chain.next_nonce(sender.address)))
+        block = chain.seal_block()
+        assert block.height == 0 and len(block.transactions) == 2
+        assert (good.status, good.height) == (ledger.STATUS_APPLIED, 0)
+        assert (bad.status, bad.error, bad.height) == (
+            ledger.STATUS_REJECTED, "CodecError", 0)
+        assert chain.message_get(b"id-0").height == 0
+
+        later = ledger.message_store(chain, SDM, b"id-1", "loc-1")
+        assert chain.seal_block().height == 1
+        assert later.status == ledger.STATUS_APPLIED
+        assert chain.verify().ok
+        loaded = reload(chain)
+        assert [loaded.receipt(r.tx_hash) for r in (good, bad, later)] == \
+            [good, bad, later]
+
     def test_unknown_sender_is_refused_at_submit(self):
         chain = fresh_chain()
         with pytest.raises(ledger.BadSignature):

@@ -25,7 +25,14 @@ Keys:
 The payload AEAD binds the slice header (policy text plus wrapped shares):
 its associated data is the SHA-256 of the canonical slice serialization with
 the payload fields emptied, so any header mutation fails authentication
-rather than decrypting to garbage.
+rather than decrypting to garbage. Each parsed or encrypted slice keeps its
+header bytes (:attr:`SliceCiphertext.header`), the ones parsing read or
+encryption built, so a read hashes them as they are and a store writes them
+out without encoding the shares again. Containers are parsed in one pass
+that reads each length in place and checks it before taking its field.
+
+Slice labels are single path components (:func:`check_label`), since a
+reader may write each slice to a file of that name.
 
 Trust model: wrap keys are deterministic per attribute, so users certified
 for the same attribute hold identical wrap keys, and colluding holders can
@@ -84,6 +91,10 @@ class EmptyContainer(AbeError):
     pass
 
 
+class InvalidLabel(AbeError):
+    """A slice label that is not exactly one path component."""
+
+
 class EntropyFailure(AbeError):
     """The injected entropy source failed to produce bytes."""
 
@@ -124,6 +135,16 @@ class SliceCiphertext:
     wrapped_shares: tuple[WrappedShare, ...]
     payload_nonce: bytes
     payload: bytes
+
+    @functools.cached_property
+    def header(self) -> bytes:
+        """The canonical bytes of the policy text and the wrapped shares: the
+        slice's serialization up to its payload fields.
+
+        Parsing and encryption seed it with the bytes they already hold;
+        ``dataclasses.replace`` builds a new object, which encodes its own.
+        """
+        return _encode_header(self.policy_text, self.wrapped_shares)
 
 
 @dataclass(frozen=True)
@@ -224,10 +245,12 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
         wrapped.append(WrappedShare(leaf.leaf_index, leaf.attribute, nonce, sealed))
 
     shares = tuple(wrapped)
+    header = _encode_header(canonical, shares)
     payload_nonce = nonces[-NONCE_BYTES:]
     payload = AESGCM(_payload_key(data_key)).encrypt(
-        payload_nonce, plaintext, _header_digest(canonical, shares))
-    return SliceCiphertext(canonical, shares, payload_nonce, payload)
+        payload_nonce, plaintext, _header_digest(header))
+    return _keeping_header(SliceCiphertext(canonical, shares, payload_nonce, payload),
+                           header)
 
 
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
@@ -303,6 +326,16 @@ def new_message_id(rng: Optional[random.Random] = None) -> bytes:
     return _random_bytes(_rng_or_system(rng), MESSAGE_ID_BYTES)
 
 
+def check_label(label: str) -> str:
+    """Return ``label`` if it is exactly one path component, else raise
+    :class:`InvalidLabel`: a reader may write each slice to a file named by
+    its label, so the label must not be empty, ``.`` or ``..``, and must not
+    contain ``/`` or NUL."""
+    if label in ("", ".", "..") or "/" in label or "\0" in label:
+        raise InvalidLabel(f"slice label {label!r} is not a single path component")
+    return label
+
+
 def encrypt_container(ms: MasterSecret, message_id: bytes,
                       slices: list[tuple[str, str, bytes]],
                       rng: Optional[random.Random] = None) -> CiphertextContainer:
@@ -311,7 +344,7 @@ def encrypt_container(ms: MasterSecret, message_id: bytes,
         raise ValueError("message id must be 16 bytes")
     if not slices:
         raise EmptyContainer("a container needs at least one slice")
-    labels = [label for label, _, _ in slices]
+    labels = [check_label(label) for label, _, _ in slices]
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("slice labels must be unique within a container")
     rng = _rng_or_system(rng)
@@ -340,8 +373,12 @@ def decrypt_container(uk: UserKey,
 
 # --- canonical serialization -------------------------------------------------
 
-def _write_slice(policy_text: str, wrapped_shares: tuple[WrappedShare, ...],
-                 payload_nonce: bytes, payload: bytes) -> bytes:
+# The payload fields' two zero lengths, which end the slice form whose digest
+# binds the header.
+_EMPTY_PAYLOAD_FIELDS = bytes(8)
+
+
+def _encode_header(policy_text: str, wrapped_shares: tuple[WrappedShare, ...]) -> bytes:
     w = Writer()
     w.put_str(policy_text)
     w.put_u32(len(wrapped_shares))
@@ -350,38 +387,87 @@ def _write_slice(policy_text: str, wrapped_shares: tuple[WrappedShare, ...],
         w.put_str(ws.attribute)
         w.put_bytes(ws.nonce)
         w.put_bytes(ws.wrapped)
-    w.put_bytes(payload_nonce)
-    w.put_bytes(payload)
     return w.getvalue()
 
 
-def serialize_slice(ct: SliceCiphertext) -> bytes:
-    return _write_slice(ct.policy_text, ct.wrapped_shares, ct.payload_nonce, ct.payload)
+def _keeping_header(ct: SliceCiphertext, header: bytes) -> SliceCiphertext:
+    """``ct`` with :attr:`SliceCiphertext.header` set to ``header``, which
+    must be the bytes its policy text and wrapped shares encode to."""
+    ct.__dict__["header"] = header
+    return ct
+
+
+def _header_digest(header: bytes) -> bytes:
+    return hashlib.sha256(header + _EMPTY_PAYLOAD_FIELDS).digest()
 
 
 def header_hash(ct: SliceCiphertext) -> bytes:
     """Digest of the canonical slice form with the payload fields emptied."""
-    return _header_digest(ct.policy_text, ct.wrapped_shares)
+    return _header_digest(ct.header)
 
 
-def _header_digest(policy_text: str, wrapped_shares: tuple[WrappedShare, ...]) -> bytes:
-    return hashlib.sha256(_write_slice(policy_text, wrapped_shares, b"", b"")).digest()
+def serialize_slice(ct: SliceCiphertext) -> bytes:
+    w = Writer()
+    w.put_raw(ct.header)
+    w.put_bytes(ct.payload_nonce)
+    w.put_bytes(ct.payload)
+    return w.getvalue()
+
+
+_TRUNCATED = "truncated encoding"
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
+
+
+def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
+    """The slice encoded in exactly ``data[pos:end]``, keeping its header bytes.
+
+    Fields are read in place, in runs: a run reads each length where it
+    stands and adds it to ``pos``, then one check against ``end`` covers the
+    whole run. Lengths are never negative, so ``pos`` only grows and a
+    length read past ``end`` carries ``pos`` past it too; no field is taken
+    before its run is checked.
+    """
+    start = pos
+    policy_end = pos + 4 + int.from_bytes(data[pos:pos + 4], "big")
+    pos = policy_end + 4
+    if pos > end:
+        raise CodecError(_TRUNCATED)
+    policy_text = _utf8(data[start + 4:policy_end])
+    shares = []
+    for _ in range(int.from_bytes(data[policy_end:pos], "big")):
+        leaf_index = int.from_bytes(data[pos:pos + 4], "big")
+        attribute_at = pos + 8
+        attribute_end = attribute_at + int.from_bytes(data[pos + 4:attribute_at], "big")
+        nonce_at = attribute_end + 4
+        nonce_end = nonce_at + int.from_bytes(data[attribute_end:nonce_at], "big")
+        wrapped_at = nonce_end + 4
+        pos = wrapped_at + int.from_bytes(data[nonce_end:wrapped_at], "big")
+        if pos > end:
+            raise CodecError(_TRUNCATED)
+        shares.append(WrappedShare(leaf_index, _utf8(data[attribute_at:attribute_end]),
+                                   data[nonce_at:nonce_end], data[wrapped_at:pos]))
+    header_end = pos
+    nonce_at = pos + 4
+    nonce_end = nonce_at + int.from_bytes(data[pos:nonce_at], "big")
+    payload_at = nonce_end + 4
+    pos = payload_at + int.from_bytes(data[nonce_end:payload_at], "big")
+    if pos > end:
+        raise CodecError(_TRUNCATED)
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing bytes after last field")
+    ct = SliceCiphertext(policy_text, tuple(shares),
+                         data[nonce_at:nonce_end], data[payload_at:pos])
+    return _keeping_header(ct, data[start:header_end])
 
 
 def parse_slice(data: bytes) -> SliceCiphertext:
-    r = Reader(data)
-    ct = _read_slice(r)
-    r.expect_end()
-    return ct
-
-
-def _read_slice(r: Reader) -> SliceCiphertext:
-    policy_text = r.take_str()
-    count = r.take_u32()
-    shares = tuple(
-        WrappedShare(r.take_u32(), r.take_str(), r.take_bytes(), r.take_bytes())
-        for _ in range(count))
-    return SliceCiphertext(policy_text, shares, r.take_bytes(), r.take_bytes())
+    return _parse_slice(data, 0, len(data))
 
 
 def serialize_container(container: CiphertextContainer) -> bytes:
@@ -395,19 +481,32 @@ def serialize_container(container: CiphertextContainer) -> bytes:
 
 
 def parse_container(data: bytes) -> CiphertextContainer:
-    r = Reader(data)
-    message_id = r.take_bytes()
-    if len(message_id) != MESSAGE_ID_BYTES:
+    """Parse a container in one pass over ``data``, reading fields in
+    checked runs as :func:`_parse_slice` does."""
+    end = len(data)
+    id_end = 4 + int.from_bytes(data[:4], "big")
+    pos = id_end + 4
+    if pos > end:
+        raise CodecError(_TRUNCATED)
+    if id_end - 4 != MESSAGE_ID_BYTES:
         raise CodecError("message id must be 16 bytes")
-    count = r.take_u32()
-    slices = tuple((r.take_str(), parse_slice(r.take_bytes())) for _ in range(count))
-    r.expect_end()
+    slices = []
+    for _ in range(int.from_bytes(data[id_end:pos], "big")):
+        label_at = pos + 4
+        label_end = label_at + int.from_bytes(data[pos:label_at], "big")
+        slice_at = label_end + 4
+        pos = slice_at + int.from_bytes(data[label_end:slice_at], "big")
+        if pos > end:
+            raise CodecError(_TRUNCATED)
+        slices.append((_utf8(data[label_at:label_end]), _parse_slice(data, slice_at, pos)))
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing bytes after last field")
     if not slices:
         raise EmptyContainer("container has no slices")
     labels = [label for label, _ in slices]
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("duplicate slice label in container")
-    return CiphertextContainer(message_id=message_id, slices=slices)
+    return CiphertextContainer(message_id=data[4:id_end], slices=tuple(slices))
 
 
 def serialize_user_key(uk: UserKey) -> bytes:

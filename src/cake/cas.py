@@ -10,11 +10,14 @@ the same store interface.
 
 Every read re-hashes the returned bytes: a blob that no longer matches its
 locator raises :class:`IntegrityViolation` instead of being returned.
+Parsed locators are memoized by their text in a fixed-size LRU table, since
+every reader of a document parses the same locator from its chain record.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import tempfile
@@ -102,8 +105,20 @@ def render_locator(loc: Locator) -> str:
     return base58_encode(MULTIHASH_PREFIX + loc.digest)
 
 
+# Parsed locators kept by :func:`parse_locator`. Every reader of a document
+# parses the locator its record carries, so reads of one locator outnumber
+# its writes; the bound caps what a stream of distinct locators can pin (an
+# entry is about 300 bytes).
+_LOCATOR_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_LOCATOR_MEMO_SIZE)
 def parse_locator(text: str) -> Locator:
-    """Inverse of render_locator; rejects wrong length, prefix, or alphabet."""
+    """Inverse of render_locator; rejects wrong length, prefix, or alphabet.
+
+    Memoized by the text; text that raises :class:`MalformedLocator` is not
+    cached, and a :class:`Locator` is frozen, so callers may share one.
+    """
     raw = base58_decode(text, len(MULTIHASH_PREFIX) + DIGEST_BYTES)
     if base58_encode(raw) != text:
         # catches wrong-length encodings that alias after zero padding

@@ -46,13 +46,12 @@ _EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
     ((ledger.RecordNotFound, cas.BlobNotFound), EXIT_NOT_FOUND),
     ((abe.PolicyNotSatisfied,), EXIT_POLICY_NOT_SATISFIED),
     ((abe.IntegrityFailure, cas.IntegrityViolation), EXIT_INTEGRITY),
-    ((protocol.AuthFailure, protocol.UnknownClient, protocol.ReplayDetected),
-     EXIT_AUTH),
+    ((protocol.AuthFailure, protocol.UnknownClient), EXIT_AUTH),
     ((protocol.NotCertified, ledger.NotCertifier), EXIT_NOT_CERTIFIED),
     ((protocol.LedgerRejected, ledger.AlreadyRecorded, ledger.BadNonce,
       ledger.BadSignature, ledger.UnknownContract), EXIT_LEDGER_REJECTED),
     ((cas.StorageFailure, cas.BlobTooLarge), EXIT_STORAGE),
-    ((abe.EmptyContainer, abe.DuplicateLabel, abe.EmptyAttributeSet,
+    ((abe.EmptyContainer, abe.DuplicateLabel, abe.InvalidLabel, abe.EmptyAttributeSet,
       cas.MalformedLocator, CodecError, scenario.ScenarioError), EXIT_BAD_REQUEST),
 ]
 
@@ -279,6 +278,11 @@ def cmd_read(args: argparse.Namespace, home: Home) -> int:
     key = home.user_key(args.as_name)
     results = protocol.client_read(deployment.chain, deployment.store,
                                    message_id, key)
+    if args.out_dir:
+        # Containers stored before labels were checked may carry any label.
+        for label, body in results:
+            if body is not None:
+                abe.check_label(label)
     payload: dict = {"message_id": args.message_id, "slices": []}
     lines = []
     readable = 0

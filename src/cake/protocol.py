@@ -14,8 +14,9 @@ session key is derived (HKDF-SHA256, salted with the transcript hash) from
 the ephemeral-ephemeral exchange plus an exchange against the server's
 static key-agreement key. Signing with any key other than the one
 registered for the claimed address fails the handshake, as does replaying
-a recorded HELLO (nonce tracking) or a recorded AUTH in a fresh session
-(the transcript differs).
+a recorded HELLO and AUTH in a fresh session: the client signs a transcript
+that holds the server's fresh challenge, so the recorded AUTH no longer
+verifies.
 
 After the handshake, every frame is AES-GCM sealed under the session key
 with a per-direction counter as the nonce and the transcript hash as
@@ -143,10 +144,6 @@ class AuthFailure(ProtocolError):
 
 class UnknownClient(ProtocolError):
     """The claimed address is not in the identity directory."""
-
-
-class ReplayDetected(ProtocolError):
-    """A handshake nonce was reused."""
 
 
 class NotCertified(ProtocolError):
@@ -510,8 +507,6 @@ class Service:
         self.chain = chain
         self.store = store
         self._rng = rng if rng is not None else random.SystemRandom()
-        self._seen_nonces: set[bytes] = set()
-        self._lock = threading.Lock()
 
     def public(self) -> PeerIdentity:
         return self.identity.public()
@@ -558,14 +553,9 @@ class Service:
             raise AuthFailure("expected client hello")
         client_address = hello[1:21]
         client_ephemeral = hello[21:53]
-        client_nonce = hello[53:]
         client_signing = self.directory.get(client_address)
         if client_signing is None:
             raise UnknownClient(f"no identity registered for {client_address.hex()}")
-        with self._lock:
-            if client_nonce in self._seen_nonces:
-                raise ReplayDetected("client hello nonce was seen before")
-            self._seen_nonces.add(client_nonce)
 
         ephemeral = X25519PrivateKey.from_private_bytes(self._rng.randbytes(32))
         challenge_core = _x25519_public(ephemeral) + self._rng.randbytes(NONCE_LEN)

@@ -1,8 +1,11 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cake import abe
 from cake.codec import CodecError
@@ -37,6 +40,20 @@ KDF_VECTORS = [
     ("ff" * 32, "economic_operator",
      "278750059392a8719aebe3912f1637baf37f031b78ccbb0e06bdc453375ef146"),
 ]
+
+
+# Containers with arbitrary field values: parsing checks the encoding only,
+# never that a policy parses or a share opens.
+texts = st.text(max_size=12)
+wrapped_shares = st.builds(abe.WrappedShare, st.integers(0, 2**32 - 1), texts,
+                           st.binary(max_size=16), st.binary(max_size=64))
+slice_ciphertexts = st.builds(
+    abe.SliceCiphertext, texts, st.lists(wrapped_shares, max_size=5).map(tuple),
+    st.binary(max_size=16), st.binary(max_size=64))
+containers = st.builds(
+    abe.CiphertextContainer, st.binary(min_size=16, max_size=16),
+    st.lists(st.tuples(texts, slice_ciphertexts), min_size=1, max_size=4,
+             unique_by=lambda entry: entry[0]).map(tuple))
 
 
 def make_key(ms, attrs, holder=HOLDER):
@@ -418,6 +435,19 @@ class TestContainers:
             abe.encrypt_container(ms, b"short", [("x", "a", b"")],
                                   random.Random(21))
 
+    @pytest.mark.parametrize("label", [
+        "", ".", "..", "../escaped", "/etc/passwd", "a/b", "dir/", "nul\0byte"])
+    def test_label_must_be_one_path_component(self, ms, label):
+        with pytest.raises(abe.InvalidLabel):
+            abe.encrypt_container(ms, bytes(16), [("ok", "a", b""), (label, "a", b"")],
+                                  random.Random(22))
+
+    @pytest.mark.parametrize("label", ["doc", "...", ".hidden", "a b", "x\\y", "ünïcode"])
+    def test_single_component_labels_accepted(self, ms, label):
+        container = abe.encrypt_container(ms, bytes(16), [(label, "a", b"body")],
+                                          random.Random(23))
+        assert abe.decrypt_container(make_key(ms, {"a"}), container) == [(label, b"body")]
+
 
 class TestSerialization:
     def test_container_roundtrip_bit_exact(self, ms):
@@ -448,6 +478,66 @@ class TestSerialization:
         ct = abe.encrypt_slice(ms, "a", b"x", random.Random(25))
         assert abe.header_hash(ct) == abe.header_hash(replace(ct, payload=b"other",
                                                               payload_nonce=b""))
+
+    def test_header_hash_is_the_digest_of_the_emptied_slice(self, ms):
+        ct = abe.encrypt_slice(ms, "(a or b)", b"x", random.Random(26))
+        emptied = abe.serialize_slice(replace(ct, payload=b"", payload_nonce=b""))
+        assert abe.header_hash(ct) == hashlib.sha256(emptied).digest()
+        assert abe.serialize_slice(ct).startswith(ct.header)
+        assert emptied == ct.header + bytes(8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(containers)
+    def test_container_roundtrip_keeps_canonical_headers(self, container):
+        parsed = abe.parse_container(abe.serialize_container(container))
+        assert parsed == container
+        for _, ct in parsed.slices:
+            # replace() builds a new object, which encodes its header from its fields
+            assert ct.header == replace(ct).header
+
+    def test_every_strict_prefix_is_a_codec_error(self, ms):
+        rng = random.Random(27)
+        container = abe.encrypt_container(
+            ms, abe.new_message_id(rng),
+            [("första", "(a or (b and c))", b"alpha"), ("second", "d", b"")], rng)
+        blob = abe.serialize_container(container)
+        for cut in range(len(blob)):
+            with pytest.raises(CodecError):
+                abe.parse_container(blob[:cut])
+        with pytest.raises(CodecError):
+            abe.parse_container(blob + b"\x00")
+        one = abe.serialize_slice(container.slices[0][1])
+        for cut in range(len(one)):
+            with pytest.raises(CodecError):
+                abe.parse_slice(one[:cut])
+
+    @pytest.mark.parametrize("field", ["label", "policy", "attribute"])
+    def test_invalid_utf8_is_a_codec_error(self, ms, field):
+        rng = random.Random(28)
+        container = abe.encrypt_container(
+            ms, abe.new_message_id(rng), [("label", "(policy or attribute)", b"m")], rng)
+        blob = bytearray(abe.serialize_container(container))
+        # the policy text holds both attributes, so the last "attribute" is
+        # the second wrapped share's attribute field
+        at = {"label": blob.find(b"label"), "policy": blob.find(b"(policy"),
+              "attribute": blob.rfind(b"attribute")}[field]
+        blob[at] = 0xFF
+        with pytest.raises(CodecError, match="utf-8"):
+            abe.parse_container(bytes(blob))
+
+    def test_tampering_with_a_parsed_header_detected(self, ms):
+        ct = abe.parse_slice(abe.serialize_slice(
+            abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(29))))
+        key = make_key(ms, {"a", "b"})
+        assert abe.decrypt_slice(key, ct) == b"m"
+        for text in ("(a and b)", "(a or (b or b))", "a or b"):
+            with pytest.raises(abe.IntegrityFailure):
+                abe.decrypt_slice(key, replace(ct, policy_text=text))
+        first, second = ct.wrapped_shares
+        for shares in ((flip_last_byte(first), second), (first, flip_last_byte(second)),
+                       (second, first)):
+            with pytest.raises(abe.IntegrityFailure):
+                abe.decrypt_slice(key, replace(ct, wrapped_shares=shares))
 
 
 class TestMessageIds:

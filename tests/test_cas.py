@@ -149,6 +149,31 @@ class TestLocatorCodec:
         with pytest.raises(MalformedLocator):
             parse_locator(wrong_prefix)
 
+    def test_malformed_text_raises_on_every_call_and_is_not_cached(self):
+        good = render_locator(Locator(bytes(range(32))))
+        for text in (good[:-1], "0OIl" + good[4:], "1" + good):
+            before = parse_locator.cache_info()
+            for _ in range(3):
+                with pytest.raises(MalformedLocator):
+                    parse_locator(text)
+            after = parse_locator.cache_info()
+            assert after.misses == before.misses + 3
+            assert after.currsize == before.currsize
+
+    def test_memo_hit_equals_a_fresh_parse(self):
+        rng = random.Random(7)
+        locators = [Locator(rng.randbytes(32)) for _ in range(20)]
+        for loc in locators:
+            parse_locator(render_locator(loc))
+        for loc in locators:
+            text = render_locator(loc)
+            hits = parse_locator.cache_info().hits
+            assert parse_locator(text) == parse_locator.__wrapped__(text) == loc
+            assert parse_locator.cache_info().hits == hits + 1
+
+    def test_memo_is_bounded(self):
+        assert parse_locator.cache_info().maxsize == cas._LOCATOR_MEMO_SIZE
+
     def test_locator_str(self):
         loc = Locator(bytes(32))
         assert str(loc) == render_locator(loc)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cake import cli, protocol
+from cake import abe, cli, ledger, protocol
 
 SRC = Path(cli.__file__).resolve().parents[1]
 HOST = "127.0.0.1"
@@ -169,6 +170,38 @@ class TestInProcessCommands:
     def test_key_request_from_uncertified_identity(self, cake, stored):
         assert cake("key", "request", "--as", "stranger")[0] == \
             cli.EXIT_NOT_CERTIFIED == 70
+
+    def test_store_refuses_a_label_that_escapes(self, cake, stored, tmp_path):
+        code, _ = cake("store", "--as", "owner", "--policy", "finance",
+                       "--slice", f"../escaped={tmp_path / 'terms.txt'}")
+        assert code == cli.EXIT_BAD_REQUEST == 74
+
+    @pytest.mark.parametrize("label", ["../escaped", "..", "{tmp}/absolute"],
+                             ids=["parent", "dot-dot", "absolute"])
+    def test_read_refuses_a_stored_label_that_escapes(self, cake, stored, tmp_path, label):
+        # a container stored before labels were checked, notarized directly
+        label = label.format(tmp=tmp_path)
+        home = cli.Home(tmp_path / "home")
+        deployment = home.open()
+        sdm = deployment.sdm
+        rng = random.Random(1)
+        message_id = abe.new_message_id(rng)
+        ct = abe.encrypt_slice(deployment.master, "finance", b"escaped body", rng)
+        blob = abe.serialize_container(
+            abe.CiphertextContainer(message_id, (("fine", ct), (label, ct))))
+        sdm._notarize(blob, lambda loc: ledger.message_store(
+            deployment.chain, sdm.identity.signer, message_id, loc))
+        home.save_chain(deployment.chain)
+        before = sorted(tmp_path.rglob("*"))
+
+        out_dir = tmp_path / "out"
+        code, _ = cake("read", message_id.hex(), "--as", "owner",
+                       "--out-dir", str(out_dir))
+        assert code == cli.EXIT_BAD_REQUEST
+        assert sorted(tmp_path.rglob("*")) == before
+        code, out = cake("read", message_id.hex(), "--as", "owner")
+        assert code == cli.EXIT_OK
+        assert [s["label"] for s in out["slices"]] == ["fine", label]
 
     def test_tampered_chain_file(self, cake, stored, tmp_path):
         chain_file = tmp_path / "home" / "chain.bin"

@@ -89,6 +89,39 @@ class TestLowOrderKeys:
         assert len(outcome) == 1 and isinstance(outcome[0], protocol.AuthFailure)
 
 
+class TestReplay:
+    def test_recorded_hello_and_auth_fail_in_a_fresh_session(self, deployment, client):
+        transport, thread = serve(deployment.sdm)
+        sent: list[bytes] = []
+        send = transport.send_frame
+
+        def record(body: bytes) -> None:
+            sent.append(body)
+            send(body)
+
+        transport.send_frame = record
+        session = protocol.client_handshake(client, deployment.sdm.public(), transport,
+                                            random.Random(6))
+        session.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        hello, auth = sent
+        assert (hello[0], auth[0]) == (TAG_HELLO, TAG_AUTH)
+
+        transport, thread = serve(deployment.sdm)
+        transport.send_frame(hello)
+        assert transport.recv_frame()[0] == TAG_CHALLENGE  # a fresh challenge
+        transport.send_frame(auth)
+        error = transport.recv_frame()
+        assert error[0] == TAG_ERROR
+        with pytest.raises(protocol.AuthFailure):
+            protocol._raise_wire_error(error[1:])
+        with pytest.raises(protocol.TransportClosed):
+            transport.recv_frame()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 class TestSessionBoundary:
     def test_unexpected_handler_error_is_logged_and_closes(
             self, deployment, client, monkeypatch, caplog):

@@ -8,17 +8,43 @@ When ``CAKE_SDM_ADDR`` / ``CAKE_UD_ADDR`` / ``CAKE_SKM_ADDR`` are set
 (``host:port``), the client commands talk to remote services (see
 ``cake serve``) instead of in-process ones.
 
+The chain file ``chain.bin`` has one writer at a time. :meth:`Home.open`
+sets the chain's ``on_seal`` hook, so each block is appended to the file,
+in one ``write``, as it is sealed and before its receipt is returned. Like
+the blob store, the append does not ``fsync``: a sealed block outlives the
+process that sealed it, not a crash of the machine. A file whose last block
+was cut short keeps its whole blocks; the torn tail is logged, dropped from
+the chain, and truncated by the next append. ``cake serve`` holds an
+exclusive ``flock`` on the file while it runs; a one-shot command takes the
+lock, without waiting, around its own append only. A second writer, or a
+writer that finds the file changed since it read it, fails with
+:class:`ChainConflict` (exit 71) and appends nothing.
+
+``cake serve`` runs in two processes. It binds the three listeners, then
+forks: the child serves the key manager (SKM) alone, the parent the data
+manager (SDM) and the user directory (UD), which seal blocks. The SKM only
+reads, so the child keeps its own replica of the chain and, before every
+key request, applies the blocks the parent has appended to the file since
+it last looked (``Chain.extend`` from the replica's size). Key handshakes
+then no longer hold the parent's interpreter lock while stores run. The
+child ignores SIGINT, exits on SIGTERM and exits once its parent is gone;
+the parent stops it with SIGTERM and reaps it on every way out.
+
 Exit codes: 0 success, 64 usage, 65-75 one code per error class.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
+import io
 import json
+import logging
 import os
 import signal
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +67,14 @@ EXIT_CHAIN_INVALID = 73
 EXIT_BAD_REQUEST = 74
 EXIT_OTHER = 75
 
+_log = logging.getLogger(__name__)
+
+
+class ChainConflict(CakeError):
+    """Another process holds this home's chain file, or wrote to it since
+    this one read it."""
+
+
 _EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
     ((policy_mod.PolicyError,), EXIT_POLICY_SYNTAX),
     ((ledger.RecordNotFound, cas.BlobNotFound), EXIT_NOT_FOUND),
@@ -49,7 +83,8 @@ _EXIT_CODES: list[tuple[tuple[type, ...], int]] = [
     ((protocol.AuthFailure, protocol.UnknownClient), EXIT_AUTH),
     ((protocol.NotCertified, ledger.NotCertifier), EXIT_NOT_CERTIFIED),
     ((protocol.LedgerRejected, ledger.AlreadyRecorded, ledger.BadNonce,
-      ledger.BadSignature, ledger.UnknownContract), EXIT_LEDGER_REJECTED),
+      ledger.BadSignature, ledger.UnknownContract, ChainConflict),
+     EXIT_LEDGER_REJECTED),
     ((cas.StorageFailure, cas.BlobTooLarge), EXIT_STORAGE),
     ((abe.EmptyContainer, abe.DuplicateLabel, abe.InvalidLabel, abe.EmptyAttributeSet,
       cas.MalformedLocator, CodecError, scenario.ScenarioError), EXIT_BAD_REQUEST),
@@ -74,7 +109,12 @@ class Home:
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        self._loaded_height = 0
+        # Blocks of the open chain that are in the chain file.
+        self._saved_height = 0
+        # Size of the chain file when this process last read or wrote it.
+        self._chain_file_size = 0
+        # The chain file, open and exclusively locked, while ``cake serve`` runs.
+        self._chain_writer: Optional[io.FileIO] = None
 
     # file layout
     @property
@@ -106,24 +146,89 @@ class Home:
         print(f"provisioned new deployment in {self.path}", file=sys.stderr)
 
     def open(self) -> protocol.Deployment:
+        """The deployment on this home; each block its chain seals is
+        appended to the chain file by :meth:`save_chain`."""
         self.ensure_provisioned()
         master = abe.MasterSecret(bytes.fromhex(self.master_file.read_text().strip()))
         services = json.loads(self.services_file.read_text())
         identities = {name: protocol.Identity.from_dict(blob)
                       for name, blob in services.items()}
+        data = self.chain_file.read_bytes()
         deployment = protocol.deploy(master, identities,
-                                     cas.DirectoryBlobStore(self.path),
-                                     self.chain_file.read_bytes())
-        self._loaded_height = deployment.chain.height
+                                     cas.DirectoryBlobStore(self.path), data)
+        chain = deployment.chain
+        if chain.serialized_size < len(data):
+            _log.warning("%s: dropped a torn %d-byte tail after %d whole blocks; "
+                         "the next append truncates it", self.chain_file,
+                         len(data) - chain.serialized_size, chain.height)
+        self._saved_height = chain.height
+        self._chain_file_size = len(data)
+        chain.on_seal = self.save_chain
         for peer in json.loads(self.directory_file.read_text())["peers"].values():
             deployment.register(protocol.PeerIdentity.from_dict(peer))
         return deployment
 
     def save_chain(self, chain: ledger.Chain) -> None:
-        """Append blocks sealed since load; the file stays append-only."""
-        with self.chain_file.open("ab") as fh:
-            fh.write(ledger.serialize_blocks(chain.blocks[self._loaded_height:]))
-        self._loaded_height = chain.height
+        """Append the blocks of ``chain`` that are not yet in the chain file,
+        in one write; with none, do nothing. Runs at every seal.
+
+        Without the lock of :meth:`lock_chain`, the file is locked around
+        this append alone. Raises :class:`ChainConflict`, and writes
+        nothing, when another process holds the lock or the file's size is
+        not the one this process last saw.
+        """
+        blocks = chain.blocks[self._saved_height:]
+        if not blocks:
+            return
+        data = ledger.serialize_blocks(blocks)
+        offset = chain.serialized_size - len(data)
+        if self._chain_writer is not None:
+            self._append(self._chain_writer, offset, data)
+        else:
+            with self.chain_file.open("r+b", buffering=0) as fh:
+                _lock_exclusive(fh)
+                self._append(fh, offset, data)
+        self._saved_height += len(blocks)
+
+    def _append(self, fh: io.FileIO, offset: int, data: bytes) -> None:
+        """Write ``data`` at ``offset``, the end of the file's whole blocks,
+        cutting off a torn tail first."""
+        size = os.fstat(fh.fileno()).st_size
+        if size != self._chain_file_size:
+            raise ChainConflict(f"{self.chain_file} changed since it was read "
+                                f"({self._chain_file_size} -> {size} bytes)")
+        if size != offset:
+            os.ftruncate(fh.fileno(), offset)
+        os.pwrite(fh.fileno(), data, offset)
+        self._chain_file_size = offset + len(data)
+
+    def lock_chain(self) -> None:
+        """Hold the chain file open and exclusively locked until
+        :meth:`release_chain`; raises :class:`ChainConflict` if another
+        process holds it."""
+        self.ensure_provisioned()
+        fh = self.chain_file.open("r+b", buffering=0)
+        try:
+            _lock_exclusive(fh)
+        except ChainConflict:
+            fh.close()
+            raise
+        self._chain_writer = fh
+
+    def release_chain(self) -> None:
+        """Close this process's handle on the locked chain file. The lock
+        is gone once no process holds the file open (a forked child closes
+        the copy it inherited)."""
+        if self._chain_writer is not None:
+            self._chain_writer.close()
+            self._chain_writer = None
+
+    def refresh_chain(self, chain: ledger.Chain) -> None:
+        """Apply to ``chain`` the blocks another process appended to the
+        chain file since ``chain`` was read from it."""
+        with chain.lock, self.chain_file.open("rb") as fh:
+            fh.seek(chain.serialized_size)
+            chain.extend(fh.read())
 
     # named identities and keys
     def save_identity(self, name: str, identity: protocol.Identity) -> None:
@@ -159,6 +264,13 @@ class Home:
         if not path.exists():
             raise UsageError(f"no key for {name!r}; run: cake key request --as {name}")
         return abe.parse_user_key(path.read_bytes())
+
+
+def _lock_exclusive(fh: io.FileIO) -> None:
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError as exc:
+        raise ChainConflict(f"another process is writing {fh.name}") from exc
 
 
 def _remote_addr(var: str) -> Optional[tuple[str, int]]:
@@ -208,7 +320,6 @@ def cmd_certify(args: argparse.Namespace, home: Home) -> int:
         locator = client.certify(actor, args.attributes)
     finally:
         client.close()
-    home.save_chain(deployment.chain)
     _emit(args, f"certified {args.actor} -> {locator}",
           {"actor": args.actor, "address": actor.hex(),
            "attributes": sorted(policy_mod.normalize_attribute(a)
@@ -247,7 +358,6 @@ def cmd_store(args: argparse.Namespace, home: Home) -> int:
         message_id, locator = client.store(slices)
     finally:
         client.close()
-    home.save_chain(deployment.chain)
     _emit(args, f"message {message_id.hex()} -> {locator}",
           {"message_id": message_id.hex(), "locator": locator,
            "slices": [label for label, _, _ in slices]})
@@ -364,40 +474,82 @@ def cmd_scenario_run(args: argparse.Namespace, home: Home) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, home: Home) -> int:
-    """Serve until SIGINT or SIGTERM, then stop and save the chain.
+    """Serve until SIGINT or SIGTERM, the SKM in a forked child process.
 
-    Both signals are handled explicitly, so the chain is saved on SIGTERM
-    too, and SIGINT stops the server even when it was started ignoring it
-    (as a background job of a non-interactive shell is). A second signal
-    during the save is ignored.
+    The process locks the chain file and binds all three listeners before
+    it forks, and starts no thread before then. Both signals are handled
+    explicitly, so SIGINT stops the server even when it was started ignoring
+    it (as a background job of a non-interactive shell is); a second signal
+    while stopping is ignored. Exits 75 if the key manager process dies.
     """
-    deployment = home.open()
-    servers = [
-        protocol.ServiceServer(deployment.sdm, args.host, args.sdm_port),
-        protocol.ServiceServer(deployment.ud, args.host, args.ud_port),
-        protocol.ServiceServer(deployment.skm, args.host, args.skm_port),
-    ]
-    for server in servers:
-        threading.Thread(target=server.serve_forever, daemon=True).start()
     previous = {sig: signal.signal(sig, signal.default_int_handler)
                 for sig in (signal.SIGINT, signal.SIGTERM)}
+    servers: list[protocol.ServiceServer] = []
+    serving: list[protocol.ServiceServer] = []
+    child = None
     try:
+        home.lock_chain()
+        deployment = home.open()
+        for service, port in ((deployment.sdm, args.sdm_port),
+                              (deployment.ud, args.ud_port),
+                              (deployment.skm, args.skm_port)):
+            servers.append(protocol.ServiceServer(service, args.host, port))
+        sdm, ud, skm = servers
+        parent = os.getpid()
+        child = os.fork()
+        if child == 0:
+            _run_key_manager(home, deployment, skm, [sdm, ud], parent)
+        skm.server_close()
+        for server in (sdm, ud):
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            serving.append(server)
         print(f"sdm={args.host}:{args.sdm_port} ud={args.host}:{args.ud_port} "
               f"skm={args.host}:{args.skm_port}", file=sys.stderr)
-        print("serving; ctrl-c to stop (chain changes are saved on exit)",
+        print("serving; ctrl-c to stop (each block is saved as it is sealed)",
               file=sys.stderr)
-        threading.Event().wait()
+        os.waitpid(child, 0)
+        child = None
+        print("error: the key manager process exited", file=sys.stderr)
+        return EXIT_OTHER
     except KeyboardInterrupt:
-        pass
+        return EXIT_OK
     finally:
         for sig in previous:
             signal.signal(sig, signal.SIG_IGN)
-        for server in servers:
+        for server in serving:
             server.shutdown()
-        home.save_chain(deployment.chain)
+        for server in servers:
+            server.server_close()
+        if child:
+            os.kill(child, signal.SIGTERM)
+            os.waitpid(child, 0)
+        home.release_chain()
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-    return EXIT_OK
+
+
+def _run_key_manager(home: Home, deployment: protocol.Deployment,
+                     skm: protocol.ServiceServer,
+                     others: list[protocol.ServiceServer], parent: int) -> None:
+    """The forked key manager process: serve ``skm`` with a chain replica
+    that catches up with the file before every key request, until SIGTERM
+    or until the parent is gone. Never returns."""
+    code = EXIT_OTHER
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        home.release_chain()
+        for server in others:
+            server.server_close()
+        deployment.skm.refresh = lambda: home.refresh_chain(deployment.chain)
+        threading.Thread(target=skm.serve_forever, daemon=True).start()
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        code = EXIT_OK
+    except Exception:
+        _log.exception("key manager process failed")
+    finally:
+        os._exit(code)
 
 
 # --- parser --------------------------------------------------------------------

@@ -22,14 +22,22 @@ certifier services), message ids, and locators appear in clear.
 
 Queries (``message_get``, ``actor_get``) read sealed state only; pending
 transactions are invisible until the next seal.
+
+The chain file form is each serialized block, length-prefixed, in order.
+``Chain.extend`` applies the whole blocks at the front of such bytes and
+leaves a partial trailing one for its next call, so one reader can follow a
+file that a writer appends to; ``Chain.load`` is ``extend`` on a new chain.
+A chain is not locked by its own methods: ``Chain.lock`` is for callers
+that submit, seal or extend from several threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -263,6 +271,12 @@ class Chain:
         self._next_nonce: dict[bytes, int] = {}
         self._messages: dict[bytes, MessageRecord] = {}
         self._actors: dict[bytes, ActorRecord] = {}
+        # Length of :meth:`serialize`'s output, kept as blocks are added.
+        self.serialized_size = 0
+        self.lock = threading.Lock()
+        # Called with this chain after :meth:`seal_block` appends a block,
+        # e.g. to persist it. Passed the chain, so it need not hold one.
+        self.on_seal: Optional[Callable[["Chain"], None]] = None
 
     # -- submission and sealing ------------------------------------------
 
@@ -297,7 +311,10 @@ class Chain:
         body = _block_body(height, prev_hash, transactions)
         block = Block(height, prev_hash, transactions, hashlib.sha256(body).digest())
         self.blocks.append(block)
+        self.serialized_size += _FRAME_PREFIX + len(body) + HASH_BYTES
         self._pending = []
+        if self.on_seal is not None:
+            self.on_seal(self)
         return block
 
     def _apply_with_receipt(self, tx: Transaction, height: int) -> None:
@@ -390,24 +407,42 @@ class Chain:
         """The chain file form of every sealed block; see :func:`serialize_blocks`."""
         return serialize_blocks(self.blocks)
 
+    def extend(self, data: bytes) -> int:
+        """Replay the whole serialized blocks at the front of ``data`` onto
+        this chain and return the number of bytes they take up.
+
+        A partial block frame at the end of ``data`` is left unread, for a
+        later call with the rest of it. Parsing is strict but state replay
+        is lenient: hash or signature mismatches are left for
+        :meth:`verify` to report.
+        """
+        pos = 0
+        while len(data) - pos >= _FRAME_PREFIX:
+            start = pos + _FRAME_PREFIX
+            end = start + int.from_bytes(data[pos:start], "big")
+            if end > len(data):
+                break
+            block = parse_block(data[start:end])
+            for tx in block.transactions:
+                self._next_nonce[tx.sender] = max(
+                    self._next_nonce.get(tx.sender, 1), tx.sender_nonce + 1)
+                self._apply_with_receipt(tx, block.height)
+            self.blocks.append(block)
+            self.serialized_size += end - pos
+            pos = end
+        return pos
+
     @classmethod
     def load(cls, accounts: Iterable[bytes], certifiers: Iterable[bytes],
              data: bytes) -> "Chain":
-        """Replay serialized blocks onto a fresh chain.
-
-        Parsing is strict but state replay is lenient: hash or signature
-        mismatches are left for :meth:`verify` to report.
-        """
+        """A new chain that has replayed ``data``; see :meth:`extend`."""
         chain = cls(accounts, certifiers)
-        r = Reader(data)
-        while r.remaining:
-            block = parse_block(r.take_bytes())
-            for tx in block.transactions:
-                chain._next_nonce[tx.sender] = max(
-                    chain._next_nonce.get(tx.sender, 1), tx.sender_nonce + 1)
-                chain._apply_with_receipt(tx, block.height)
-            chain.blocks.append(block)
+        chain.extend(data)
         return chain
+
+
+# Each block in the chain file form is preceded by its length in 4 bytes.
+_FRAME_PREFIX = 4
 
 
 def serialize_blocks(blocks: Iterable[Block]) -> bytes:

@@ -55,15 +55,25 @@ fetches it once and decrypts it with each.
 
 Every service owns the deployment's chain and content store; the data
 manager and the user directory write through ``Service._notarize`` (store
-put, submit, seal, and :class:`LedgerRejected` unless applied). ``deploy``
-is the one place that wires a deployment: the chain, the identity directory
-(address -> signing key, seeded with the certifier) and the three services.
+put, then submit, seal, and the chain's ``on_seal`` hook under the chain's
+one lock, and :class:`LedgerRejected` unless applied). ``deploy`` is the one
+place that wires a deployment: the chain, the identity directory (address
+-> signing key, seeded with the certifier) and the three services.
 ``provision`` draws a fresh master secret and ``SERVICE_ROLES`` identities
 and deploys them on an empty chain; the CLI reads them from its home.
 
-Services may serve many sessions concurrently (state per session is local),
-but a deterministic deployment should drive them sequentially with a seeded
-entropy source, as the scenario harness does.
+Process layout: in one process, as in ``provision`` and the in-process CLI,
+the three services share one chain object. ``cake serve`` keeps the two
+writers in one process, whose hook appends each block to the chain file as
+it is sealed, and forks the key manager into a process of its own, which
+reads: its chain is a replica, and its ``SkmService.refresh`` hook applies
+the blocks appended to the file since the last key request before it
+answers the next one (see :mod:`cake.cli`).
+
+Services may serve many sessions concurrently (state per session is local,
+and writes to the chain are serialized by its lock), but a deterministic
+deployment should drive them sequentially with a seeded entropy source, as
+the scenario harness does.
 """
 
 from __future__ import annotations
@@ -586,10 +596,16 @@ class Service:
                   submit: Callable[[str], ledger.TxReceipt]) -> str:
         """Put ``blob`` on the content store, seal the transaction that
         ``submit`` makes for its locator into a block, and return the
-        locator; raises :class:`LedgerRejected` unless the chain applied it."""
+        locator; raises :class:`LedgerRejected` unless the chain applied it.
+
+        ``submit`` reads the sender's next nonce, signs and submits; that,
+        the seal and the chain's ``on_seal`` hook run under ``chain.lock``,
+        so concurrent sessions never reuse a nonce or seal a pending list
+        that another session is still appending to."""
         locator = self.store.put(blob).render()
-        receipt = submit(locator)
-        self.chain.seal_block()
+        with self.chain.lock:
+            receipt = submit(locator)
+            self.chain.seal_block()
         if receipt.status != ledger.STATUS_APPLIED:
             raise LedgerRejected(f"transaction rejected: {receipt.error}")
         return locator
@@ -676,10 +692,16 @@ class SkmService(Service):
         super().__init__(identity, directory, chain, store, rng)
         self.master = master
         self.clock = clock
+        # Run before every key request. A key manager whose chain is a
+        # replica of another process's sets it to catch up with the writer:
+        # re-certification is last-write-wins, so a stale replica would
+        # issue attributes that were since taken away.
+        self.refresh: Callable[[], None] = lambda: None
 
     def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
         if tag != TAG_KEY_REQ:
             raise ProtocolError(f"unexpected request tag {tag:#x}")
+        self.refresh()
         caller = session.peer_address
         try:
             record = self.chain.actor_get(caller)

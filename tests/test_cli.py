@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import json
+import logging
 import os
 import random
 import signal
@@ -6,11 +9,12 @@ import socket
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
-from cake import abe, cli, ledger, protocol
+from cake import abe, cas, cli, ledger, protocol
 
 SRC = Path(cli.__file__).resolve().parents[1]
 HOST = "127.0.0.1"
@@ -39,48 +43,160 @@ def wait_ready(proc: subprocess.Popen, stderr: Path) -> None:
         time.sleep(0.02)
 
 
+@contextlib.contextmanager
+def serving(tmp_path: Path, home_dir: Path, launcher=("-m", "cake.cli")):
+    """``cake serve`` on ``home_dir`` in a subprocess; yields the process
+    and its ports by service name, and kills it on the way out."""
+    ports = dict(zip(("sdm", "ud", "skm"), free_ports(3)))
+    stderr = tmp_path / "serve.stderr"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with stderr.open("w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, *launcher, "--home", str(home_dir), "serve",
+             "--host", HOST, "--sdm-port", str(ports["sdm"]),
+             "--ud-port", str(ports["ud"]), "--skm-port", str(ports["skm"])],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=err, env=env)
+    try:
+        wait_ready(proc, stderr)
+        yield proc, ports
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+
+
+def children_of(pid: int) -> list[int]:
+    """Process ids whose parent is ``pid``, from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def refuses(port: int, within: float = 5.0) -> bool:
+    """Whether connecting to ``port`` is refused, trying for ``within`` s."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            socket.create_connection((HOST, port), timeout=1).close()
+        except ConnectionRefusedError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+def home_with(tmp_path: Path, *names: str) -> tuple[Path, protocol.Deployment,
+                                                    list[protocol.Identity]]:
+    """A provisioned home with the named identities registered."""
+    home_dir = tmp_path / "home"
+    home = cli.Home(home_dir)
+    home.ensure_provisioned()
+    identities = [protocol.Identity.generate() for _ in names]
+    for name, identity in zip(names, identities):
+        home.save_identity(name, identity)
+    return home_dir, home.open(), identities
+
+
+def tcp_client(identity, service, port) -> protocol.ServiceClient:
+    return protocol.ServiceClient(identity, service.public(),
+                                  protocol.connect_tcp(HOST, port))
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                reason="finds the key manager process in /proc")
+
+
 class TestServeSignals:
+    @needs_proc
     @pytest.mark.parametrize("sig,launcher", [
         (signal.SIGTERM, ["-m", "cake.cli"]),
         (signal.SIGINT, ["-c", IGNORING_SIGINT]),
     ], ids=["sigterm", "sigint-inherited-ignored"])
     def test_stops_and_saves_the_chain(self, tmp_path, sig, launcher):
-        home_dir = tmp_path / "home"
-        home = cli.Home(home_dir)
-        home.ensure_provisioned()
-        owner = protocol.Identity.generate()
-        home.save_identity("owner", owner)
-        deployment = home.open()
-
-        sdm_port, ud_port, skm_port = free_ports(3)
-        stderr = tmp_path / "serve.stderr"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        with stderr.open("w") as err:
-            proc = subprocess.Popen(
-                [sys.executable, *launcher, "--home", str(home_dir), "serve",
-                 "--host", HOST, "--sdm-port", str(sdm_port),
-                 "--ud-port", str(ud_port), "--skm-port", str(skm_port)],
-                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                stderr=err, env=env)
-        try:
-            wait_ready(proc, stderr)
-            sdm = protocol.ServiceClient(owner, deployment.sdm.public(),
-                                         protocol.connect_tcp(HOST, sdm_port))
+        home_dir, deployment, [owner] = home_with(tmp_path, "owner")
+        with serving(tmp_path, home_dir, launcher) as (proc, ports):
+            sdm = tcp_client(owner, deployment.sdm, ports["sdm"])
             try:
                 message_id, _ = sdm.store([("doc", "a or b", b"body")])
             finally:
                 sdm.close()
+            [key_manager] = children_of(proc.pid)
             proc.send_signal(sig)
             assert proc.wait(timeout=30) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+        assert not Path(f"/proc/{key_manager}").exists()
+        assert refuses(ports["skm"], within=0)
 
         assert cli.main(["--home", str(home_dir), "ledger", "verify"]) == 0
         chain = cli.Home(home_dir).open().chain
         assert chain.message_get(message_id).locator
+
+
+class TestServeProcesses:
+    def test_key_manager_sees_each_certification_at_once(self, tmp_path):
+        home_dir, deployment, [actor] = home_with(tmp_path, "actor")
+        with serving(tmp_path, home_dir) as (proc, ports):
+            for attributes in (["finance", "audit", "sales"], ["sales"]):
+                ud = tcp_client(deployment.certifier, deployment.ud, ports["ud"])
+                try:
+                    ud.certify(actor.address, attributes)
+                finally:
+                    ud.close()
+                skm = tcp_client(actor, deployment.skm, ports["skm"])
+                try:
+                    key = skm.request_key()
+                finally:
+                    skm.close()
+                assert key.attributes == frozenset(attributes)
+
+    @needs_proc
+    def test_acknowledged_stores_survive_sigkill(self, tmp_path, capsys):
+        home_dir, deployment, [owner] = home_with(tmp_path, "owner")
+        with serving(tmp_path, home_dir) as (proc, ports):
+            sdm = tcp_client(owner, deployment.sdm, ports["sdm"])
+            try:
+                acked = [sdm.store([("doc", "a", b"body %d" % n)])[0]
+                         for n in range(5)]
+            finally:
+                sdm.close()
+            proc.kill()
+            proc.wait()
+            # the orphaned key manager notices and exits
+            assert refuses(ports["skm"])
+        for message_id in acked:
+            assert cli.main(["--home", str(home_dir), "ledger", "show",
+                             message_id.hex()]) == 0
+        assert cli.main(["--home", str(home_dir), "ledger", "verify"]) == 0
+
+    def test_second_writer_is_refused(self, tmp_path, monkeypatch, capsys):
+        for var in ("CAKE_SDM_ADDR", "CAKE_UD_ADDR", "CAKE_SKM_ADDR"):
+            monkeypatch.delenv(var, raising=False)
+        home_dir, deployment, [owner] = home_with(tmp_path, "owner")
+        (tmp_path / "doc.txt").write_bytes(b"body")
+        cake = ["--home", str(home_dir)]
+        with serving(tmp_path, home_dir) as (proc, ports):
+            before = (home_dir / "chain.bin").read_bytes()
+            assert cli.main([*cake, "store", "--as", "owner", "--policy", "a",
+                             str(tmp_path / "doc.txt")]) == \
+                cli.EXIT_LEDGER_REJECTED == 71
+            assert "ChainConflict" in capsys.readouterr().err
+            assert (home_dir / "chain.bin").read_bytes() == before
+            assert cli.main([*cake, "serve", "--sdm-port", "0", "--ud-port", "0",
+                             "--skm-port", "0"]) == cli.EXIT_LEDGER_REJECTED
+            assert cli.main([*cake, "ledger", "verify"]) == 0
+            sdm = tcp_client(owner, deployment.sdm, ports["sdm"])
+            try:
+                sdm.store([("doc", "a", b"body")])
+            finally:
+                sdm.close()
+        assert cli.main([*cake, "ledger", "verify"]) == 0
 
 
 @pytest.fixture
@@ -211,3 +327,117 @@ class TestInProcessCommands:
         code, out = cake("ledger", "verify")
         assert code == cli.EXIT_CHAIN_INVALID == 73
         assert out["ok"] is False and out["failed_height"] == 2
+
+
+class TestChainFile:
+    @pytest.mark.parametrize("tear,height", [
+        (lambda data: data[:-3], 2),
+        # the start of a block longer than the next one to be appended
+        (lambda data: data + (10_000).to_bytes(4, "big") + bytes(500), 3),
+    ], ids=["last-block-cut", "long-partial-block"])
+    def test_torn_tail_is_dropped_then_truncated(self, cake, stored, tmp_path, caplog,
+                                                 tear, height):
+        chain_file = tmp_path / "home" / "chain.bin"
+        torn = tear(chain_file.read_bytes())
+        chain_file.write_bytes(torn)
+        with caplog.at_level(logging.WARNING, logger="cake.cli"):
+            code, out = cake("ledger", "verify")
+        assert code == 0
+        assert out == {"ok": True, "failed_height": None, "height": height}
+        assert "torn" in caplog.text
+        assert chain_file.read_bytes() == torn  # a reader leaves the file alone
+        assert cake("ledger", "show", stored)[0] == \
+            (cli.EXIT_OK if height == 3 else cli.EXIT_NOT_FOUND)
+
+        assert cake("certify", "stranger", "sales")[0] == 0
+        code, out = cake("ledger", "verify")
+        assert code == 0 and out["height"] == height + 1
+        chain = cli.Home(tmp_path / "home").open().chain
+        assert chain_file.read_bytes() == chain.serialize()
+
+    def test_each_seal_is_on_disk_before_the_command_returns(self, cake, stored,
+                                                             tmp_path):
+        home = cli.Home(tmp_path / "home")
+        deployment = home.open()
+        sizes = []
+        saving = deployment.chain.on_seal
+        deployment.chain.on_seal = lambda chain: (
+            saving(chain), sizes.append(home.chain_file.stat().st_size))
+        for name in ("owner", "clerk"):
+            client = deployment.connect_ud(deployment.certifier)
+            try:
+                client.certify(home.address_of(name), ["sales"])
+            finally:
+                client.close()
+        assert sizes[0] < sizes[1] == deployment.chain.serialized_size
+        home.save_chain(deployment.chain)  # nothing left to write
+        assert home.chain_file.stat().st_size == sizes[1]
+
+    def test_an_opened_chain_needs_no_cycle_collection(self, cake, stored, tmp_path):
+        # Loaded chains can hold many blocks: the hook Home.open sets must
+        # not tie a chain into a reference cycle that keeps it alive.
+        gc.disable()
+        try:
+            chain = weakref.ref(cli.Home(tmp_path / "home").open().chain)
+            assert chain() is None
+        finally:
+            gc.enable()
+
+    def test_writer_refuses_a_file_changed_since_it_read_it(self, cake, stored,
+                                                            tmp_path):
+        home = cli.Home(tmp_path / "home")
+        deployment = home.open()
+        assert cake("certify", "stranger", "sales")[0] == 0  # another writer
+        before = home.chain_file.read_bytes()
+        client = deployment.connect_ud(deployment.certifier)
+        try:
+            with pytest.raises(cli.ChainConflict):
+                client.certify(home.address_of("clerk"), ["audit"])
+        finally:
+            client.close()
+        assert home.chain_file.read_bytes() == before
+        assert cake("ledger", "verify")[0] == 0
+
+
+class TestExitCodes:
+    def test_flipped_blob_byte_is_an_integrity_failure(self, cake, stored, tmp_path):
+        _, shown = cake("ledger", "show", stored)
+        blob = (tmp_path / "home" / "blobs"
+                / cas.parse_locator(shown["locator"]).digest.hex())
+        data = bytearray(blob.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        blob.write_bytes(bytes(data))
+        assert cake("read", stored, "--as", "owner")[0] == cli.EXIT_INTEGRITY == 68
+
+    def test_identity_missing_from_the_directory_fails_auth(self, cake, stored,
+                                                            tmp_path):
+        assert cake("identity", "new", "ghost")[0] == 0
+        directory = tmp_path / "home" / "directory.json"
+        registry = json.loads(directory.read_text())
+        del registry["peers"]["ghost"]
+        directory.write_text(json.dumps(registry))
+        assert cake("key", "request", "--as", "ghost")[0] == cli.EXIT_AUTH == 69
+
+    def test_ledger_rejection(self, cake, stored, monkeypatch):
+        def rejecting(self, session, tag, payload):
+            raise protocol.LedgerRejected("transaction rejected: AlreadyRecorded")
+
+        monkeypatch.setattr(protocol.UdService, "_handle", rejecting)
+        assert cake("certify", "stranger", "sales")[0] == \
+            cli.EXIT_LEDGER_REJECTED == 71
+
+    def test_unusable_blob_directory_is_a_storage_failure(self, cake, stored,
+                                                          tmp_path):
+        blobs = tmp_path / "home" / "blobs"
+        for blob in blobs.iterdir():
+            blob.unlink()
+        blobs.rmdir()
+        blobs.write_bytes(b"not a directory")
+        assert cake("ledger", "verify")[0] == cli.EXIT_STORAGE == 72
+
+    def test_unmapped_service_error(self, cake, stored, monkeypatch):
+        def broken(self, session, tag, payload):
+            raise protocol.ProtocolError("key manager out of order")
+
+        monkeypatch.setattr(protocol.SkmService, "_handle", broken)
+        assert cake("key", "request", "--as", "owner")[0] == cli.EXIT_OTHER == 75

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import random
 import socket
+import sys
 import threading
 
 import pytest
@@ -120,6 +121,37 @@ class TestReplay:
             transport.recv_frame()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+class TestConcurrentStores:
+    def test_threaded_stores_keep_the_chain_whole(self, deployment, client):
+        failures: list[Exception] = []
+
+        def store_many():
+            sdm = deployment.connect_sdm(client)
+            try:
+                for _ in range(25):
+                    try:
+                        sdm.store([("doc", "a or b", b"body")])
+                    except CakeError as exc:
+                        failures.append(exc)
+            finally:
+                sdm.close()
+
+        threads = [threading.Thread(target=store_many) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert deployment.chain.height == 200
+        assert deployment.chain.verify().ok
 
 
 class TestSessionBoundary:

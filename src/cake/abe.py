@@ -25,11 +25,14 @@ Keys:
 The payload AEAD binds the slice header (policy text plus wrapped shares):
 its associated data is the SHA-256 of the canonical slice serialization with
 the payload fields emptied, so any header mutation fails authentication
-rather than decrypting to garbage. Each parsed or encrypted slice keeps its
-header bytes (:attr:`SliceCiphertext.header`), the ones parsing read or
-encryption built, so a read hashes them as they are and a store writes them
-out without encoding the shares again. Containers are parsed in one pass
-that reads each length in place and checks it before taking its field.
+rather than decrypting to garbage. Encryption walks the tree's leaves once:
+that walk wraps each share and appends its header fields, so the header is
+encoded as it is built. Each parsed or encrypted slice keeps its header
+bytes (:attr:`SliceCiphertext.header`), the ones parsing read or encryption
+built, so a read hashes them as they are and a store writes them out
+without encoding the shares again. A wrapped share is a plain tuple type.
+Containers are parsed in one pass that reads each length in place and
+checks it before taking its field.
 
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
@@ -46,7 +49,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -121,8 +124,7 @@ class UserKey:
         return frozenset(self.attribute_keys)
 
 
-@dataclass(frozen=True)
-class WrappedShare:
+class WrappedShare(NamedTuple):
     leaf_index: int
     attribute: str
     nonce: bytes
@@ -209,8 +211,18 @@ def keygen(ms: MasterSecret, holder: bytes, attrs: frozenset[str] | set[str],
     return UserKey(holder=holder, attribute_keys=keys, issued_at=stamp)
 
 
+def _u32(value: int) -> bytes:
+    return value.to_bytes(4, "big")
+
+
 def _share_aad(leaf_index: int, attribute: str) -> bytes:
-    return leaf_index.to_bytes(4, "big") + attribute.encode()
+    return _u32(leaf_index) + attribute.encode()
+
+
+# The length fields of a wrapped share's nonce and sealed share, which have
+# fixed sizes: a 32-byte share seals to 32 bytes and a 16-byte tag.
+_NONCE_FIELD = _u32(NONCE_BYTES)
+_WRAPPED_FIELD = _u32(sss.FIELD_BYTES + 16)
 
 
 def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
@@ -218,9 +230,10 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     """Encrypt one slice under an access policy.
 
     The policy is stored in its canonical rendering; the compiled tree's
-    leaves determine the wrapped-share list. Raises
-    :class:`policy.PolicySyntaxError` / :class:`policy.InvalidAttributeError`
-    for bad policy text.
+    leaves determine the wrapped-share list. One walk over the leaves wraps
+    each share and appends its header fields, so the header is encoded as
+    it is built and never again. Raises :class:`policy.PolicySyntaxError` /
+    :class:`policy.InvalidAttributeError` for bad policy text.
     """
     rng = _rng_or_system(rng)
     ast = policy_mod.parse_policy(policy)
@@ -235,22 +248,27 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     # sessions' threads take the interpreter lock from this one. A seeded
     # generator gives the same bytes as one draw per nonce in this order.
     nonces = _random_bytes(rng, NONCE_BYTES * (len(leaf_values) + 1))
-    wrapped: list[WrappedShare] = []
+    policy_bytes = canonical.encode()
+    header = [_u32(len(policy_bytes)), policy_bytes, _u32(len(leaf_values))]
+    shares = []
     for leaf in policy_mod.tree_leaves(tree):
-        wrap_key = attribute_wrap_key(ms, leaf.attribute)
-        nonce = nonces[NONCE_BYTES * (leaf.leaf_index - 1):NONCE_BYTES * leaf.leaf_index]
-        sealed = AESGCM(wrap_key).encrypt(
-            nonce, sss.encode_field(leaf_values[leaf.leaf_index]),
-            _share_aad(leaf.leaf_index, leaf.attribute))
-        wrapped.append(WrappedShare(leaf.leaf_index, leaf.attribute, nonce, sealed))
+        index = leaf.leaf_index
+        position = index.to_bytes(4, "big")
+        name = leaf.attribute.encode()
+        nonce = nonces[NONCE_BYTES * (index - 1):NONCE_BYTES * index]
+        # The share AAD is the leaf's position then its attribute name.
+        sealed = AESGCM(attribute_wrap_key(ms, leaf.attribute)).encrypt(
+            nonce, leaf_values[index].to_bytes(sss.FIELD_BYTES, "little"), position + name)
+        shares.append(WrappedShare(index, leaf.attribute, nonce, sealed))
+        header += (position, len(name).to_bytes(4, "big"), name, _NONCE_FIELD, nonce,
+                   _WRAPPED_FIELD, sealed)
 
-    shares = tuple(wrapped)
-    header = _encode_header(canonical, shares)
+    header_bytes = b"".join(header)
     payload_nonce = nonces[-NONCE_BYTES:]
     payload = AESGCM(_payload_key(data_key)).encrypt(
-        payload_nonce, plaintext, _header_digest(header))
-    return _keeping_header(SliceCiphertext(canonical, shares, payload_nonce, payload),
-                           header)
+        payload_nonce, plaintext, _header_digest(header_bytes))
+    return _keeping_header(
+        SliceCiphertext(canonical, tuple(shares), payload_nonce, payload), header_bytes)
 
 
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:

@@ -33,6 +33,7 @@ that submit, seal or extend from several threads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import threading
@@ -133,6 +134,13 @@ def verify_signature(public_key: bytes, signature: bytes, data: bytes) -> bool:
         return False
 
 
+# A transaction or block that this process builds is encoded once, as it
+# is built, and keeps that encoding (``_encoded`` / ``_serialized``, which
+# are ``None`` on the class), so signing, submit, the seal and the chain file
+# append reuse the bytes. A parsed one keeps only its transactions' hashes,
+# taken from the bytes read, and encodes on demand: a loaded chain holds no
+# second copy of the bytes it was read from.
+
 @dataclass(frozen=True)
 class Transaction:
     sender: bytes
@@ -141,34 +149,46 @@ class Transaction:
     args: bytes
     sender_nonce: int
     signature: bytes
+    _encoded = None  # not a field
 
     def signing_bytes(self) -> bytes:
-        return self._canonical(include_signature=False)
+        return self.canonical_bytes()[:-4 - len(self.signature)]
 
     def canonical_bytes(self) -> bytes:
-        return self._canonical(include_signature=True)
+        encoded = self._encoded
+        if encoded is None:
+            encoded = _with_signature(_signing_bytes(
+                self.sender, self.contract, self.method, self.args, self.sender_nonce),
+                self.signature)
+        return encoded
 
-    def _canonical(self, include_signature: bool) -> bytes:
-        w = Writer()
-        w.put_raw(self.sender)
-        w.put_str(self.contract)
-        w.put_str(self.method)
-        w.put_bytes(self.args)
-        w.put_u64(self.sender_nonce)
-        if include_signature:
-            w.put_bytes(self.signature)
-        return w.getvalue()
-
-    @property
+    @functools.cached_property
     def tx_hash(self) -> bytes:
         return hashlib.sha256(self.canonical_bytes()).digest()
 
 
+def _signing_bytes(sender: bytes, contract: str, method: str, args: bytes,
+                   sender_nonce: int) -> bytes:
+    w = Writer()
+    w.put_raw(sender)
+    w.put_str(contract)
+    w.put_str(method)
+    w.put_bytes(args)
+    w.put_u64(sender_nonce)
+    return w.getvalue()
+
+
+def _with_signature(signing_bytes: bytes, signature: bytes) -> bytes:
+    return signing_bytes + len(signature).to_bytes(4, "big") + signature
+
+
 def make_transaction(signer: Signer, contract: str, method: str, args: bytes,
                      sender_nonce: int) -> Transaction:
-    unsigned = Transaction(signer.address, contract, method, args, sender_nonce, b"")
-    signature = signer.sign(unsigned.signing_bytes())
-    return Transaction(signer.address, contract, method, args, sender_nonce, signature)
+    signing = _signing_bytes(signer.address, contract, method, args, sender_nonce)
+    signature = signer.sign(signing)
+    tx = Transaction(signer.address, contract, method, args, sender_nonce, signature)
+    object.__setattr__(tx, "_encoded", _with_signature(signing, signature))
+    return tx
 
 
 @dataclass(frozen=True)
@@ -177,12 +197,17 @@ class Block:
     prev_hash: bytes
     transactions: tuple[Transaction, ...]
     block_hash: bytes
+    _serialized = None  # not a field
 
     def body_bytes(self) -> bytes:
-        return _block_body(self.height, self.prev_hash, self.transactions)
+        return self.serialize()[:-HASH_BYTES]
 
     def serialize(self) -> bytes:
-        return self.body_bytes() + self.block_hash
+        serialized = self._serialized
+        if serialized is None:
+            serialized = _block_body(self.height, self.prev_hash,
+                                     self.transactions) + self.block_hash
+        return serialized
 
 
 def _block_body(height: int, prev_hash: bytes,
@@ -207,6 +232,7 @@ def _parse_transaction(data: bytes) -> Transaction:
         signature=r.take_bytes(),
     )
     r.expect_end()
+    object.__setattr__(tx, "tx_hash", hashlib.sha256(data).digest())
     return tx
 
 
@@ -309,7 +335,9 @@ class Chain:
         prev_hash = self.blocks[-1].block_hash if self.blocks else GENESIS_PREV_HASH
         transactions = tuple(self._pending)
         body = _block_body(height, prev_hash, transactions)
-        block = Block(height, prev_hash, transactions, hashlib.sha256(body).digest())
+        block_hash = hashlib.sha256(body).digest()
+        block = Block(height, prev_hash, transactions, block_hash)
+        object.__setattr__(block, "_serialized", body + block_hash)
         self.blocks.append(block)
         self.serialized_size += _FRAME_PREFIX + len(body) + HASH_BYTES
         self._pending = []

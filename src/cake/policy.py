@@ -12,6 +12,13 @@ case-normalized while parsing). Associative chains are flattened, so
 ``a or b or c`` and ``(a or (b or c))`` both yield a single Or node with
 three children; an And/Or node therefore never has a child of its own kind.
 
+Parsing is one pass over the words of the lowercased text, which one
+regular expression splits out: each word is checked once, and each node is
+built once, already flattened, without the checks of the public
+constructors (``Leaf``, ``And`` and ``Or`` still validate what callers
+build). Byte offsets are computed only when the text is rejected, by
+scanning its UTF-8 encoding again.
+
 Policies compile to threshold access trees for secret sharing: an And node
 becomes an n-of-n gate, an Or node a 1-of-n gate, and leaves are numbered
 1..L in depth-first order. Duplicate attribute names keep distinct leaves.
@@ -19,9 +26,10 @@ becomes an n-of-n gate, an Or node a 1-of-n gate, and leaves are numbered
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Container, Iterator, NamedTuple, Optional, Union
+from typing import Container, NamedTuple, Optional, Union
 
 from .errors import CakeError
 
@@ -108,7 +116,20 @@ def normalize_attribute(token: str) -> str:
     return name
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- scanning ---------------------------------------------------------------
+
+# A parenthesis, or a word: a maximal run of characters that are neither
+# whitespace (space, tab, CR, LF) nor parentheses. Other characters, vertical
+# tab and form feed included, belong to words. A character outside ASCII
+# encodes to bytes outside ASCII, so the same words come out of the text and
+# of its UTF-8 encoding, which :func:`_tokenize` scans for byte offsets; and
+# lowercasing neither makes nor removes a separator, so the words of the
+# lowercased text are the lowercased words.
+_WORD_RE = re.compile(r"[()]|[^ \t\r\n()]+")
+_TOKEN_RE = re.compile(rb"([()])|[^ \t\r\n()]+")
+
+_attribute_match = ATTRIBUTE_RE.fullmatch
+
 
 class _Token(NamedTuple):
     kind: str  # "(" | ")" | "and" | "or" | "attr" | "end"
@@ -116,13 +137,13 @@ class _Token(NamedTuple):
     offset: int
 
 
-# A parenthesis, or a word: a maximal run of bytes that are neither
-# whitespace (space, tab, CR, LF) nor parentheses. Other bytes, vertical tab
-# and form feed included, belong to words.
-_TOKEN_RE = re.compile(rb"([()])|[^ \t\r\n()]+")
-
-
 def _tokenize(text: str) -> list[_Token]:
+    """Every token of ``text`` with its byte offset, the end included.
+
+    Raises :class:`InvalidAttributeError` at the first malformed word, and
+    ``UnicodeEncodeError`` for text that has no UTF-8 encoding. Only
+    :func:`parse_policy`'s error path scans this way.
+    """
     # Scan the UTF-8 encoding so reported offsets are byte offsets. Words
     # split only at ASCII bytes, so each one decodes on its own.
     data = text.encode("utf-8")
@@ -144,72 +165,101 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# --- recursive-descent parser ----------------------------------------------
+def _error(text: str, index: int, kind: type[PolicyError], message: str) -> PolicyError:
+    """The error for ``text``, whose ``index``-th token (the end counting as
+    one past the last word) stopped the parse with ``message``.
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
+    The text is scanned first, as a whole: a malformed word anywhere in it
+    raises from :func:`_tokenize` before any structural error is reported.
+    """
+    return kind(message, _tokenize(text)[index].offset)
 
-    @property
-    def _cur(self) -> _Token:
-        return self._tokens[self._pos]
 
-    def _advance(self) -> _Token:
-        token = self._cur
-        self._pos += 1
-        return token
+# --- one-pass parser -------------------------------------------------------
 
-    def parse(self) -> PolicyAst:
-        if self._cur.kind == "end":
-            raise PolicySyntaxError("empty policy expression", self._cur.offset)
-        ast = self._or_expr()
-        if self._cur.kind != "end":
-            raise PolicySyntaxError(
-                f"unexpected token {self._cur.text!r} after expression", self._cur.offset)
-        return ast
+def _node(kind: type, field: str, value: object) -> PolicyAst:
+    """A node the parser built, valid by construction: made without the
+    checks of the public constructor."""
+    node = object.__new__(kind)
+    object.__setattr__(node, field, value)
+    return node
 
-    def _or_expr(self) -> PolicyAst:
-        operands = [self._and_expr()]
-        while self._cur.kind == "or":
-            self._advance()
-            operands.append(self._and_expr())
-        return or_of(operands)
 
-    def _and_expr(self) -> PolicyAst:
-        operands = [self._atom()]
-        while self._cur.kind == "and":
-            self._advance()
-            operands.append(self._atom())
-        return and_of(operands)
+def _or_operand(ors: list[PolicyAst], ands: list[PolicyAst]) -> None:
+    """Append the conjunction of ``ands`` to ``ors``, flattening an Or."""
+    if len(ands) > 1:
+        ors.append(_node(And, "children", tuple(ands)))
+    elif type(ands[0]) is Or:
+        ors.extend(ands[0].children)
+    else:
+        ors.append(ands[0])
 
-    def _atom(self) -> PolicyAst:
-        token = self._cur
-        if token.kind == "attr":
-            self._advance()
-            return Leaf(token.text)
-        if token.kind == "(":
-            self._advance()
-            inner = self._or_expr()
-            if self._cur.kind != ")":
-                raise PolicySyntaxError("unbalanced parenthesis, expected ')'",
-                                        self._cur.offset)
-            self._advance()
-            return inner
-        if token.kind == "end":
-            raise PolicySyntaxError("unexpected end of expression", token.offset)
-        raise PolicySyntaxError(f"unexpected token {token.text!r}", token.offset)
+
+def _disjunction(ors: list[PolicyAst], ands: list[PolicyAst]) -> PolicyAst:
+    """The node of a finished ``or_expr`` whose last operand is ``ands``."""
+    _or_operand(ors, ands)
+    return ors[0] if len(ors) == 1 else _node(Or, "children", tuple(ors))
 
 
 def parse_policy(text: str) -> PolicyAst:
     """Parse policy text into a flattened AST.
 
+    One pass: the lowercased text is split into words by one regular
+    expression, and a loop over the words keeps, for each open parenthesis,
+    the operands of its ``or`` and of its current ``and``. Each word is
+    checked once, an attribute against ``ATTRIBUTE_RE``, and chains are
+    flattened as their nodes are built.
+
     Raises :class:`PolicySyntaxError` for structural problems (unbalanced
     parentheses, stray tokens, empty input) and
     :class:`InvalidAttributeError` for malformed attribute tokens; both carry
-    the byte offset of the offending position.
+    the byte offset of the offending position, computed only then.
     """
-    return _Parser(_tokenize(text)).parse()
+    words = _WORD_RE.findall(text.lower())
+    # (ors, ands) of each enclosing parenthesis, innermost last.
+    stack: list[tuple[list[PolicyAst], list[PolicyAst]]] = []
+    ors: list[PolicyAst] = []
+    ands: list[PolicyAst] = []
+    want_atom = True
+    for index, word in enumerate(words):
+        if want_atom:
+            if word == "(":
+                stack.append((ors, ands))
+                ors, ands = [], []
+            elif word == ")" or word in _KEYWORDS:
+                raise _error(text, index, PolicySyntaxError, f"unexpected token {word!r}")
+            elif _attribute_match(word):
+                ands.append(_node(Leaf, "name", word))
+                want_atom = False
+            else:
+                raise _error(text, index, InvalidAttributeError,
+                             f"malformed attribute token {word!r}")
+        elif word == "and":
+            want_atom = True
+        elif word == "or":
+            _or_operand(ors, ands)
+            ands = []
+            want_atom = True
+        elif word == ")" and stack:
+            node = _disjunction(ors, ands)
+            ors, ands = stack.pop()
+            if type(node) is And:
+                ands.extend(node.children)
+            else:
+                ands.append(node)
+        elif stack:
+            raise _error(text, index, PolicySyntaxError,
+                         "unbalanced parenthesis, expected ')'")
+        else:
+            raise _error(text, index, PolicySyntaxError,
+                         f"unexpected token {word!r} after expression")
+    end = len(words)
+    if want_atom:
+        raise _error(text, end, PolicySyntaxError,
+                     "unexpected end of expression" if words else "empty policy expression")
+    if stack:
+        raise _error(text, end, PolicySyntaxError, "unbalanced parenthesis, expected ')'")
+    return _disjunction(ors, ands)
 
 
 def render_policy(ast: PolicyAst) -> str:
@@ -262,32 +312,30 @@ def compile_policy(ast: PolicyAst) -> AccessTree:
     """Compile to a threshold tree: And -> n-of-n, Or -> 1-of-n.
 
     Leaves are numbered 1..L in depth-first order; duplicate attribute names
-    in the policy produce distinct leaves.
+    in the policy produce distinct leaves. Each node is visited once.
     """
-    counter = iter(range(1, _leaf_count(ast) + 1))
+    counter = itertools.count(1)
 
     def build(node: PolicyAst) -> AccessTree:
-        if isinstance(node, Leaf):
+        if type(node) is Leaf:
             return TreeLeaf(node.name, next(counter))
-        threshold = len(node.children) if isinstance(node, And) else 1
-        return TreeGate(threshold, tuple(build(c) for c in node.children))
+        threshold = len(node.children) if type(node) is And else 1
+        return TreeGate(threshold, tuple([build(c) for c in node.children]))
 
     return build(ast)
 
 
-def _leaf_count(ast: PolicyAst) -> int:
-    if isinstance(ast, Leaf):
-        return 1
-    return sum(_leaf_count(c) for c in ast.children)
-
-
-def tree_leaves(tree: AccessTree) -> Iterator[TreeLeaf]:
+def tree_leaves(tree: AccessTree) -> list[TreeLeaf]:
     """Leaves in depth-first (= index) order."""
-    if isinstance(tree, TreeLeaf):
-        yield tree
-    else:
-        for child in tree.children:
-            yield from tree_leaves(child)
+    leaves: list[TreeLeaf] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is TreeLeaf:
+            leaves.append(node)
+        else:
+            stack.extend(reversed(node.children))
+    return leaves
 
 
 def min_satisfying_leaves(tree: AccessTree,

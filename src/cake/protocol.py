@@ -27,7 +27,10 @@ TCP sockets carry ``TCP_NODELAY``: a client writes AUTH and then its first
 request without waiting for a reply in between, and Nagle's algorithm would
 hold that second write back until the server's delayed acknowledgement,
 some 40 ms later; each frame is one write, so no extra small segments go
-out in its place.
+out in its place. A ``ServiceServer`` connection has a handshake deadline
+and, once sealed, an idle timeout (:data:`HANDSHAKE_DEADLINE_S`,
+:data:`IDLE_TIMEOUT_S`); a read that runs out of time raises
+:class:`TransportClosed`, and the session ends.
 
 A service reports a failed request as an error frame that names the
 exception's class; the client raises that :class:`CakeError` subclass with
@@ -105,6 +108,10 @@ from .codec import Reader, Writer
 from .errors import CakeError
 
 MAX_FRAME_BYTES = 80 * 1024 * 1024
+# Seconds a ``ServiceServer`` connection has to finish the handshake, then
+# may stay silent once sealed (see the module docstring).
+HANDSHAKE_DEADLINE_S = 10.0
+IDLE_TIMEOUT_S = 300.0
 NONCE_LEN = 16
 # Pre-authentication frames have fixed sizes; the server reads no more.
 HELLO_BYTES = 1 + ledger.ADDRESS_BYTES + 32 + NONCE_LEN
@@ -279,6 +286,10 @@ class Transport:
     def close(self) -> None:
         raise NotImplementedError
 
+    def sealed(self) -> None:
+        """The handshake on this transport has completed; a service calls
+        this before it reads the first request."""
+
 
 class MemoryTransport(Transport):
     """One endpoint of an in-process duplex channel."""
@@ -323,12 +334,26 @@ def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
 
 class SocketTransport(Transport):
     """Stream-socket transport with the same framing; turns Nagle's
-    algorithm off on TCP sockets (see the module docstring)."""
+    algorithm off on TCP sockets (see the module docstring).
 
-    def __init__(self, sock: socket.socket) -> None:
+    With ``deadline_s``, every read until :meth:`sealed` must complete
+    within that many seconds of construction; with ``idle_timeout_s``, each
+    read after it may wait that long for data. A read that runs out of time
+    raises :class:`TransportClosed`.
+    """
+
+    def __init__(self, sock: socket.socket, deadline_s: Optional[float] = None,
+                 idle_timeout_s: Optional[float] = None) -> None:
         self._sock = sock
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._deadline = None if deadline_s is None else time.monotonic() + deadline_s
+        self._idle_timeout_s = idle_timeout_s
+
+    def sealed(self) -> None:
+        self._deadline = None
+        if self._idle_timeout_s is not None:
+            self._sock.settimeout(self._idle_timeout_s)
 
     def send_frame(self, body: bytes) -> None:
         if len(body) > MAX_FRAME_BYTES:
@@ -341,6 +366,11 @@ class SocketTransport(Transport):
     def _recv_exact(self, n: int) -> bytes:
         chunks = []
         while n:
+            if self._deadline is not None:
+                remaining = self._deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TransportClosed("handshake deadline passed")
+                self._sock.settimeout(remaining)
             try:
                 chunk = self._sock.recv(n)
             except OSError as exc:
@@ -545,6 +575,7 @@ class Service:
         except CakeError as exc:
             transport.send_frame(bytes([TAG_ERROR]) + _encode_error(exc))
             return
+        transport.sealed()
         while True:
             try:
                 tag, payload = session.receive()
@@ -877,11 +908,14 @@ def serve_in_background(service: Service) -> Transport:
 
 class _SessionHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        self.server.cake_service.serve_session(SocketTransport(self.request))
+        self.server.cake_service.serve_session(
+            SocketTransport(self.request, HANDSHAKE_DEADLINE_S, IDLE_TIMEOUT_S))
 
 
 class ServiceServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP server for one service; the caller runs serve_forever."""
+    """Threaded TCP server for one service; the caller runs serve_forever.
+    A silent connection is dropped at :data:`HANDSHAKE_DEADLINE_S` or
+    :data:`IDLE_TIMEOUT_S`, so it cannot pin its thread."""
 
     allow_reuse_address = True
     daemon_threads = True

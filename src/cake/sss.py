@@ -5,7 +5,9 @@ f(0) = secret at the points 1..n; any t shares recover the secret by
 Lagrange interpolation at 0. The tree extension applies this recursively
 down a threshold access tree so that exactly the leaf subsets satisfying the
 tree can rebuild the root secret: each gate splits its incoming value with
-its own threshold, child j receiving the share at point j.
+its own threshold, child j receiving the share at point j. The tree is
+walked once, depth first, and each child's value is computed in place,
+without a :class:`Share` per node.
 
 The modulus is a well-known prime comfortably above 2^255, so 256-bit data
 keys embed injectively as field elements. Entropy is always an injected
@@ -108,23 +110,26 @@ def reconstruct(shares: list[Share]) -> int:
 
 
 def share_tree(tree: AccessTree, secret: int, rng: random.Random) -> dict[int, int]:
-    """Recursively split ``secret`` down the access tree.
+    """Split ``secret`` down the access tree.
 
-    Returns the map leaf_index -> field element. Each gate shares its
-    incoming value with its own threshold among its children, child j taking
-    the share at point j (1-based position).
+    Returns the map leaf_index -> field element, in leaf-index order. Each
+    gate shares its incoming value with its own threshold among its
+    children, child j taking the share at point j (1-based position), as
+    :func:`share` would; the tree is walked once, depth first, and each
+    gate draws its coefficients when it is reached. A 1-of-n gate draws
+    none: each child takes the value itself.
     """
     leaf_values: dict[int, int] = {}
-
-    def descend(node: AccessTree, value: int) -> None:
-        if isinstance(node, TreeLeaf):
+    stack: list[tuple[AccessTree, int]] = [(tree, secret % PRIME)]
+    while stack:
+        node, value = stack.pop()
+        if type(node) is TreeLeaf:
             leaf_values[node.leaf_index] = value
-            return
-        child_shares = share(value, node.threshold, len(node.children), rng)
-        for child, child_share in zip(node.children, child_shares):
-            descend(child, child_share.value)
-
-    descend(tree, secret % PRIME)
+            continue
+        coeffs = [value] + [rng.randrange(PRIME) for _ in range(node.threshold - 1)]
+        children = node.children
+        for x in range(len(children), 0, -1):  # pushed last to first
+            stack.append((children[x - 1], _poly_eval(coeffs, x)))
     return leaf_values
 
 

@@ -18,6 +18,7 @@ from cake.policy import (
     Leaf,
     Or,
     PolicyAst,
+    PolicySyntaxError,
     TreeGate,
     TreeLeaf,
     and_of,
@@ -160,3 +161,107 @@ def reference_tokenize(text: str) -> list[_Token]:
             raise InvalidAttributeError(f"malformed attribute token {word!r}", start)
     tokens.append(_Token("end", "", len(data)))
     return tokens
+
+
+# The recursive-descent parser that ``parse_policy`` used before it parsed in
+# one pass, kept as the reference for that pass. It reads the tokens of
+# ``reference_tokenize`` and builds nodes through the validating public
+# constructors and ``and_of`` / ``or_of``.
+class _ReferenceParser:
+    def __init__(self, tokens: list[_Token]) -> None:
+        self._tokens = tokens
+        self._pos = 0
+
+    @property
+    def _cur(self) -> _Token:
+        return self._tokens[self._pos]
+
+    def _advance(self) -> _Token:
+        token = self._cur
+        self._pos += 1
+        return token
+
+    def parse(self) -> PolicyAst:
+        if self._cur.kind == "end":
+            raise PolicySyntaxError("empty policy expression", self._cur.offset)
+        ast = self._or_expr()
+        if self._cur.kind != "end":
+            raise PolicySyntaxError(
+                f"unexpected token {self._cur.text!r} after expression", self._cur.offset)
+        return ast
+
+    def _or_expr(self) -> PolicyAst:
+        operands = [self._and_expr()]
+        while self._cur.kind == "or":
+            self._advance()
+            operands.append(self._and_expr())
+        return or_of(operands)
+
+    def _and_expr(self) -> PolicyAst:
+        operands = [self._atom()]
+        while self._cur.kind == "and":
+            self._advance()
+            operands.append(self._atom())
+        return and_of(operands)
+
+    def _atom(self) -> PolicyAst:
+        token = self._cur
+        if token.kind == "attr":
+            self._advance()
+            return Leaf(token.text)
+        if token.kind == "(":
+            self._advance()
+            inner = self._or_expr()
+            if self._cur.kind != ")":
+                raise PolicySyntaxError("unbalanced parenthesis, expected ')'",
+                                        self._cur.offset)
+            self._advance()
+            return inner
+        if token.kind == "end":
+            raise PolicySyntaxError("unexpected end of expression", token.offset)
+        raise PolicySyntaxError(f"unexpected token {token.text!r}", token.offset)
+
+
+def reference_parse(text: str) -> PolicyAst:
+    """Parse ``text`` as ``parse_policy`` did before its one-pass parser."""
+    return _ReferenceParser(reference_tokenize(text)).parse()
+
+
+SERVE_ROLES = [f"role_{i:02d}" for i in range(32)]
+
+
+def serve_shaped_policy(rng: random.Random, leaves: int) -> str:
+    """``(tenant_acme and (audit or ...))`` with ``leaves`` leaves in all: the
+    alternatives are roles, about a quarter of them joined in ``and`` pairs,
+    as the data manager's benchmark stores them."""
+    parts = ["audit"]
+    remaining = leaves - 2
+    while remaining:
+        if remaining >= 2 and rng.random() < 0.25:
+            a, b = rng.sample(SERVE_ROLES, 2)
+            parts.append(f"({a} and {b})")
+            remaining -= 2
+        else:
+            parts.append(rng.choice(SERVE_ROLES))
+            remaining -= 1
+    rng.shuffle(parts)
+    return f"(tenant_acme and ({' or '.join(parts)}))"
+
+
+def reference_share_tree(tree: AccessTree, secret: int, rng: random.Random) -> dict[int, int]:
+    """``share_tree`` as it was before it walked the tree without building
+    shares: each gate calls ``share`` for its children, depth first."""
+    from cake.sss import PRIME, share
+
+    leaf_values: dict[int, int] = {}
+
+    def descend(node: AccessTree, value: int) -> None:
+        if isinstance(node, TreeLeaf):
+            leaf_values[node.leaf_index] = value
+            return
+        child_shares = share(value, node.threshold, len(node.children), rng)
+        for child, child_share in zip(node.children, child_shares):
+            descend(child, child_share.value)
+
+    descend(tree, secret % PRIME)
+    return leaf_values

@@ -24,6 +24,7 @@ from helpers import (
     hkdf_sha256,
     min_satisfying_size,
     random_policy,
+    serve_shaped_policy,
 )
 
 IMPORT_DECLARATION = "(29837 and ((economic_operator) or (customs)))"
@@ -61,7 +62,7 @@ def make_key(ms, attrs, holder=HOLDER):
 
 
 def flip_last_byte(ws: abe.WrappedShare) -> abe.WrappedShare:
-    return replace(ws, wrapped=ws.wrapped[:-1] + bytes([ws.wrapped[-1] ^ 1]))
+    return ws._replace(wrapped=ws.wrapped[:-1] + bytes([ws.wrapped[-1] ^ 1]))
 
 
 @pytest.fixture
@@ -286,8 +287,8 @@ class TestIntegrity:
         ct = abe.encrypt_slice(ms, "(a and b)", b"m", random.Random(13))
         key = make_key(ms, {"a", "b"})
         first, second = ct.wrapped_shares
-        broken = replace(first, wrapped=bytes(first.wrapped[:-1])
-                         + bytes([first.wrapped[-1] ^ 1]))
+        broken = first._replace(wrapped=bytes(first.wrapped[:-1])
+                                + bytes([first.wrapped[-1] ^ 1]))
         with pytest.raises(abe.IntegrityFailure):
             abe.decrypt_slice(key, replace(ct, wrapped_shares=(broken, second)))
 
@@ -485,6 +486,22 @@ class TestSerialization:
         assert abe.header_hash(ct) == hashlib.sha256(emptied).digest()
         assert abe.serialize_slice(ct).startswith(ct.header)
         assert emptied == ct.header + bytes(8)
+
+    def test_serve_shaped_slices_are_pinned(self, ms):
+        """Twenty 8-32 leaf policies of the data manager's benchmark shape,
+        encrypted in turn with one seeded generator: the bytes, and the
+        header that encryption builds as it wraps, are those of the
+        encoder the header was once built with."""
+        corpus = random.Random("serve-shaped corpus")
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        for _ in range(20):
+            policy = serve_shaped_policy(corpus, corpus.randint(8, 32))
+            ct = abe.encrypt_slice(ms, policy, corpus.randbytes(corpus.randint(0, 512)), rng)
+            assert ct.header == replace(ct).header
+            digest.update(abe.serialize_slice(ct))
+        assert digest.hexdigest() == \
+            "fb4e2d9721694b320313319c1225e30a5854dbf4a1d7d8af6342676fcf1a8ead"
 
     @settings(max_examples=200, deadline=None)
     @given(containers)

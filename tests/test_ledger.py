@@ -83,6 +83,32 @@ def frame_ends(data: bytes) -> list[int]:
     return ends
 
 
+class TestEncodingsKept:
+    """Sealed and parsed objects reuse bytes they hold; a fresh object with
+    the same fields encodes to the same bytes."""
+
+    def test_sealed_blocks_and_their_transactions(self):
+        for block in built_chain().blocks:
+            fresh = dataclasses.replace(block)
+            assert block.serialize() == fresh.serialize()
+            assert block.body_bytes() == fresh.body_bytes()
+            for tx in block.transactions:
+                again = dataclasses.replace(tx)
+                assert tx.canonical_bytes() == again.canonical_bytes()
+                assert tx.signing_bytes() == again.signing_bytes()
+                assert tx.tx_hash == again.tx_hash == \
+                    hashlib.sha256(again.canonical_bytes()).digest()
+
+    def test_parsed_blocks_and_their_transactions(self):
+        chain = built_chain()
+        for sealed, parsed in zip(chain.blocks, reload(chain).blocks):
+            assert parsed == sealed
+            assert parsed.serialize() == sealed.serialize()
+            for tx, ours in zip(parsed.transactions, sealed.transactions):
+                assert tx.tx_hash == ours.tx_hash
+                assert tx.signing_bytes() == ours.signing_bytes()
+
+
 class TestExtend:
     def test_serialized_size_tracks_every_seal(self):
         chain = fresh_chain()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from helpers import (
     attribute_subsets,
     min_satisfying_size,
     random_policy,
+    reference_parse,
     reference_tokenize,
     sympy_eval,
     tree_satisfied,
@@ -145,6 +147,69 @@ class TestTokenize:
     @example("\ud800 or a")
     def test_matches_reference_tokenizer(self, text):
         assert outcome(policy._tokenize, text) == outcome(reference_tokenize, text)
+
+
+# Policy-like text: nested chains written out as they come (unflattened, and
+# with single operands in parentheses), then re-cased word by word, joined by
+# varied separators (vertical tab and form feed join words, an empty one runs
+# them together), with words dropped and stray or non-ASCII pieces added.
+nested_texts = st.recursive(
+    st.sampled_from(ATTRIBUTE_POOL),
+    lambda kids: st.tuples(st.sampled_from([" and ", " or "]),
+                           st.lists(kids, min_size=1, max_size=4)).map(
+        lambda chain: "(" + chain[0].join(chain[1]) + ")"),
+    max_leaves=12,
+)
+separators = st.sampled_from([" ", "  ", "\t", "\r\n", "\x0b", "\x0c", ""])
+strays = st.sampled_from(["(", ")", "and", "OR", "\u212a", "caf\u00e9", "\u0130", "x!y"])
+
+
+@st.composite
+def edited_policies(draw):
+    text = draw(st.one_of(nested_texts, asts.map(render_policy)))
+    out = []
+    for word in re.findall(r"[()]|[^ ()]+", text):
+        edit = draw(st.integers(0, 19))
+        if edit == 0:
+            continue
+        if edit == 1:
+            out.append(draw(strays))
+            out.append(draw(separators))
+        out.append(draw(st.sampled_from([str.lower, str.upper, str.title]))(word))
+        out.append(draw(separators) if edit == 2 else " ")
+    return "".join(out)
+
+
+def parsed(parse, text):
+    """The AST, or the error's class, text and offset."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+class TestParseOracle:
+    @settings(max_examples=400, derandomize=True)
+    @given(st.one_of(edited_policies(), policy_texts))
+    @example("")
+    @example(" \t\r\n")
+    @example("a AND b Or c")
+    @example("a or (b or (c or d))")
+    @example("((a and b) and (c and (d)))")
+    @example("((a or b)) and c or (d)")
+    @example("a\x0band b")
+    @example("a\x0cb or (c)")
+    @example("\u212a and K")
+    @example("ok and caf\u00e9")
+    @example("( ) x!y")
+    @example("(a")
+    @example("a)")
+    @example("((a)")
+    @example("a b (")
+    @example("\ud800 or a")
+    @example("\u0130 or a")
+    def test_matches_reference_parser(self, text):
+        assert parsed(parse_policy, text) == parsed(reference_parse, text)
 
 
 class TestRender:

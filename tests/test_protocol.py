@@ -4,6 +4,7 @@ import random
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from cake import policy as policy_mod
 from cake import protocol
 from cake.codec import Reader, Writer
 from cake.errors import CakeError
-from cake.protocol import TAG_AUTH, TAG_CHALLENGE, TAG_ERROR, TAG_HELLO
+from cake.protocol import TAG_AUTH, TAG_CHALLENGE, TAG_ERROR, TAG_HELLO, TAG_STORE_REQ
 
 # u = 0 is a low-order X25519 point: any exchange with it gives the all-zero
 # secret, which the key-agreement primitive refuses.
@@ -152,6 +153,185 @@ class TestConcurrentStores:
         assert failures == []
         assert deployment.chain.height == 200
         assert deployment.chain.verify().ok
+
+
+def store_request(slices) -> bytes:
+    w = Writer()
+    w.put_u32(len(slices))
+    for label, policy, data in slices:
+        w.put_str(label)
+        w.put_str(policy)
+        w.put_bytes(data)
+    return w.getvalue()
+
+
+def assert_dropped(transport, thread) -> None:
+    """The server closed the channel and its session thread has exited."""
+    with pytest.raises(protocol.TransportClosed):
+        transport.recv_frame()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def honest_store(deployment, client) -> None:
+    sdm = deployment.connect_sdm(client, random.Random(9))
+    try:
+        message_id, _ = sdm.store([("doc", "a", b"body")])
+    finally:
+        sdm.close()
+    assert deployment.chain.message_get(message_id)
+
+
+class TestRejections:
+    def test_auth_signed_with_an_unregistered_key(self, deployment, client):
+        # Claims the registered client's address, signs with another key.
+        impostor = protocol.Identity.generate(random.Random(7))
+        impostor.address = client.address
+        transport, thread = serve(deployment.sdm)
+        protocol.client_handshake(impostor, deployment.sdm.public(), transport,
+                                  random.Random(8))
+        error = transport.recv_frame()
+        assert wire_error_code(error) == "AuthFailure"
+        with pytest.raises(protocol.AuthFailure):
+            protocol._raise_wire_error(error[1:])
+        assert_dropped(transport, thread)
+        honest_store(deployment, client)
+
+    def test_wrong_server_signing_key(self, deployment, client):
+        transport, thread = serve(deployment.sdm)
+        with pytest.raises(protocol.AuthFailure, match="server signature"):
+            protocol.client_handshake(client, deployment.ud.public(), transport,
+                                      random.Random(8))
+        transport.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        honest_store(deployment, client)
+
+    def test_swapped_sealed_frames_drop_the_session(self, deployment, client):
+        transport, thread = serve(deployment.sdm)
+        session = protocol.client_handshake(client, deployment.sdm.public(), transport,
+                                            random.Random(8))
+        send = transport.send_frame
+        held: list[bytes] = []
+        transport.send_frame = held.append
+        session.send(TAG_STORE_REQ, store_request([("one", "a", b"1")]))
+        session.send(TAG_STORE_REQ, store_request([("two", "a", b"2")]))
+        first, second = held
+        send(second)
+        send(first)
+        assert_dropped(transport, thread)
+        assert deployment.chain.height == 0
+        honest_store(deployment, client)
+
+
+def serving(service):
+    """Start a ``ServiceServer``; returns it, its thread, and the list of
+    (thread, seconds since the start) each finished session appends to."""
+    finished: list[tuple[threading.Thread, float]] = []
+    started = time.monotonic()
+    serve_session = service.serve_session
+
+    def recording(transport):
+        try:
+            serve_session(transport)
+        finally:
+            finished.append((threading.current_thread(), time.monotonic() - started))
+
+    service.serve_session = recording
+    server = protocol.ServiceServer(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, finished
+
+
+def stop(server, thread) -> None:
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def wait_finished(finished, count: int) -> list[tuple[threading.Thread, float]]:
+    deadline = time.monotonic() + 5
+    while len(finished) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(finished) == count
+    for session_thread, _ in finished:
+        session_thread.join(timeout=5)
+        assert not session_thread.is_alive()
+    return finished
+
+
+class TestDeadlines:
+    @pytest.fixture(autouse=True)
+    def short_limits(self, monkeypatch):
+        monkeypatch.setattr(protocol, "HANDSHAKE_DEADLINE_S", 0.2)
+        monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.5)
+
+    def test_silent_client_is_dropped_at_the_handshake_deadline(self, deployment):
+        server, thread, finished = serving(deployment.sdm)
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                assert sock.recv(1) == b""  # the server closed the connection
+            [(_, seconds)] = wait_finished(finished, 1)
+            assert 0.2 <= seconds < 2
+        finally:
+            stop(server, thread)
+
+    def test_deadline_covers_the_whole_handshake(self, deployment, client):
+        # One byte of HELLO every 50 ms keeps each read short, not the handshake.
+        server, thread, finished = serving(deployment.sdm)
+        hello = bytes([TAG_HELLO]) + client.address + bytes(48)
+        frame = len(hello).to_bytes(4, "big") + hello
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                for byte in frame:
+                    try:
+                        sock.sendall(bytes([byte]))
+                    except OSError:
+                        break
+                    if finished:
+                        break
+                    time.sleep(0.05)
+            [(_, seconds)] = wait_finished(finished, 1)
+            assert seconds < 1
+        finally:
+            stop(server, thread)
+
+    def test_idle_sealed_session_is_dropped(self, deployment, client):
+        server, thread, finished = serving(deployment.sdm)
+        try:
+            transport = protocol.connect_tcp(*server.server_address)
+            sdm = protocol.ServiceClient(client, deployment.sdm.public(), transport,
+                                         random.Random(4))
+            try:
+                sdm.store([("doc", "a", b"first")])  # within the idle timeout
+                wait_finished(finished, 1)
+                with pytest.raises(protocol.TransportClosed):
+                    sdm.store([("doc", "a", b"late")])
+            finally:
+                sdm.close()
+        finally:
+            stop(server, thread)
+
+    def test_honest_tcp_session_outlives_the_handshake_deadline(self, deployment, client):
+        server, thread, finished = serving(deployment.sdm)
+        try:
+            transport = protocol.connect_tcp(*server.server_address)
+            sdm = protocol.ServiceClient(client, deployment.sdm.public(), transport,
+                                         random.Random(4))
+            try:
+                stored = []
+                for n in range(4):  # 0.4 s in all, each pause within the idle timeout
+                    time.sleep(0.1)
+                    stored.append(sdm.store([("doc", "a", bytes([n]))]))
+            finally:
+                sdm.close()
+            wait_finished(finished, 1)
+        finally:
+            stop(server, thread)
+        for message_id, _ in stored:
+            assert deployment.chain.message_get(message_id)
 
 
 class TestSessionBoundary:

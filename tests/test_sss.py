@@ -19,7 +19,7 @@ from cake.sss import (
     share,
     share_tree,
 )
-from helpers import ATTRIBUTE_POOL, attribute_subsets, random_policy
+from helpers import ATTRIBUTE_POOL, attribute_subsets, random_policy, reference_share_tree
 
 TRANSPORT_DOCUMENT = "(29837 and ((economic_operator) or (customs) or (courier)))"
 
@@ -134,6 +134,20 @@ class TestShareTree:
         a = share_tree(tree, 123, random.Random(11))
         b = share_tree(tree, 123, random.Random(11))
         assert a == b
+
+
+    def test_draws_and_values_match_sharing_gate_by_gate(self):
+        # Gates up to 5-of-5, so the order of several coefficients shows.
+        rng = random.Random(14)
+        for _ in range(60):
+            tree = compile_policy(random_policy(rng, ATTRIBUTE_POOL, depth=3, max_fanout=5))
+            secret = rng.randrange(PRIME)
+            seed = rng.getrandbits(64)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            values = share_tree(tree, secret, ours)
+            assert values == reference_share_tree(tree, secret, theirs)
+            assert list(values) == sorted(values)
+            assert ours.getstate() == theirs.getstate()
 
 
 class TestReconstructTree:

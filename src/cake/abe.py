@@ -25,14 +25,14 @@ Keys:
 The payload AEAD binds the slice header (policy text plus wrapped shares):
 its associated data is the SHA-256 of the canonical slice serialization with
 the payload fields emptied, so any header mutation fails authentication
-rather than decrypting to garbage. Encryption walks the tree's leaves once:
-that walk wraps each share and appends its header fields, so the header is
-encoded as it is built. Each parsed or encrypted slice keeps its header
-bytes (:attr:`SliceCiphertext.header`), the ones parsing read or encryption
-built, so a read hashes them as they are and a store writes them out
-without encoding the shares again. A wrapped share is a plain tuple type.
-Containers are parsed in one pass that reads each length in place and
-checks it before taking its field.
+rather than decrypting to garbage. Encryption walks the tree's leaves once,
+wrapping each share; one encoder, :func:`_encode_header`, writes the header
+of every slice, encrypted or built by ``dataclasses.replace``. Each parsed
+or encrypted slice keeps its header bytes (:attr:`SliceCiphertext.header`),
+the ones parsing read or encryption encoded, so a read hashes them as they
+are and a store writes them out without encoding the shares again. A
+wrapped share is a plain tuple type. Containers are parsed in one pass that
+reads each length in place and checks it before taking its field.
 
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -202,13 +201,12 @@ def _payload_key(data_key: int) -> bytes:
 
 
 def keygen(ms: MasterSecret, holder: bytes, attrs: frozenset[str] | set[str],
-           issued_at: Optional[int] = None) -> UserKey:
+           issued_at: int) -> UserKey:
     """Issue the wrap-key bundle for a holder's certified attributes."""
     if not attrs:
         raise EmptyAttributeSet("cannot issue a key for an empty attribute set")
     keys = {policy_mod.normalize_attribute(a): attribute_wrap_key(ms, a) for a in attrs}
-    stamp = int(time.time()) if issued_at is None else issued_at
-    return UserKey(holder=holder, attribute_keys=keys, issued_at=stamp)
+    return UserKey(holder=holder, attribute_keys=keys, issued_at=issued_at)
 
 
 def _u32(value: int) -> bytes:
@@ -219,21 +217,15 @@ def _share_aad(leaf_index: int, attribute: str) -> bytes:
     return _u32(leaf_index) + attribute.encode()
 
 
-# The length fields of a wrapped share's nonce and sealed share, which have
-# fixed sizes: a 32-byte share seals to 32 bytes and a 16-byte tag.
-_NONCE_FIELD = _u32(NONCE_BYTES)
-_WRAPPED_FIELD = _u32(sss.FIELD_BYTES + 16)
-
-
 def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
                   rng: Optional[random.Random] = None) -> SliceCiphertext:
     """Encrypt one slice under an access policy.
 
     The policy is stored in its canonical rendering; the compiled tree's
     leaves determine the wrapped-share list. One walk over the leaves wraps
-    each share and appends its header fields, so the header is encoded as
-    it is built and never again. Raises :class:`policy.PolicySyntaxError` /
-    :class:`policy.InvalidAttributeError` for bad policy text.
+    each share, and :func:`_encode_header` encodes the header once. Raises
+    :class:`policy.PolicySyntaxError` / :class:`policy.InvalidAttributeError`
+    for bad policy text.
     """
     rng = _rng_or_system(rng)
     ast = policy_mod.parse_policy(policy)
@@ -248,27 +240,22 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     # sessions' threads take the interpreter lock from this one. A seeded
     # generator gives the same bytes as one draw per nonce in this order.
     nonces = _random_bytes(rng, NONCE_BYTES * (len(leaf_values) + 1))
-    policy_bytes = canonical.encode()
-    header = [_u32(len(policy_bytes)), policy_bytes, _u32(len(leaf_values))]
     shares = []
     for leaf in policy_mod.tree_leaves(tree):
         index = leaf.leaf_index
-        position = index.to_bytes(4, "big")
-        name = leaf.attribute.encode()
         nonce = nonces[NONCE_BYTES * (index - 1):NONCE_BYTES * index]
-        # The share AAD is the leaf's position then its attribute name.
         sealed = AESGCM(attribute_wrap_key(ms, leaf.attribute)).encrypt(
-            nonce, leaf_values[index].to_bytes(sss.FIELD_BYTES, "little"), position + name)
+            nonce, leaf_values[index].to_bytes(sss.FIELD_BYTES, "little"),
+            _share_aad(index, leaf.attribute))
         shares.append(WrappedShare(index, leaf.attribute, nonce, sealed))
-        header += (position, len(name).to_bytes(4, "big"), name, _NONCE_FIELD, nonce,
-                   _WRAPPED_FIELD, sealed)
 
-    header_bytes = b"".join(header)
+    wrapped_shares = tuple(shares)
+    header = _encode_header(canonical, wrapped_shares)
     payload_nonce = nonces[-NONCE_BYTES:]
     payload = AESGCM(_payload_key(data_key)).encrypt(
-        payload_nonce, plaintext, _header_digest(header_bytes))
+        payload_nonce, plaintext, _header_digest(header))
     return _keeping_header(
-        SliceCiphertext(canonical, tuple(shares), payload_nonce, payload), header_bytes)
+        SliceCiphertext(canonical, wrapped_shares, payload_nonce, payload), header)
 
 
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
@@ -397,15 +384,15 @@ _EMPTY_PAYLOAD_FIELDS = bytes(8)
 
 
 def _encode_header(policy_text: str, wrapped_shares: tuple[WrappedShare, ...]) -> bytes:
-    w = Writer()
-    w.put_str(policy_text)
-    w.put_u32(len(wrapped_shares))
-    for ws in wrapped_shares:
-        w.put_u32(ws.leaf_index)
-        w.put_str(ws.attribute)
-        w.put_bytes(ws.nonce)
-        w.put_bytes(ws.wrapped)
-    return w.getvalue()
+    """The canonical bytes of a slice's policy text and wrapped shares, each
+    variable-length field prefixed with its own length."""
+    policy_bytes = policy_text.encode()
+    fields = [_u32(len(policy_bytes)), policy_bytes, _u32(len(wrapped_shares))]
+    for leaf_index, attribute, nonce, wrapped in wrapped_shares:
+        name = attribute.encode()
+        fields += (_u32(leaf_index), _u32(len(name)), name, _u32(len(nonce)), nonce,
+                   _u32(len(wrapped)), wrapped)
+    return b"".join(fields)
 
 
 def _keeping_header(ct: SliceCiphertext, header: bytes) -> SliceCiphertext:

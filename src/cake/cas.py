@@ -9,7 +9,9 @@ hashes a chunked DAG encoding; a networked client can be slotted in behind
 the same store interface.
 
 Every read re-hashes the returned bytes: a blob that no longer matches its
-locator raises :class:`IntegrityViolation` instead of being returned.
+locator raises :class:`IntegrityViolation` instead of being returned. A
+put of more than :data:`MAX_BLOB_BYTES` (64 MiB) raises
+:class:`BlobTooLarge`; the limit is a module constant, read at each put.
 Parsed locators are memoized by their text in a fixed-size LRU table, since
 every reader of a document parses the same locator from its chain record.
 """
@@ -28,7 +30,7 @@ from .errors import CakeError
 
 DIGEST_BYTES = 32
 MULTIHASH_PREFIX = b"\x12\x20"  # SHA-256, 32 bytes
-DEFAULT_MAX_BLOB_BYTES = 64 * 1024 * 1024
+MAX_BLOB_BYTES = 64 * 1024 * 1024
 
 BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _BASE58_INDEX = {c: i for i, c in enumerate(BASE58_ALPHABET)}
@@ -131,14 +133,11 @@ def parse_locator(text: str) -> Locator:
 class BlobStore:
     """put/get over some backing storage keyed by content digest."""
 
-    def __init__(self, max_blob_bytes: int = DEFAULT_MAX_BLOB_BYTES) -> None:
-        self.max_blob_bytes = max_blob_bytes
-
     def put(self, data: bytes) -> Locator:
-        """Persist the blob; idempotent, returns the content locator."""
-        if len(data) > self.max_blob_bytes:
-            raise BlobTooLarge(
-                f"blob of {len(data)} bytes exceeds cap {self.max_blob_bytes}")
+        """Persist the blob; idempotent, returns the content locator. Raises
+        :class:`BlobTooLarge` for a blob over :data:`MAX_BLOB_BYTES`."""
+        if len(data) > MAX_BLOB_BYTES:
+            raise BlobTooLarge(f"blob of {len(data)} bytes exceeds cap {MAX_BLOB_BYTES}")
         loc = locator_for(data)
         self._write(loc, data)
         return loc
@@ -160,8 +159,7 @@ class BlobStore:
 class MemoryBlobStore(BlobStore):
     """Dict-backed store for tests and throwaway deployments."""
 
-    def __init__(self, max_blob_bytes: int = DEFAULT_MAX_BLOB_BYTES) -> None:
-        super().__init__(max_blob_bytes)
+    def __init__(self) -> None:
         self._blobs: dict[bytes, bytes] = {}
 
     def _write(self, loc: Locator, data: bytes) -> None:
@@ -177,9 +175,7 @@ class MemoryBlobStore(BlobStore):
 class DirectoryBlobStore(BlobStore):
     """One file per blob under ``<root>/blobs/<hex digest>``."""
 
-    def __init__(self, root: str | Path,
-                 max_blob_bytes: int = DEFAULT_MAX_BLOB_BYTES) -> None:
-        super().__init__(max_blob_bytes)
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._blob_dir = self.root / "blobs"
         try:

@@ -315,11 +315,8 @@ def cmd_identity_new(args: argparse.Namespace, home: Home) -> int:
 def cmd_certify(args: argparse.Namespace, home: Home) -> int:
     deployment = home.open()
     actor = home.address_of(args.actor)
-    client = _connect(deployment, "ud", deployment.certifier)
-    try:
+    with _connect(deployment, "ud", deployment.certifier) as client:
         locator = client.certify(actor, args.attributes)
-    finally:
-        client.close()
     _emit(args, f"certified {args.actor} -> {locator}",
           {"actor": args.actor, "address": actor.hex(),
            "attributes": sorted(policy_mod.normalize_attribute(a)
@@ -353,11 +350,8 @@ def _collect_slices(args: argparse.Namespace) -> list[tuple[str, str, bytes]]:
 def cmd_store(args: argparse.Namespace, home: Home) -> int:
     slices = _collect_slices(args)
     deployment = home.open()
-    client = _connect(deployment, "sdm", home.identity(args.as_name))
-    try:
+    with _connect(deployment, "sdm", home.identity(args.as_name)) as client:
         message_id, locator = client.store(slices)
-    finally:
-        client.close()
     _emit(args, f"message {message_id.hex()} -> {locator}",
           {"message_id": message_id.hex(), "locator": locator,
            "slices": [label for label, _, _ in slices]})
@@ -366,11 +360,8 @@ def cmd_store(args: argparse.Namespace, home: Home) -> int:
 
 def cmd_key_request(args: argparse.Namespace, home: Home) -> int:
     deployment = home.open()
-    client = _connect(deployment, "skm", home.identity(args.as_name))
-    try:
+    with _connect(deployment, "skm", home.identity(args.as_name)) as client:
         key = client.request_key()
-    finally:
-        client.close()
     path = home.save_user_key(args.as_name, key)
     _emit(args, f"key for {args.as_name} ({', '.join(sorted(key.attributes))}) "
                 f"saved to {path}",

@@ -21,9 +21,6 @@ class Writer:
     def __init__(self) -> None:
         self._parts: list[bytes] = []
 
-    def put_u8(self, value: int) -> None:
-        self._parts.append(value.to_bytes(1, "big"))
-
     def put_u32(self, value: int) -> None:
         self._parts.append(value.to_bytes(4, "big"))
 
@@ -59,9 +56,6 @@ class Reader:
         out = self._data[self._pos:self._pos + n]
         self._pos += n
         return out
-
-    def take_u8(self) -> int:
-        return self._take(1)[0]
 
     def take_u32(self) -> int:
         return int.from_bytes(self._take(4), "big")

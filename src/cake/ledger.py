@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import random
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -108,12 +107,6 @@ class Signer:
         self._private = private_key
         self.public_bytes = private_key.public_key().public_bytes_raw()
         self.address = address_of(self.public_bytes)
-
-    @classmethod
-    def generate(cls, rng: Optional[random.Random] = None) -> "Signer":
-        if rng is None:
-            return cls(Ed25519PrivateKey.generate())
-        return cls.from_seed(rng.randbytes(32))
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "Signer":

@@ -16,8 +16,9 @@ Parsing is one pass over the words of the lowercased text, which one
 regular expression splits out: each word is checked once, and each node is
 built once, already flattened, without the checks of the public
 constructors (``Leaf``, ``And`` and ``Or`` still validate what callers
-build). Byte offsets are computed only when the text is rejected, by
-scanning its UTF-8 encoding again.
+build). That expression is the only scanner. Byte offsets are computed only
+on the error path, when the text is rejected: the same expression scans the
+text again, and an offset is the UTF-8 length of the text before the word.
 
 Policies compile to threshold access trees for secret sharing: an And node
 becomes an n-of-n gate, an Or node a 1-of-n gate, and leaves are numbered
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Container, NamedTuple, Optional, Union
+from typing import Container, Optional, Union
 
 from .errors import CakeError
 
@@ -120,59 +121,33 @@ def normalize_attribute(token: str) -> str:
 
 # A parenthesis, or a word: a maximal run of characters that are neither
 # whitespace (space, tab, CR, LF) nor parentheses. Other characters, vertical
-# tab and form feed included, belong to words. A character outside ASCII
-# encodes to bytes outside ASCII, so the same words come out of the text and
-# of its UTF-8 encoding, which :func:`_tokenize` scans for byte offsets; and
-# lowercasing neither makes nor removes a separator, so the words of the
-# lowercased text are the lowercased words.
+# tab and form feed included, belong to words. Lowercasing neither makes nor
+# removes a separator, so the words of the lowercased text are the
+# lowercased words of the text, in the same places.
 _WORD_RE = re.compile(r"[()]|[^ \t\r\n()]+")
-_TOKEN_RE = re.compile(rb"([()])|[^ \t\r\n()]+")
 
 _attribute_match = ATTRIBUTE_RE.fullmatch
 
 
-class _Token(NamedTuple):
-    kind: str  # "(" | ")" | "and" | "or" | "attr" | "end"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """Every token of ``text`` with its byte offset, the end included.
-
-    Raises :class:`InvalidAttributeError` at the first malformed word, and
-    ``UnicodeEncodeError`` for text that has no UTF-8 encoding. Only
-    :func:`parse_policy`'s error path scans this way.
-    """
-    # Scan the UTF-8 encoding so reported offsets are byte offsets. Words
-    # split only at ASCII bytes, so each one decodes on its own.
-    data = text.encode("utf-8")
-    tokens: list[_Token] = []
-    for match in _TOKEN_RE.finditer(data):
-        start = match.start()
-        paren = match.group(1)
-        if paren is not None:
-            tokens.append(_Token(paren.decode(), paren.decode(), start))
-            continue
-        word = match.group().decode("utf-8").lower()
-        if word in _KEYWORDS:
-            tokens.append(_Token(word, word, start))
-        elif ATTRIBUTE_RE.fullmatch(word):
-            tokens.append(_Token("attr", word, start))
-        else:
-            raise InvalidAttributeError(f"malformed attribute token {word!r}", start)
-    tokens.append(_Token("end", "", len(data)))
-    return tokens
-
-
 def _error(text: str, index: int, kind: type[PolicyError], message: str) -> PolicyError:
-    """The error for ``text``, whose ``index``-th token (the end counting as
+    """The error for ``text``, whose ``index``-th word (the end counting as
     one past the last word) stopped the parse with ``message``.
 
-    The text is scanned first, as a whole: a malformed word anywhere in it
-    raises from :func:`_tokenize` before any structural error is reported.
+    The text is scanned again, as a whole: text with no UTF-8 encoding
+    raises ``UnicodeEncodeError``, and a malformed word anywhere in it is
+    reported before any structural error. The offset is the UTF-8 length of
+    the text before the offending word, or of the whole text at the end.
     """
-    return kind(message, _tokenize(text)[index].offset)
+    text.encode("utf-8")  # raises for text with no UTF-8 encoding
+    words = list(_WORD_RE.finditer(text))
+    for position, match in enumerate(words):
+        word = match.group().lower()
+        if word not in ("(", ")", *_KEYWORDS) and not _attribute_match(word):
+            index, kind, message = (position, InvalidAttributeError,
+                                    f"malformed attribute token {word!r}")
+            break
+    start = words[index].start() if index < len(words) else len(text)
+    return kind(message, len(text[:start].encode("utf-8")))
 
 
 # --- one-pass parser -------------------------------------------------------

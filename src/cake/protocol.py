@@ -32,10 +32,16 @@ and, once sealed, an idle timeout (:data:`HANDSHAKE_DEADLINE_S`,
 :data:`IDLE_TIMEOUT_S`); a read that runs out of time raises
 :class:`TransportClosed`, and the session ends.
 
-A service reports a failed request as an error frame that names the
-exception's class; the client raises that :class:`CakeError` subclass with
-the same message (policy errors keep their byte offset), or
-:class:`RemoteServiceError` when no such class is loaded.
+Each service answers one request tag, its ``request_tag``, and replies to
+a request with tag ``request_tag + 1``; a request with any other tag gets a
+:class:`ProtocolError`, and the session goes on. A service reports a failed
+request as an error frame that names the exception's class; the client
+raises that :class:`CakeError` subclass with the same message (policy errors
+keep their byte offset), or :class:`RemoteServiceError` when no such class
+is loaded. A handler that fails on any other exception is a bug in the
+service: the service logs it with its traceback, sends one error frame
+naming :class:`InternalError` with a fixed message and no traceback, and
+closes the session.
 
 Services:
 
@@ -121,11 +127,8 @@ TAG_HELLO = 0x01
 TAG_CHALLENGE = 0x02
 TAG_AUTH = 0x03
 TAG_STORE_REQ = 0x10
-TAG_STORE_RESP = 0x11
 TAG_CERTIFY_REQ = 0x12
-TAG_CERTIFY_RESP = 0x13
 TAG_KEY_REQ = 0x14
-TAG_KEY_RESP = 0x15
 TAG_ERROR = 0x1F
 
 _SERVER_SIG_CONTEXT = b"cake/handshake/server/v1"
@@ -171,6 +174,10 @@ class LedgerRejected(ProtocolError):
     """The chain rejected the transaction backing this operation."""
 
 
+class InternalError(ProtocolError):
+    """The service failed on an error of its own; the details are in its log."""
+
+
 class RemoteServiceError(ProtocolError):
     """Error reported by the peer that maps to no local exception type."""
 
@@ -193,8 +200,7 @@ class Identity:
 
     @classmethod
     def generate(cls, rng: Optional[random.Random] = None) -> "Identity":
-        if rng is None:
-            return cls(ledger.Signer.generate(), X25519PrivateKey.generate())
+        rng = rng if rng is not None else random.SystemRandom()
         return cls(ledger.Signer.from_seed(rng.randbytes(32)),
                    X25519PrivateKey.from_private_bytes(rng.randbytes(32)))
 
@@ -447,19 +453,17 @@ def _exchange(private: X25519PrivateKey, peer_public: bytes) -> bytes:
         raise AuthFailure("peer key agreement failed") from exc
 
 
-def _session_key(shared: bytes, transcript_hash: bytes) -> bytes:
-    return HKDF(algorithm=SHA256(), length=32, salt=transcript_hash,
-                info=_SESSION_KEY_INFO).derive(shared)
-
-
 class Session:
-    """Sealed channel after a completed handshake."""
+    """Sealed channel after a completed handshake: the transcript (HELLO,
+    CHALLENGE and AUTH) and the shared secret give the transcript hash and
+    the session key."""
 
-    def __init__(self, transport: Transport, key: bytes, transcript_hash: bytes,
+    def __init__(self, transport: Transport, transcript: bytes, shared: bytes,
                  peer_address: bytes, is_client: bool) -> None:
         self._transport = transport
-        self._aead = AESGCM(key)
-        self.transcript_hash = transcript_hash
+        self.transcript_hash = hashlib.sha256(transcript).digest()
+        self._aead = AESGCM(HKDF(algorithm=SHA256(), length=32, salt=self.transcript_hash,
+                                 info=_SESSION_KEY_INFO).derive(shared))
         self.peer_address = peer_address
         self._send_dir = _DIR_CLIENT_TO_SERVER if is_client else _DIR_SERVER_TO_CLIENT
         self._recv_dir = _DIR_SERVER_TO_CLIENT if is_client else _DIR_CLIENT_TO_SERVER
@@ -527,11 +531,10 @@ def client_handshake(identity: Identity, server: PeerIdentity, transport: Transp
     auth = bytes([TAG_AUTH]) + client_sig
     transport.send_frame(auth)
 
-    transcript_hash = hashlib.sha256(hello + challenge + auth).digest()
     shared = (_exchange(ephemeral, server_ephemeral)
               + _exchange(ephemeral, server.kx_public))
-    return Session(transport, _session_key(shared, transcript_hash),
-                   transcript_hash, server.address, is_client=True)
+    return Session(transport, hello + challenge + auth, shared, server.address,
+                   is_client=True)
 
 
 # --- services ----------------------------------------------------------------
@@ -539,14 +542,16 @@ def client_handshake(identity: Identity, server: PeerIdentity, transport: Transp
 class Service:
     """Base: handshake, request loop, and the deployment's chain and store."""
 
+    # The one request tag the service answers; it replies with this plus one.
+    request_tag: int
+
     def __init__(self, identity: Identity, directory: IdentityDirectory,
-                 chain: ledger.Chain, store: cas.BlobStore,
-                 rng: Optional[random.Random] = None) -> None:
+                 chain: ledger.Chain, store: cas.BlobStore, rng: random.Random) -> None:
         self.identity = identity
         self.directory = directory
         self.chain = chain
         self.store = store
-        self._rng = rng if rng is not None else random.SystemRandom()
+        self._rng = rng
 
     def public(self) -> PeerIdentity:
         return self.identity.public()
@@ -582,11 +587,18 @@ class Service:
             except AuthFailure:
                 return  # garbage within a sealed session: drop the peer
             try:
-                resp_tag, resp_payload = self._handle(session, tag, payload)
+                if tag != self.request_tag:
+                    raise ProtocolError(f"unexpected request tag {tag:#x}")
+                response = self._handle(session, payload)
             except CakeError as exc:
                 session.send(TAG_ERROR, _encode_error(exc))
                 continue
-            session.send(resp_tag, resp_payload)
+            except Exception:
+                _log.exception("%s request failed", type(self).__name__)
+                session.send(TAG_ERROR, _encode_error(InternalError(
+                    "the service failed on this request")))
+                return
+            session.send(self.request_tag + 1, response)
 
     def _server_handshake(self, transport: Transport) -> Session:
         hello = transport.recv_frame(HELLO_BYTES)
@@ -614,13 +626,13 @@ class Service:
         except InvalidSignature as exc:
             raise AuthFailure("client signature does not verify") from exc
 
-        transcript_hash = hashlib.sha256(hello + challenge + auth).digest()
         shared = (_exchange(ephemeral, client_ephemeral)
                   + _exchange(self.identity.kx_private, client_ephemeral))
-        return Session(transport, _session_key(shared, transcript_hash),
-                       transcript_hash, client_address, is_client=False)
+        return Session(transport, hello + challenge + auth, shared, client_address,
+                       is_client=False)
 
-    def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
+    def _handle(self, session: Session, payload: bytes) -> bytes:
+        """The response to one request of tag :attr:`request_tag`."""
         raise NotImplementedError
 
     def _notarize(self, blob: bytes,
@@ -645,15 +657,15 @@ class Service:
 class SdmService(Service):
     """Secure data manager: encrypt, store, notarize."""
 
+    request_tag = TAG_STORE_REQ
+
     def __init__(self, identity: Identity, directory: IdentityDirectory,
                  master: abe.MasterSecret, chain: ledger.Chain, store: cas.BlobStore,
-                 rng: Optional[random.Random] = None) -> None:
+                 rng: random.Random) -> None:
         super().__init__(identity, directory, chain, store, rng)
         self.master = master
 
-    def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
-        if tag != TAG_STORE_REQ:
-            raise ProtocolError(f"unexpected request tag {tag:#x}")
+    def _handle(self, session: Session, payload: bytes) -> bytes:
         r = Reader(payload)
         slices = [(r.take_str(), r.take_str(), r.take_bytes())
                   for _ in range(r.take_u32())]
@@ -669,7 +681,7 @@ class SdmService(Service):
         w = Writer()
         w.put_bytes(message_id)
         w.put_str(locator)
-        return TAG_STORE_RESP, w.getvalue()
+        return w.getvalue()
 
 
 class UdService(Service):
@@ -679,18 +691,17 @@ class UdService(Service):
     signers, and only a session authenticated as one of them may certify.
     """
 
+    request_tag = TAG_CERTIFY_REQ
+
     def __init__(self, identity: Identity, directory: IdentityDirectory,
                  chain: ledger.Chain, store: cas.BlobStore,
-                 certifier_signers: dict[bytes, ledger.Signer],
-                 clock: Clock = _system_clock,
-                 rng: Optional[random.Random] = None) -> None:
+                 certifier_signers: dict[bytes, ledger.Signer], clock: Clock,
+                 rng: random.Random) -> None:
         super().__init__(identity, directory, chain, store, rng)
         self.certifier_signers = dict(certifier_signers)
         self.clock = clock
 
-    def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
-        if tag != TAG_CERTIFY_REQ:
-            raise ProtocolError(f"unexpected request tag {tag:#x}")
+    def _handle(self, session: Session, payload: bytes) -> bytes:
         signer = self.certifier_signers.get(session.peer_address)
         if signer is None:
             raise ledger.NotCertifier(
@@ -710,16 +721,17 @@ class UdService(Service):
 
         w = Writer()
         w.put_str(locator)
-        return TAG_CERTIFY_RESP, w.getvalue()
+        return w.getvalue()
 
 
 class SkmService(Service):
     """Secure key manager: derive and return attribute-bound user keys."""
 
+    request_tag = TAG_KEY_REQ
+
     def __init__(self, identity: Identity, directory: IdentityDirectory,
                  master: abe.MasterSecret, chain: ledger.Chain, store: cas.BlobStore,
-                 clock: Clock = _system_clock,
-                 rng: Optional[random.Random] = None) -> None:
+                 clock: Clock, rng: random.Random) -> None:
         super().__init__(identity, directory, chain, store, rng)
         self.master = master
         self.clock = clock
@@ -729,9 +741,7 @@ class SkmService(Service):
         # issue attributes that were since taken away.
         self.refresh: Callable[[], None] = lambda: None
 
-    def _handle(self, session: Session, tag: int, payload: bytes) -> tuple[int, bytes]:
-        if tag != TAG_KEY_REQ:
-            raise ProtocolError(f"unexpected request tag {tag:#x}")
+    def _handle(self, session: Session, payload: bytes) -> bytes:
         self.refresh()
         caller = session.peer_address
         try:
@@ -746,25 +756,34 @@ class SkmService(Service):
                               issued_at=self.clock())
         w = Writer()
         w.put_bytes(abe.serialize_user_key(user_key))
-        return TAG_KEY_RESP, w.getvalue()
+        return w.getvalue()
 
 
 # --- client library -----------------------------------------------------------
 
 class ServiceClient:
-    """One authenticated session against one service."""
+    """One authenticated session against one service; as a context manager,
+    it closes the session on exit."""
 
     def __init__(self, identity: Identity, server: PeerIdentity, transport: Transport,
                  rng: Optional[random.Random] = None) -> None:
         self.identity = identity
         self.session = client_handshake(identity, server, transport, rng)
 
-    def _call(self, tag: int, payload: bytes, expect: int) -> bytes:
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _call(self, tag: int, payload: bytes) -> bytes:
+        """Send a request of ``tag``; return the payload of the reply, which
+        has tag ``tag + 1``, or raise the error it reports."""
         self.session.send(tag, payload)
         resp_tag, resp_payload = self.session.receive()
         if resp_tag == TAG_ERROR:
             _raise_wire_error(resp_payload)
-        if resp_tag != expect:
+        if resp_tag != tag + 1:
             raise ProtocolError(f"unexpected response tag {resp_tag:#x}")
         return resp_payload
 
@@ -776,7 +795,7 @@ class ServiceClient:
             w.put_str(label)
             w.put_str(policy)
             w.put_bytes(data)
-        resp = Reader(self._call(TAG_STORE_REQ, w.getvalue(), TAG_STORE_RESP))
+        resp = Reader(self._call(TAG_STORE_REQ, w.getvalue()))
         message_id = resp.take_bytes()
         locator = resp.take_str()
         resp.expect_end()
@@ -790,14 +809,14 @@ class ServiceClient:
         w.put_u32(len(attrs))
         for name in attrs:
             w.put_str(name)
-        resp = Reader(self._call(TAG_CERTIFY_REQ, w.getvalue(), TAG_CERTIFY_RESP))
+        resp = Reader(self._call(TAG_CERTIFY_REQ, w.getvalue()))
         locator = resp.take_str()
         resp.expect_end()
         return locator
 
     def request_key(self) -> abe.UserKey:
         """Obtain this identity's attribute-bound decryption key."""
-        resp = Reader(self._call(TAG_KEY_REQ, b"", TAG_KEY_RESP))
+        resp = Reader(self._call(TAG_KEY_REQ, b""))
         blob = resp.take_bytes()
         resp.expect_end()
         return abe.parse_user_key(blob)
@@ -871,7 +890,9 @@ def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
            rng: Optional[random.Random] = None) -> Deployment:
     """Wire a deployment: ``identities`` maps each of :data:`SERVICE_ROLES`
     to its identity; the chain replays ``chain_data`` and accepts
-    transactions from the data manager and the certifier only."""
+    transactions from the data manager and the certifier only. Without
+    ``rng``, the services draw from the system source."""
+    rng = rng if rng is not None else random.SystemRandom()
     sdm, ud, skm, certifier = (identities[role] for role in SERVICE_ROLES)
     chain = ledger.Chain.load(accounts=[sdm.signing_public, certifier.signing_public],
                               certifiers=[certifier.address], data=chain_data)
@@ -886,15 +907,13 @@ def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
 
 
 def provision(rng: Optional[random.Random] = None,
-              store: Optional[cas.BlobStore] = None,
               clock: Clock = _system_clock) -> Deployment:
     """Draw a master secret and the :data:`SERVICE_ROLES` identities, in that
-    order, and :func:`deploy` them on an empty chain."""
+    order, and :func:`deploy` them on an empty chain and an in-memory store."""
     rng = rng if rng is not None else random.SystemRandom()
-    store = store if store is not None else cas.MemoryBlobStore()
     master = abe.setup(rng)
     identities = {role: Identity.generate(rng) for role in SERVICE_ROLES}
-    return deploy(master, identities, store, b"", clock, rng)
+    return deploy(master, identities, cas.MemoryBlobStore(), b"", clock, rng)
 
 
 def serve_in_background(service: Service) -> Transport:

@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import abe, cas, ledger
+from . import abe
 from . import policy as policy_mod
 from . import protocol
 from .errors import CakeError
@@ -184,12 +184,11 @@ def brie_script() -> ScenarioScript:
     return ScenarioScript(actors, documents, expected, instance)
 
 
-def run_scenario(script: ScenarioScript, seed: Optional[int] = None,
-                 store: Optional[cas.BlobStore] = None) -> ScenarioReport:
+def run_scenario(script: ScenarioScript, seed: Optional[int] = None) -> ScenarioReport:
     """Drive the full exchange and report the realized access matrix."""
     script.validate()
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
-    deployment = protocol.provision(rng, store, clock=lambda: SCENARIO_EPOCH)
+    deployment = protocol.provision(rng, clock=lambda: SCENARIO_EPOCH)
 
     identities: dict[str, protocol.Identity] = {}
     for name, _ in script.actors:
@@ -202,12 +201,11 @@ def run_scenario(script: ScenarioScript, seed: Optional[int] = None,
         except CakeError as exc:
             raise ScenarioError(label, str(exc)) from exc
 
-    ud_client = step("certify/connect", lambda: deployment.connect_ud(
-        deployment.certifier, rng))
-    for name, attrs in script.actors:
-        step(f"certify/{name}", lambda n=name, a=attrs: ud_client.certify(
-            identities[n].address, a))
-    ud_client.close()
+    with step("certify/connect", lambda: deployment.connect_ud(
+            deployment.certifier, rng)) as ud_client:
+        for name, attrs in script.actors:
+            step(f"certify/{name}", lambda n=name, a=attrs: ud_client.certify(
+                identities[n].address, a))
 
     message_ids: dict[str, str] = {}
     locators: dict[str, str] = {}
@@ -231,12 +229,9 @@ def run_scenario(script: ScenarioScript, seed: Optional[int] = None,
 
     user_keys: dict[str, abe.UserKey] = {}
     for name, _ in script.actors:
-        skm_client = step(f"key/{name}/connect", lambda n=name:
-                          deployment.connect_skm(identities[n], rng))
-        try:
+        with step(f"key/{name}/connect", lambda n=name:
+                  deployment.connect_skm(identities[n], rng)) as skm_client:
             user_keys[name] = step(f"key/{name}", skm_client.request_key)
-        finally:
-            skm_client.close()
 
     matrix: dict[str, dict[str, bool]] = {doc.name: {} for doc in script.documents}
     for doc in script.documents:

@@ -46,8 +46,9 @@ class TestPut:
         b = store.put(b"\x00\x01\x03")
         assert a != b
 
-    def test_size_cap(self, tmp_path):
-        small = MemoryBlobStore(max_blob_bytes=8)
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(cas, "MAX_BLOB_BYTES", 8)
+        small = MemoryBlobStore()
         small.put(b"x" * 8)
         with pytest.raises(BlobTooLarge):
             small.put(b"x" * 9)

@@ -355,6 +355,26 @@ class TestChainFile:
         chain = cli.Home(tmp_path / "home").open().chain
         assert chain_file.read_bytes() == chain.serialize()
 
+    def test_a_cut_at_every_offset_of_the_last_block_keeps_the_others(
+            self, cake, stored, tmp_path):
+        chain_file = tmp_path / "home" / "chain.bin"
+        data = chain_file.read_bytes()
+        blocks = cli.Home(tmp_path / "home").open().chain.blocks
+        assert len(blocks) == 3
+        start = len(ledger.serialize_blocks(blocks[:2]))
+        for cut in range(start, len(data)):
+            chain_file.write_bytes(data[:cut])
+            # ``ledger verify`` reports the height of the chain Home.open read.
+            assert cake("ledger", "verify") == \
+                (0, {"ok": True, "failed_height": None, "height": 2})
+        for cut in (start + 1, start + 4, (start + len(data)) // 2, len(data) - 1):
+            chain_file.write_bytes(data[:cut])
+            assert cake("certify", "stranger", "sales")[0] == 0
+            assert cake("ledger", "verify") == \
+                (0, {"ok": True, "failed_height": None, "height": 3})
+            chain = cli.Home(tmp_path / "home").open().chain
+            assert chain_file.read_bytes() == chain.serialize()
+
     def test_each_seal_is_on_disk_before_the_command_returns(self, cake, stored,
                                                              tmp_path):
         home = cli.Home(tmp_path / "home")
@@ -419,7 +439,7 @@ class TestExitCodes:
         assert cake("key", "request", "--as", "ghost")[0] == cli.EXIT_AUTH == 69
 
     def test_ledger_rejection(self, cake, stored, monkeypatch):
-        def rejecting(self, session, tag, payload):
+        def rejecting(self, session, payload):
             raise protocol.LedgerRejected("transaction rejected: AlreadyRecorded")
 
         monkeypatch.setattr(protocol.UdService, "_handle", rejecting)
@@ -436,7 +456,7 @@ class TestExitCodes:
         assert cake("ledger", "verify")[0] == cli.EXIT_STORAGE == 72
 
     def test_unmapped_service_error(self, cake, stored, monkeypatch):
-        def broken(self, session, tag, payload):
+        def broken(self, session, payload):
             raise protocol.ProtocolError("key manager out of order")
 
         monkeypatch.setattr(protocol.SkmService, "_handle", broken)

@@ -4,7 +4,6 @@ from cake.codec import CodecError, Reader, Writer
 
 # (put method, take method, take arguments, value) for every field kind
 FIELDS = [
-    ("put_u8", "take_u8", (), 0xAB),
     ("put_u32", "take_u32", (), 2**32 - 1),
     ("put_u64", "take_u64", (), 2**64 - 1),
     ("put_bytes", "take_bytes", (), b"\x00payload\xff"),

@@ -9,7 +9,7 @@ from cake.codec import CodecError
 
 
 def signer(seed: int) -> ledger.Signer:
-    return ledger.Signer.generate(random.Random(seed))
+    return ledger.Signer.from_seed(random.Random(seed).randbytes(32))
 
 
 SDM = signer(1)

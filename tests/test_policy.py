@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cake import policy
 from cake.policy import (
     And,
     InvalidAttributeError,
@@ -31,7 +30,6 @@ from helpers import (
     min_satisfying_size,
     random_policy,
     reference_parse,
-    reference_tokenize,
     sympy_eval,
     tree_satisfied,
 )
@@ -129,26 +127,6 @@ policy_texts = st.one_of(
 )
 
 
-def outcome(tokenize, text):
-    """Tokens as (kind, text, offset), or the error's class, text and offset."""
-    try:
-        return [(t.kind, t.text, t.offset) for t in tokenize(text)]
-    except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "offset", None)
-
-
-class TestTokenize:
-    @settings(max_examples=500)
-    @given(policy_texts)
-    @example("a\x0band b")
-    @example("a\x0cb or (c)")
-    @example("\u212a and K")
-    @example("ok and caf\u00e9")
-    @example("\ud800 or a")
-    def test_matches_reference_tokenizer(self, text):
-        assert outcome(policy._tokenize, text) == outcome(reference_tokenize, text)
-
-
 # Policy-like text: nested chains written out as they come (unflattened, and
 # with single operands in parentheses), then re-cased word by word, joined by
 # varied separators (vertical tab and form feed join words, an empty one runs
@@ -189,7 +167,7 @@ def parsed(parse, text):
 
 
 class TestParseOracle:
-    @settings(max_examples=400, derandomize=True)
+    @settings(max_examples=900, derandomize=True)
     @given(st.one_of(edited_policies(), policy_texts))
     @example("")
     @example(" \t\r\n")

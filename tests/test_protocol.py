@@ -13,7 +13,15 @@ from cake import policy as policy_mod
 from cake import protocol
 from cake.codec import Reader, Writer
 from cake.errors import CakeError
-from cake.protocol import TAG_AUTH, TAG_CHALLENGE, TAG_ERROR, TAG_HELLO, TAG_STORE_REQ
+from cake.protocol import (
+    TAG_AUTH,
+    TAG_CERTIFY_REQ,
+    TAG_CHALLENGE,
+    TAG_ERROR,
+    TAG_HELLO,
+    TAG_KEY_REQ,
+    TAG_STORE_REQ,
+)
 
 # u = 0 is a low-order X25519 point: any exchange with it gives the all-zero
 # secret, which the key-agreement primitive refuses.
@@ -334,17 +342,49 @@ class TestDeadlines:
             assert deployment.chain.message_get(message_id)
 
 
+class TestRequestTags:
+    @pytest.mark.parametrize("role", ["sdm", "ud", "skm"])
+    def test_another_services_tag_is_refused_and_the_session_goes_on(
+            self, deployment, client, role):
+        with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
+            ud.certify(client.address, ["a"])
+        service = getattr(deployment, role)
+        caller = deployment.certifier if role == "ud" else client
+        transport, thread = serve(service)
+        with protocol.ServiceClient(caller, service.public(), transport,
+                                    random.Random(4)) as session:
+            others = {TAG_STORE_REQ, TAG_CERTIFY_REQ, TAG_KEY_REQ} - {service.request_tag}
+            for tag in sorted(others):
+                with pytest.raises(protocol.ProtocolError) as caught:
+                    session._call(tag, store_request([("doc", "a", b"body")]))
+                assert type(caught.value) is protocol.ProtocolError
+                assert f"{tag:#x}" in str(caught.value)
+            if role == "sdm":
+                message_id, _ = session.store([("doc", "a", b"body")])
+                assert deployment.chain.message_get(message_id)
+            elif role == "ud":
+                session.certify(client.address, ["b"])
+                assert deployment.chain.height == 2
+            else:
+                assert session.request_key().attributes == {"a"}
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 class TestSessionBoundary:
     def test_unexpected_handler_error_is_logged_and_closes(
             self, deployment, client, monkeypatch, caplog):
-        def broken_handler(session, tag, payload):
+        def broken_handler(session, payload):
             raise RuntimeError("handler bug")
 
         monkeypatch.setattr(deployment.sdm, "_handle", broken_handler)
         sdm = deployment.connect_sdm(client, random.Random(4))
         with caplog.at_level(logging.ERROR, logger="cake.protocol"):
-            with pytest.raises(protocol.TransportClosed):
+            with pytest.raises(protocol.InternalError) as caught:
                 sdm.store([("doc", "a", b"body")])
+        assert "handler bug" not in str(caught.value)
+        with pytest.raises(protocol.TransportClosed):
+            sdm.store([("doc", "a", b"body")])
         [record] = [r for r in caplog.records if r.name == "cake.protocol"]
         assert record.exc_info is not None
         assert "handler bug" in caplog.text
@@ -423,7 +463,7 @@ class TestWireErrors:
             self, deployment, client, monkeypatch):
         raised: list[Exception] = []
         monkeypatch.setattr(deployment.sdm, "_handle",
-                            lambda session, tag, payload: raise_(raised[-1]))
+                            lambda session, payload: raise_(raised[-1]))
         sdm = deployment.connect_sdm(client, random.Random(5))
         try:
             for cls in cake_error_classes():

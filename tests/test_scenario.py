@@ -143,6 +143,24 @@ class TestRun:
         assert len(opened) == 3  # the directory, then one per sender so far
         assert closed == opened
 
+    def test_the_directory_session_is_closed_when_a_certify_fails(self, monkeypatch):
+        closed = []
+        close = protocol.ServiceClient.close
+
+        def failing_certify(self, actor, attributes):
+            raise protocol.ProtocolError("certify refused")
+
+        def recording_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(protocol.ServiceClient, "certify", failing_certify)
+        monkeypatch.setattr(protocol.ServiceClient, "close", recording_close)
+        with pytest.raises(ScenarioError) as info:
+            scenario.run_scenario(scenario.brie_script(), seed=6)
+        assert info.value.step == "certify/economic_operator"
+        assert len(closed) == 1
+
     def test_failed_step_is_named(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise protocol.ProtocolError("no container today")

@@ -11,11 +11,12 @@ Decryption decides from the key's attribute names alone whether the policy
 is satisfied, and then opens only the shares of a minimal satisfying leaf
 set; a key that does not satisfy the policy opens none. The per-policy
 header checks (the text parses, is canonical, and compiles to a tree) are
-memoized by the canonical policy text in a fixed-size LRU table; the check
-that a ciphertext's wrapped shares mirror that tree runs on every read.
-Attribute wrap keys are memoized likewise, in a bounded LRU table keyed by
-master secret and attribute, since every leaf of every slice and every
-issued key needs one and attributes repeat.
+memoized by the canonical policy text in a fixed-size LRU table, with the
+share layout the tree calls for; the check that a ciphertext's layout is
+that one runs on every read. Attribute wrap keys are memoized likewise, in
+a bounded LRU table keyed by master secret and attribute, since every leaf
+of every slice and every issued key needs one and attributes repeat; so
+are the ciphers that wrap shares at encryption.
 
 Keys:
 
@@ -30,9 +31,17 @@ wrapping each share; one encoder, :func:`_encode_header`, writes the header
 of every slice, encrypted or built by ``dataclasses.replace``. Each parsed
 or encrypted slice keeps its header bytes (:attr:`SliceCiphertext.header`),
 the ones parsing read or encryption encoded, so a read hashes them as they
-are and a store writes them out without encoding the shares again. A
-wrapped share is a plain tuple type. Containers are parsed in one pass that
-reads each length in place and checks it before taking its field.
+are and a store writes them out without encoding the shares again.
+
+Containers are parsed in one pass that reads each length in place and
+checks it before taking its field, and checks that each string field is
+UTF-8. Parsing builds no per-share object: the walk over a slice's header
+(:func:`_walk_header`) records its share layout, each share's (leaf index,
+attribute), and where each share's nonce field starts in the header.
+Decryption compares that layout with the memoized one and reads the nonce
+and sealed share of a chosen leaf from the header bytes at its offset. The
+:class:`WrappedShare` tuples of a parsed slice are built from its header
+only when something reads :attr:`SliceCiphertext.wrapped_shares`.
 
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
@@ -47,6 +56,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -130,8 +140,24 @@ class WrappedShare(NamedTuple):
     wrapped: bytes  # AES-GCM sealed 32-byte share
 
 
+class _Layout(NamedTuple):
+    shares: tuple[tuple[int, str], ...]  # (leaf index, attribute) of each share
+    nonces_at: tuple[int, ...]  # where each share's nonce field starts in the header
+
+
 @dataclass(frozen=True)
 class SliceCiphertext:
+    """One encrypted slice.
+
+    A parsed slice keeps the header bytes it was read from and the layout
+    that the parse walk recorded, and builds no :class:`WrappedShare`:
+    :attr:`wrapped_shares` is built from the header the first time
+    something reads it (equality, ``repr``, ``dataclasses.replace``), and
+    :func:`decrypt_slice` never does. A slice built by its constructor,
+    as :func:`encrypt_slice` and ``dataclasses.replace`` build them, gets
+    its header from its fields and its layout from the same walk over that
+    header.
+    """
     policy_text: str  # canonical rendering
     wrapped_shares: tuple[WrappedShare, ...]
     payload_nonce: bytes
@@ -146,6 +172,25 @@ class SliceCiphertext:
         ``dataclasses.replace`` builds a new object, which encodes its own.
         """
         return _encode_header(self.policy_text, self.wrapped_shares)
+
+    @functools.cached_property
+    def _layout(self) -> _Layout:
+        """Each share's (leaf index, attribute), and where its nonce field
+        starts in :attr:`header`; parsing seeds it from its own walk."""
+        header = self.header
+        return _walk_header(header, 0, len(header))[1]
+
+    def __getattr__(self, name: str):
+        # Reached only for a field that is not in the instance dictionary,
+        # which is ``wrapped_shares`` of a parsed slice until first read.
+        if name != "wrapped_shares":
+            raise AttributeError(name)
+        header = self.header
+        shares, nonces_at = self._layout
+        built = tuple(WrappedShare(leaf_index, attribute, *_share_fields(header, at))
+                      for (leaf_index, attribute), at in zip(shares, nonces_at))
+        self.__dict__["wrapped_shares"] = built
+        return built
 
 
 @dataclass(frozen=True)
@@ -196,6 +241,26 @@ def attribute_wrap_key(ms: MasterSecret, attribute: str) -> bytes:
     return _hkdf(ms.root_key, _ATTRIBUTE_KEY_INFO + name.encode())
 
 
+# Ciphers kept by :func:`_wrap_cipher`. An entry holds its cipher's OpenSSL
+# contexts, about 6.5 KB (256 of them took 1.7 MiB of RSS), so this memo is
+# bounded below the wrap-key memo; a data manager's vocabulary of policy
+# attributes is what it must hold (the serve benchmark's is 34).
+_WRAP_CIPHER_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_WRAP_CIPHER_MEMO_SIZE)
+def _wrap_cipher(ms: MasterSecret, attribute: str) -> AESGCM:
+    """The cipher that wraps an attribute's shares, memoized by (master
+    secret, attribute), since a slice wraps a share per leaf and leaves
+    repeat attributes.
+
+    One object serves every session's thread: an ``AESGCM`` holds its key
+    and nothing that a call changes, since each ``encrypt`` sets up its own
+    cipher context from that key.
+    """
+    return AESGCM(attribute_wrap_key(ms, attribute))
+
+
 def _payload_key(data_key: int) -> bytes:
     return _hkdf(sss.encode_field(data_key), _PAYLOAD_KEY_INFO)
 
@@ -244,7 +309,7 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     for leaf in policy_mod.tree_leaves(tree):
         index = leaf.leaf_index
         nonce = nonces[NONCE_BYTES * (index - 1):NONCE_BYTES * index]
-        sealed = AESGCM(attribute_wrap_key(ms, leaf.attribute)).encrypt(
+        sealed = _wrap_cipher(ms, leaf.attribute).encrypt(
             nonce, leaf_values[index].to_bytes(sss.FIELD_BYTES, "little"),
             _share_aad(index, leaf.attribute))
         shares.append(WrappedShare(index, leaf.attribute, nonce, sealed))
@@ -254,40 +319,47 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     payload_nonce = nonces[-NONCE_BYTES:]
     payload = AESGCM(_payload_key(data_key)).encrypt(
         payload_nonce, plaintext, _header_digest(header))
-    return _keeping_header(
-        SliceCiphertext(canonical, wrapped_shares, payload_nonce, payload), header)
+    ct = SliceCiphertext(canonical, wrapped_shares, payload_nonce, payload)
+    ct.__dict__["header"] = header  # the bytes its fields encode to
+    return ct
 
 
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     """Recover the slice plaintext, or explain why not.
 
-    The key's attribute names alone decide satisfiability: a minimal
-    satisfying leaf set is chosen (:func:`policy.min_satisfying_leaves`)
-    and only the shares of that set are opened.
+    The slice's share layout, each share's (leaf index, attribute), is
+    compared with the one its policy's compiled tree gives, in one
+    comparison. The key's attribute names alone then decide satisfiability:
+    a minimal satisfying leaf set is chosen
+    (:func:`policy.min_satisfying_leaves`), and only the nonces and sealed
+    shares of that set are read from :attr:`SliceCiphertext.header` and
+    opened. No :class:`WrappedShare` is built.
 
     Raises :class:`IntegrityFailure` when the policy header does not parse,
-    is not canonical, or its wrapped shares do not mirror its tree (checked
+    is not canonical, or its share layout does not mirror its tree (checked
     before anything else); :class:`PolicyNotSatisfied` when the key's
     attributes do not satisfy the policy, without opening any share; and
     :class:`IntegrityFailure` when a chosen share or the payload fails
     authentication. Tampering with a share that is not opened, held or
     not, fails the payload AEAD, which binds the whole header.
     """
-    tree, attributes = _compiled_header(ct.policy_text)
-    if [(ws.leaf_index, ws.attribute) for ws in ct.wrapped_shares] \
-            != list(enumerate(attributes, start=1)):
+    tree, leaves = _compiled_header(ct.policy_text)
+    layout = ct._layout
+    if layout.shares != leaves:
         raise IntegrityFailure("wrapped shares do not match the policy tree")
 
     chosen = policy_mod.min_satisfying_leaves(tree, uk.attribute_keys)
     if chosen is None:
         raise PolicyNotSatisfied(f"attributes do not satisfy {ct.policy_text!r}")
 
+    header = ct.header
     available: dict[int, int] = {}
     for leaf_index in chosen:
-        ws = ct.wrapped_shares[leaf_index - 1]
+        attribute = leaves[leaf_index - 1][1]
+        nonce, wrapped = _share_fields(header, layout.nonces_at[leaf_index - 1])
         try:
-            raw = AESGCM(uk.attribute_keys[ws.attribute]).decrypt(
-                ws.nonce, ws.wrapped, _share_aad(leaf_index, ws.attribute))
+            raw = AESGCM(uk.attribute_keys[attribute]).decrypt(
+                nonce, wrapped, _share_aad(leaf_index, attribute))
             available[leaf_index] = sss.decode_field(raw)
         except (InvalidTag, sss.FieldDecodeError) as exc:
             # A wrap key this user legitimately holds must open an honest share.
@@ -309,9 +381,11 @@ _POLICY_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_POLICY_MEMO_SIZE)
-def _compiled_header(policy_text: str) -> tuple[policy_mod.AccessTree, tuple[str, ...]]:
-    """The compiled tree of a header's policy text and the attribute of each
-    of its leaves, in leaf-index order.
+def _compiled_header(policy_text: str) -> tuple[policy_mod.AccessTree,
+                                                tuple[tuple[int, str], ...]]:
+    """The compiled tree of a header's policy text and the share layout it
+    calls for: (position, attribute) of each of its leaves, positions
+    counted from 1 in leaf-index order.
 
     Raises :class:`IntegrityFailure` for text that does not parse or is not
     canonical; ``lru_cache`` keeps no entry for a call that raises, so such
@@ -324,7 +398,8 @@ def _compiled_header(policy_text: str) -> tuple[policy_mod.AccessTree, tuple[str
     if policy_mod.render_policy(ast) != policy_text:
         raise IntegrityFailure("policy header is not in canonical form")
     tree = policy_mod.compile_policy(ast)
-    return tree, tuple(leaf.attribute for leaf in policy_mod.tree_leaves(tree))
+    return tree, tuple(enumerate((leaf.attribute for leaf in policy_mod.tree_leaves(tree)),
+                                 start=1))
 
 
 def new_message_id(rng: Optional[random.Random] = None) -> bytes:
@@ -395,13 +470,6 @@ def _encode_header(policy_text: str, wrapped_shares: tuple[WrappedShare, ...]) -
     return b"".join(fields)
 
 
-def _keeping_header(ct: SliceCiphertext, header: bytes) -> SliceCiphertext:
-    """``ct`` with :attr:`SliceCiphertext.header` set to ``header``, which
-    must be the bytes its policy text and wrapped shares encode to."""
-    ct.__dict__["header"] = header
-    return ct
-
-
 def _header_digest(header: bytes) -> bytes:
     return hashlib.sha256(header + _EMPTY_PAYLOAD_FIELDS).digest()
 
@@ -421,42 +489,75 @@ def serialize_slice(ct: SliceCiphertext) -> bytes:
 
 _TRUNCATED = "truncated encoding"
 
+_u32_at = struct.Struct(">I").unpack_from
+_two_u32_at = struct.Struct(">II").unpack_from
+
+
+def _bad_utf8(exc: UnicodeDecodeError) -> CodecError:
+    return CodecError(f"invalid utf-8 in string field: {exc}")
+
 
 def _utf8(raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
+        raise _bad_utf8(exc) from exc
 
 
-def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
-    """The slice encoded in exactly ``data[pos:end]``, keeping its header bytes.
+def _walk_header(data: bytes, pos: int, end: int) -> tuple[str, _Layout, int]:
+    """The policy text and share layout of the slice header that starts at
+    ``data[pos]`` and ends at or before ``end``, and where it ends.
 
     Fields are read in place, in runs: a run reads each length where it
     stands and adds it to ``pos``, then one check against ``end`` covers the
     whole run. Lengths are never negative, so ``pos`` only grows and a
-    length read past ``end`` carries ``pos`` past it too; no field is taken
-    before its run is checked.
+    length read past ``end`` carries ``pos`` past it too; a length that
+    would be read past the end of ``data`` is past ``end`` as well. No
+    field is taken before its run is checked, and each string field is
+    checked to be UTF-8. The nonce offsets of the layout count from the
+    header's start.
     """
     start = pos
-    policy_end = pos + 4 + int.from_bytes(data[pos:pos + 4], "big")
-    pos = policy_end + 4
-    if pos > end:
-        raise CodecError(_TRUNCATED)
-    policy_text = _utf8(data[start + 4:policy_end])
-    shares = []
-    for _ in range(int.from_bytes(data[policy_end:pos], "big")):
-        leaf_index = int.from_bytes(data[pos:pos + 4], "big")
-        attribute_at = pos + 8
-        attribute_end = attribute_at + int.from_bytes(data[pos + 4:attribute_at], "big")
-        nonce_at = attribute_end + 4
-        nonce_end = nonce_at + int.from_bytes(data[attribute_end:nonce_at], "big")
-        wrapped_at = nonce_end + 4
-        pos = wrapped_at + int.from_bytes(data[nonce_end:wrapped_at], "big")
+    try:
+        policy_end = pos + 4 + _u32_at(data, pos)[0]
+        pos = policy_end + 4
         if pos > end:
             raise CodecError(_TRUNCATED)
-        shares.append(WrappedShare(leaf_index, _utf8(data[attribute_at:attribute_end]),
-                                   data[nonce_at:nonce_end], data[wrapped_at:pos]))
+        policy_text = data[start + 4:policy_end].decode()
+        shares = []
+        nonces_at = []
+        for _ in range(_u32_at(data, policy_end)[0]):
+            leaf_index, attribute_len = _two_u32_at(data, pos)
+            attribute_at = pos + 8
+            nonce_field = attribute_at + attribute_len
+            nonce_end = nonce_field + 4 + _u32_at(data, nonce_field)[0]
+            pos = nonce_end + 4 + _u32_at(data, nonce_end)[0]
+            if pos > end:
+                raise CodecError(_TRUNCATED)
+            shares.append((leaf_index, data[attribute_at:nonce_field].decode()))
+            nonces_at.append(nonce_field - start)
+    except struct.error:
+        raise CodecError(_TRUNCATED) from None
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(exc) from exc
+    return policy_text, _Layout(tuple(shares), tuple(nonces_at)), pos
+
+
+def _share_fields(header: bytes, at: int) -> tuple[bytes, bytes]:
+    """The nonce and the sealed share of the share whose nonce field starts
+    at ``header[at]``; :func:`_walk_header` has checked both fields."""
+    nonce_end = at + 4 + _u32_at(header, at)[0]
+    wrapped_at = nonce_end + 4
+    wrapped_end = wrapped_at + _u32_at(header, nonce_end)[0]
+    return header[at + 4:nonce_end], header[wrapped_at:wrapped_end]
+
+
+def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
+    """The slice encoded in exactly ``data[pos:end]``, keeping its header
+    bytes and the layout the walk over them recorded; reads fields as
+    :func:`_walk_header` does."""
+    start = pos
+    policy_text, layout, pos = _walk_header(data, pos, end)
     header_end = pos
     nonce_at = pos + 4
     nonce_end = nonce_at + int.from_bytes(data[pos:nonce_at], "big")
@@ -466,9 +567,13 @@ def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
         raise CodecError(_TRUNCATED)
     if pos != end:
         raise CodecError(f"{end - pos} trailing bytes after last field")
-    ct = SliceCiphertext(policy_text, tuple(shares),
-                         data[nonce_at:nonce_end], data[payload_at:pos])
-    return _keeping_header(ct, data[start:header_end])
+    # The dataclass constructor would need the wrapped shares; a parsed slice
+    # builds them from its header only when they are read.
+    ct = object.__new__(SliceCiphertext)
+    ct.__dict__.update(policy_text=policy_text, payload_nonce=data[nonce_at:nonce_end],
+                       payload=data[payload_at:pos], header=data[start:header_end],
+                       _layout=layout)
+    return ct
 
 
 def parse_slice(data: bytes) -> SliceCiphertext:

@@ -763,12 +763,17 @@ class SkmService(Service):
 
 class ServiceClient:
     """One authenticated session against one service; as a context manager,
-    it closes the session on exit."""
+    it closes the session on exit. A handshake that fails closes the
+    transport before the error propagates."""
 
     def __init__(self, identity: Identity, server: PeerIdentity, transport: Transport,
                  rng: Optional[random.Random] = None) -> None:
         self.identity = identity
-        self.session = client_handshake(identity, server, transport, rng)
+        try:
+            self.session = client_handshake(identity, server, transport, rng)
+        except BaseException:
+            transport.close()
+            raise
 
     def __enter__(self) -> "ServiceClient":
         return self

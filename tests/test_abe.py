@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from dataclasses import replace
@@ -7,19 +8,24 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryptography.exceptions import InvalidTag
+
 from cake import abe
-from cake.codec import CodecError
+from cake.codec import CodecError, Reader
 from cake.policy import (
+    PolicyError,
     attributes_of,
     compile_policy,
     evaluate,
+    min_satisfying_leaves,
     parse_policy,
     render_policy,
     tree_leaves,
 )
-from cake.sss import FieldDecodeError
+from cake.sss import FieldDecodeError, decode_field, encode_field, reconstruct_tree
 from helpers import (
     ATTRIBUTE_POOL,
+    SERVE_ROLES,
     attribute_subsets,
     hkdf_sha256,
     min_satisfying_size,
@@ -555,6 +561,157 @@ class TestSerialization:
                        (second, first)):
             with pytest.raises(abe.IntegrityFailure):
                 abe.decrypt_slice(key, replace(ct, wrapped_shares=shares))
+
+
+def reference_parse_container(data: bytes) -> abe.CiphertextContainer:
+    """``parse_container`` as it was while parsing built every wrapped share:
+    each field taken with ``codec.Reader``, each check made as it is read."""
+    r = Reader(data)
+    message_id = r.take_bytes()
+    if len(message_id) != abe.MESSAGE_ID_BYTES:
+        raise CodecError("message id must be 16 bytes")
+    slices = []
+    for _ in range(r.take_u32()):
+        label = r.take_str()
+        s = Reader(r.take_bytes())
+        policy_text = s.take_str()
+        shares = tuple(abe.WrappedShare(s.take_u32(), s.take_str(), s.take_bytes(),
+                                        s.take_bytes()) for _ in range(s.take_u32()))
+        payload_nonce, payload = s.take_bytes(), s.take_bytes()
+        s.expect_end()
+        slices.append((label, abe.SliceCiphertext(policy_text, shares, payload_nonce, payload)))
+    r.expect_end()
+    if not slices:
+        raise abe.EmptyContainer("container has no slices")
+    if len({label for label, _ in slices}) != len(slices):
+        raise abe.DuplicateLabel("duplicate slice label in container")
+    return abe.CiphertextContainer(message_id, tuple(slices))
+
+
+@functools.lru_cache
+def reference_compiled_header(policy_text: str):
+    """The tree of a canonical policy header; memoized, as ``abe`` memoizes it."""
+    try:
+        ast = parse_policy(policy_text)
+    except PolicyError as exc:
+        raise abe.IntegrityFailure("unparseable policy header") from exc
+    if render_policy(ast) != policy_text:
+        raise abe.IntegrityFailure("policy header is not in canonical form")
+    return compile_policy(ast)
+
+
+def reference_decrypt_slice(uk: abe.UserKey, ct: abe.SliceCiphertext) -> bytes:
+    """``decrypt_slice`` as it was while it read the wrapped-share list: the
+    header checks, then the list against the tree, then satisfiability, then
+    the chosen shares' opens and the payload's."""
+    tree = reference_compiled_header(ct.policy_text)
+    if [(ws.leaf_index, ws.attribute) for ws in ct.wrapped_shares] \
+            != list(enumerate((leaf.attribute for leaf in tree_leaves(tree)), start=1)):
+        raise abe.IntegrityFailure("wrapped shares do not match the policy tree")
+    chosen = min_satisfying_leaves(tree, uk.attribute_keys)
+    if chosen is None:
+        raise abe.PolicyNotSatisfied("attributes do not satisfy the policy")
+    available = {}
+    for leaf_index in chosen:
+        ws = ct.wrapped_shares[leaf_index - 1]
+        aad = leaf_index.to_bytes(4, "big") + ws.attribute.encode()
+        try:
+            available[leaf_index] = decode_field(AESGCM(uk.attribute_keys[ws.attribute])
+                                                 .decrypt(ws.nonce, ws.wrapped, aad))
+        except (InvalidTag, FieldDecodeError) as exc:
+            raise abe.IntegrityFailure("wrapped share failed authentication") from exc
+    payload_key = hkdf_sha256(encode_field(reconstruct_tree(tree, available)),
+                              b"cake/payload-key")
+    try:
+        # ``ct`` was built by its constructor, so its header is encoded from
+        # its wrapped shares.
+        return AESGCM(payload_key).decrypt(ct.payload_nonce, ct.payload, abe.header_hash(ct))
+    except InvalidTag as exc:
+        raise abe.IntegrityFailure("payload or header authentication failed") from exc
+
+
+def outcomes(parse, decrypt_slice, blob: bytes, keys) -> list:
+    """The parse's exception class, or per key each slice's plaintext, None
+    when the key does not satisfy its policy, or the exception class."""
+    try:
+        container = parse(blob)
+    except Exception as exc:
+        return [type(exc)]
+    results = []
+    for key in keys:
+        for label, ct in container.slices:
+            try:
+                results.append((label, decrypt_slice(key, ct)))
+            except abe.PolicyNotSatisfied:
+                results.append((label, None))
+            except Exception as exc:
+                results.append(type(exc))
+    return [results, container]
+
+
+class TestParseWithoutShareObjects:
+    """Parsing keeps each slice's header bytes and share layout; decryption
+    opens the chosen shares from those bytes. Both must agree with the
+    parse and decrypt that built every wrapped share, on every input."""
+
+    @pytest.fixture
+    def corpus(self, ms):
+        # 1-, 16- and 64-leaf slices; the second container holds two slices.
+        policies = random.Random("parse corpus")
+        rng = random.Random(35)
+        containers = [
+            [("one", "tenant_acme", b"1")],
+            [("sixteen", serve_shaped_policy(policies, 16), b"sixteen leaves"),
+             ("again", "tenant_acme", b"")],
+            [("sixty-four", serve_shaped_policy(policies, 64), rng.randbytes(40))],
+        ]
+        blobs = [abe.serialize_container(abe.encrypt_container(
+            ms, abe.new_message_id(rng), slices, rng)) for slices in containers]
+        # Every slice grants tenant_acme with audit and denies everything without it.
+        keys = [make_key(ms, {"tenant_acme", "audit"}),
+                make_key(ms, {"audit", *SERVE_ROLES})]
+        return blobs, keys
+
+    def test_every_flip_and_cut_agrees_with_the_eager_reference(self, corpus):
+        blobs, keys = corpus
+        for blob in blobs:
+            mutants = [("intact", blob)]
+            mutants += [(f"cut at {cut}", blob[:cut]) for cut in range(len(blob))]
+            for i in range(len(blob)):
+                # Odd bytes become another character, even ones break UTF-8.
+                flipped = bytearray(blob)
+                flipped[i] ^= 0x01 if i % 2 else 0x80
+                mutants.append((f"byte {i} flipped", bytes(flipped)))
+            for what, mutant in mutants:
+                got = outcomes(abe.parse_container, abe.decrypt_slice, mutant, keys)
+                want = outcomes(reference_parse_container, reference_decrypt_slice,
+                                mutant, keys)
+                assert got[0] == want[0], what
+                if len(got) == 2:
+                    for _, ct in got[1].slices:
+                        assert "wrapped_shares" not in ct.__dict__
+                    assert got[1] == want[1]  # builds the shares from the header
+
+    def test_decrypt_opens_only_the_chosen_shares_and_builds_none(self, ms, aead_opens):
+        policy = serve_shaped_policy(random.Random("opens"), 64)
+        ct = abe.encrypt_slice(ms, policy, b"payload", random.Random(36))
+        parsed = abe.parse_slice(abe.serialize_slice(ct))
+        tree = compile_policy(parse_policy(policy))
+        attributes = [leaf.attribute for leaf in tree_leaves(tree)]
+        for attrs in ({"tenant_acme", "audit"}, {"tenant_acme", *SERVE_ROLES}):
+            key = make_key(ms, attrs)
+            aead_opens.clear()
+            assert abe.decrypt_slice(key, parsed) == b"payload"
+            chosen = min_satisfying_leaves(tree, attrs)
+            assert aead_opens == [index.to_bytes(4, "big") + attributes[index - 1].encode()
+                                  for index in chosen] + [abe.header_hash(ct)]
+        aead_opens.clear()
+        with pytest.raises(abe.PolicyNotSatisfied):
+            abe.decrypt_slice(make_key(ms, {"audit", *SERVE_ROLES}), parsed)
+        assert aead_opens == []
+        assert "wrapped_shares" not in parsed.__dict__
+        assert parsed.wrapped_shares == ct.wrapped_shares
+        assert parsed == ct and replace(parsed) == ct
 
 
 class TestMessageIds:

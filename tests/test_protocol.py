@@ -342,6 +342,21 @@ class TestDeadlines:
             assert deployment.chain.message_get(message_id)
 
 
+class TestRefusedClient:
+    def test_unregistered_tcp_client_closes_its_socket(self, deployment):
+        stranger = protocol.Identity.generate(random.Random(5))  # never registered
+        server, thread, finished = serving(deployment.sdm)
+        try:
+            transport = protocol.connect_tcp(*server.server_address)
+            with pytest.raises(protocol.UnknownClient):
+                protocol.ServiceClient(stranger, deployment.sdm.public(), transport,
+                                       random.Random(6))
+            assert transport._sock.fileno() == -1  # closed, not left to the collector
+            wait_finished(finished, 1)
+        finally:
+            stop(server, thread)
+
+
 class TestRequestTags:
     @pytest.mark.parametrize("role", ["sdm", "ud", "skm"])
     def test_another_services_tag_is_refused_and_the_session_goes_on(

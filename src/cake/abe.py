@@ -576,10 +576,6 @@ def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
     return ct
 
 
-def parse_slice(data: bytes) -> SliceCiphertext:
-    return _parse_slice(data, 0, len(data))
-
-
 def serialize_container(container: CiphertextContainer) -> bytes:
     w = Writer()
     w.put_bytes(container.message_id)

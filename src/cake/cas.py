@@ -6,12 +6,17 @@ multihash), so every rendered locator starts with "Qm". The digest is
 computed over the raw bytes, so locators are shaped like familiar v0
 content ids but are not interchangeable with a real IPFS daemon, which
 hashes a chunked DAG encoding; a networked client can be slotted in behind
-the same store interface.
+the same :class:`BlobStore` interface.
 
-Every read re-hashes the returned bytes: a blob that no longer matches its
-locator raises :class:`IntegrityViolation` instead of being returned. A
-put of more than :data:`MAX_BLOB_BYTES` (64 MiB) raises
-:class:`BlobTooLarge`; the limit is a module constant, read at each put.
+:class:`BlobStore` holds the rules every backing store shares. A put of more
+than :data:`MAX_BLOB_BYTES` (64 MiB) raises :class:`BlobTooLarge`; the limit
+is a module constant, read at each put. Every read re-hashes the returned
+bytes: a blob that no longer matches its locator raises
+:class:`IntegrityViolation` instead of being returned. Two stores sit
+behind it: :class:`MemoryBlobStore`, a dict, and :class:`DirectoryBlobStore`,
+one append-only pack file per deployment home (a log with an in-memory
+index, as in Bitcask).
+
 Parsed locators are memoized by their text in a fixed-size LRU table, since
 every reader of a document parses the same locator from its chain record.
 """
@@ -19,10 +24,13 @@ every reader of a document parses the same locator from its chain record.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import functools
 import hashlib
+import logging
 import os
-import tempfile
+import stat
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,9 +39,15 @@ from .errors import CakeError
 DIGEST_BYTES = 32
 MULTIHASH_PREFIX = b"\x12\x20"  # SHA-256, 32 bytes
 MAX_BLOB_BYTES = 64 * 1024 * 1024
+# The file of :class:`DirectoryBlobStore` in its root, and its frame header:
+# body length, then the body's digest.
+PACK_NAME = "blobs.pack"
+_FRAME_HEADER = struct.Struct(">I32s")
 
 BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _BASE58_INDEX = {c: i for i, c in enumerate(BASE58_ALPHABET)}
+
+_log = logging.getLogger(__name__)
 
 
 class CasError(CakeError):
@@ -173,41 +187,102 @@ class MemoryBlobStore(BlobStore):
 
 
 class DirectoryBlobStore(BlobStore):
-    """One file per blob under ``<root>/blobs/<hex digest>``."""
+    """Every blob of a home in one append-only file, ``<root>/blobs.pack``.
+
+    The pack is a run of frames: a 4-byte big-endian body length, the
+    32-byte SHA-256 digest of the body, then the body. Nothing is read or
+    created until the first put or get. An index from digest to (body
+    offset, length) is then built by one scan of the frame headers; each
+    header is read with ``pread``, never a body. A later miss, and every
+    put, first rescans from the end of the indexed frames, so a store sees
+    frames another process appended since it last looked.
+
+    A put appends one frame in one ``pwritev`` under an exclusive ``flock``
+    on the pack, after that rescan; writers in different processes or
+    threads therefore never interleave frames, and a blob already in the
+    pack is not written twice. A frame cut short by a crash (the last one)
+    is not indexed, and the next put truncates it before appending; an
+    append that fails is truncated away before :class:`StorageFailure` is
+    raised. As with the chain file, the append does not ``fsync``.
+
+    A get reads the body with ``pread``, and :meth:`BlobStore.get` re-hashes
+    it. Descriptors are opened per call and closed before it returns.
+    """
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self._blob_dir = self.root / "blobs"
-        try:
-            self._blob_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise StorageFailure(f"cannot create blob directory: {exc}") from exc
+        self.path = Path(root) / PACK_NAME
+        # digest -> body offset << 32 | body length: one int per blob takes
+        # ~150 bytes with its key, against ~230 for an (offset, length) tuple.
+        self._index: dict[bytes, int] = {}
+        # End of the last frame in ``_index``; always a frame boundary.
+        self._indexed_end = 0
 
-    def _path(self, loc: Locator) -> Path:
-        return self._blob_dir / loc.digest.hex()
+    def _scan(self, fd: int) -> tuple[int, int]:
+        """Index the whole frames past :attr:`_indexed_end`; return the end
+        of the last whole frame and the file's size."""
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise StorageFailure(f"{self.path} is not a regular file")
+        size = st.st_size
+        pos = self._indexed_end
+        while pos + _FRAME_HEADER.size <= size:
+            length, digest = _FRAME_HEADER.unpack(
+                os.pread(fd, _FRAME_HEADER.size, pos))
+            body = pos + _FRAME_HEADER.size
+            if body + length > size:
+                break  # torn tail
+            self._index[digest] = body << 32 | length
+            pos = body + length
+        self._indexed_end = pos
+        return pos, size
 
     def _write(self, loc: Locator, data: bytes) -> None:
-        path = self._path(loc)
-        if path.exists():
+        if loc.digest in self._index:
             return  # idempotent re-put
         try:
-            fd, tmp = tempfile.mkstemp(dir=self._blob_dir, prefix=".tmp-")
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         except OSError as exc:
             raise StorageFailure(f"cannot persist blob: {exc}") from exc
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            end, size = self._scan(fd)
+            if loc.digest in self._index:
+                return
+            if size != end:
+                _log.warning("%s: truncating a torn %d-byte tail", self.path,
+                             size - end)
+                os.ftruncate(fd, end)
+            header = _FRAME_HEADER.pack(len(data), loc.digest)
+            try:
+                written = os.pwritev(fd, [header, data], end)
+                if written != len(header) + len(data):
+                    raise OSError(f"short write of {written} bytes")
+            except OSError:
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, end)
+                raise
+            self._index[loc.digest] = (end + len(header)) << 32 | len(data)
+            self._indexed_end = end + len(header) + len(data)
         except OSError as exc:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
             raise StorageFailure(f"cannot persist blob: {exc}") from exc
+        finally:
+            os.close(fd)  # releases the lock
 
     def _read(self, loc: Locator) -> bytes:
-        path = self._path(loc)
-        if not path.exists():
-            raise BlobNotFound(f"no blob stored under {loc}")
         try:
-            return path.read_bytes()
+            fd = os.open(self.path, os.O_RDONLY)
+        except FileNotFoundError:
+            raise BlobNotFound(f"no blob stored under {loc}") from None
         except OSError as exc:
             raise StorageFailure(f"cannot read blob: {exc}") from exc
+        try:
+            if loc.digest not in self._index:
+                self._scan(fd)
+            entry = self._index.get(loc.digest)
+            if entry is None:
+                raise BlobNotFound(f"no blob stored under {loc}")
+            return os.pread(fd, entry & 0xFFFF_FFFF, entry >> 32)
+        except OSError as exc:
+            raise StorageFailure(f"cannot read blob: {exc}") from exc
+        finally:
+            os.close(fd)

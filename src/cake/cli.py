@@ -2,33 +2,54 @@
 
 Commands map one-to-one onto protocol operations and run against a local
 deployment directory (``--home``, default ``$CAKE_HOME`` or ``./.cake``)
-that is auto-provisioned on first use: master secret, service identities,
-genesis configuration, an append-only chain file, and a blob directory.
-When ``CAKE_SDM_ADDR`` / ``CAKE_UD_ADDR`` / ``CAKE_SKM_ADDR`` are set
-(``host:port``), the client commands talk to remote services (see
-``cake serve``) instead of in-process ones.
+that is auto-provisioned on first use. When ``CAKE_SDM_ADDR`` /
+``CAKE_UD_ADDR`` / ``CAKE_SKM_ADDR`` are set (``host:port``), the client
+commands talk to remote services (see ``cake serve``) instead of in-process
+ones.
+
+A home holds:
+
+* ``master.key`` and ``services.json``: the master secret and the service
+  identities;
+* ``directory.json``, ``identities/`` and ``keys/``: registered peers,
+  named identities and issued user keys;
+* ``chain.bin``: the chain, an append-only run of length-prefixed blocks;
+* ``blobs.pack``: every blob, an append-only run of frames (see
+  :class:`cas.DirectoryBlobStore`), created by the first put.
+
+A home that still has the ``blobs/`` directory of earlier versions, one
+file per blob, is refused with :class:`cas.StorageFailure` (exit 72). A
+command that reads no blob, such as ``cake ledger verify``, never opens the
+pack.
 
 The chain file ``chain.bin`` has one writer at a time. :meth:`Home.open`
 sets the chain's ``on_seal`` hook, so each block is appended to the file,
-in one ``write``, as it is sealed and before its receipt is returned. Like
-the blob store, the append does not ``fsync``: a sealed block outlives the
+in one ``write``, as it is sealed and before its receipt is returned. A
+blob is appended to the pack before the transaction that names it is
+submitted, so no block names a blob written after it. Like the pack
+append, the chain append does not ``fsync``: a sealed block outlives the
 process that sealed it, not a crash of the machine. A file whose last block
 was cut short keeps its whole blocks; the torn tail is logged, dropped from
 the chain, and truncated by the next append. ``cake serve`` holds an
-exclusive ``flock`` on the file while it runs; a one-shot command takes the
-lock, without waiting, around its own append only. A second writer, or a
-writer that finds the file changed since it read it, fails with
-:class:`ChainConflict` (exit 71) and appends nothing.
+exclusive ``flock`` on the chain file while it runs; a one-shot command
+takes the lock, without waiting, around its own append only. A second
+writer, or a writer that finds the file changed since it read it, fails
+with :class:`ChainConflict` (exit 71) and appends nothing. Pack appends
+take the pack's own ``flock`` around each append, so a one-shot command and
+``cake serve`` never interleave frames.
 
 ``cake serve`` runs in two processes. It binds the three listeners, then
 forks: the child serves the key manager (SKM) alone, the parent the data
 manager (SDM) and the user directory (UD), which seal blocks. The SKM only
 reads, so the child keeps its own replica of the chain and, before every
 key request, applies the blocks the parent has appended to the file since
-it last looked (``Chain.extend`` from the replica's size). Key handshakes
-then no longer hold the parent's interpreter lock while stores run. The
-child ignores SIGINT, exits on SIGTERM and exits once its parent is gone;
-the parent stops it with SIGTERM and reaps it on every way out.
+it last looked (``Chain.extend`` from the replica's size). Its copy of the
+pack index is the parent's at the fork; a metadata blob the parent appended
+since is not in it, so the lookup misses and rescans the pack from the end
+of the indexed frames. Key handshakes then no longer hold the parent's
+interpreter lock while stores run. The child ignores SIGINT, exits on
+SIGTERM and exits once its parent is gone; the parent stops it with SIGTERM
+and reaps it on every way out.
 
 Exit codes: 0 success, 64 usage, 65-75 one code per error class.
 """
@@ -149,6 +170,11 @@ class Home:
         """The deployment on this home; each block its chain seals is
         appended to the chain file by :meth:`save_chain`."""
         self.ensure_provisioned()
+        old_blobs = self.path / "blobs"
+        if old_blobs.is_dir():
+            raise cas.StorageFailure(
+                f"{old_blobs} holds one file per blob, a home layout "
+                f"this version does not read; it keeps blobs in {cas.PACK_NAME}")
         master = abe.MasterSecret(bytes.fromhex(self.master_file.read_text().strip()))
         services = json.loads(self.services_file.read_text())
         identities = {name: protocol.Identity.from_dict(blob)

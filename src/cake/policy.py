@@ -93,22 +93,6 @@ def _check_children(children: tuple[PolicyAst, ...], kind: type) -> None:
         raise ValueError(f"{kind.__name__} child chains must be flattened")
 
 
-def and_of(children: list[PolicyAst] | tuple[PolicyAst, ...]) -> PolicyAst:
-    """Conjunction with associative flattening; a single operand passes through."""
-    flat: list[PolicyAst] = []
-    for child in children:
-        flat.extend(child.children if isinstance(child, And) else [child])
-    return flat[0] if len(flat) == 1 else And(tuple(flat))
-
-
-def or_of(children: list[PolicyAst] | tuple[PolicyAst, ...]) -> PolicyAst:
-    """Disjunction with associative flattening; a single operand passes through."""
-    flat: list[PolicyAst] = []
-    for child in children:
-        flat.extend(child.children if isinstance(child, Or) else [child])
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
-
-
 def normalize_attribute(token: str) -> str:
     """Lowercase and validate one attribute name."""
     name = token.lower()

@@ -22,7 +22,10 @@ After the handshake, every frame is AES-GCM sealed under the session key
 with a per-direction counter as the nonce and the transcript hash as
 associated data; counters strictly increase, so recorded frames cannot be
 replayed into a live session. Frame layout on the wire is a 4-byte
-big-endian length followed by the (sealed) body, written with one send.
+big-endian length followed by the (sealed) body, written with one send. A
+length over the limit (:data:`HELLO_BYTES` or :data:`AUTH_BYTES` before the
+session is sealed, :data:`MAX_FRAME_BYTES` after) is refused before the
+body is read: the server sends one :class:`ProtocolError` frame and closes.
 TCP sockets carry ``TCP_NODELAY``: a client writes AUTH and then its first
 request without waiting for a reply in between, and Nagle's algorithm would
 hold that second write back until the server's delayed acknowledgement,
@@ -113,7 +116,13 @@ from . import policy as policy_mod
 from .codec import Reader, Writer
 from .errors import CakeError
 
-MAX_FRAME_BYTES = 80 * 1024 * 1024
+# The largest frame either side sends or reads: a blob at the store's cap,
+# sealed (tag byte and AES-GCM tag). A store request is never larger than
+# the container it yields, which holds the same labels, the plaintexts
+# sealed and the policies in canonical form (unless a policy text is padded
+# with blanks), so a larger frame could only fail after being read whole;
+# it is refused at its length prefix instead.
+MAX_FRAME_BYTES = cas.MAX_BLOB_BYTES + 1 + 16
 # Seconds a ``ServiceServer`` connection has to finish the handshake, then
 # may stay silent once sealed (see the module docstring).
 HANDSHAKE_DEADLINE_S = 10.0
@@ -586,6 +595,11 @@ class Service:
                 tag, payload = session.receive()
             except AuthFailure:
                 return  # garbage within a sealed session: drop the peer
+            except TransportClosed:
+                raise
+            except ProtocolError as exc:  # an oversized frame, left unread
+                session.send(TAG_ERROR, _encode_error(exc))
+                return
             try:
                 if tag != self.request_tag:
                     raise ProtocolError(f"unexpected request tag {tag:#x}")

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import sympy
 
+from cake import abe
 from cake.policy import (
     ATTRIBUTE_RE,
     AccessTree,
@@ -21,12 +22,31 @@ from cake.policy import (
     PolicySyntaxError,
     TreeGate,
     TreeLeaf,
-    and_of,
-    or_of,
     tree_leaves,
 )
 
 ATTRIBUTE_POOL = ["a1", "b2", "c3", "d4", "e5", "f6"]
+
+
+def and_of(children: list[PolicyAst] | tuple[PolicyAst, ...]) -> PolicyAst:
+    """Conjunction with associative flattening; a single operand passes through."""
+    flat: list[PolicyAst] = []
+    for child in children:
+        flat.extend(child.children if isinstance(child, And) else [child])
+    return flat[0] if len(flat) == 1 else And(tuple(flat))
+
+
+def or_of(children: list[PolicyAst] | tuple[PolicyAst, ...]) -> PolicyAst:
+    """Disjunction with associative flattening; a single operand passes through."""
+    flat: list[PolicyAst] = []
+    for child in children:
+        flat.extend(child.children if isinstance(child, Or) else [child])
+    return flat[0] if len(flat) == 1 else Or(tuple(flat))
+
+
+def parse_slice(data: bytes) -> abe.SliceCiphertext:
+    """The one slice encoded in all of ``data``."""
+    return abe._parse_slice(data, 0, len(data))
 
 
 def random_policy(rng: random.Random, attrs: list[str], depth: int = 4,

@@ -29,6 +29,7 @@ from helpers import (
     attribute_subsets,
     hkdf_sha256,
     min_satisfying_size,
+    parse_slice,
     random_policy,
     serve_shaped_policy,
 )
@@ -310,7 +311,7 @@ class TestIntegrity:
             broken = bytearray(blob)
             broken[i] ^= 0x01
             try:
-                out = abe.decrypt_slice(key, abe.parse_slice(bytes(broken)))
+                out = abe.decrypt_slice(key, parse_slice(bytes(broken)))
             except detectable:
                 continue
             assert out == b"tamper target", f"silent corruption at byte {i}"
@@ -469,7 +470,7 @@ class TestSerialization:
 
     def test_slice_roundtrip(self, ms):
         ct = abe.encrypt_slice(ms, "(a and b)", b"zzz", random.Random(23))
-        assert abe.parse_slice(abe.serialize_slice(ct)) == ct
+        assert parse_slice(abe.serialize_slice(ct)) == ct
 
     def test_user_key_roundtrip(self, ms):
         key = make_key(ms, {"courier", "29837"})
@@ -479,7 +480,7 @@ class TestSerialization:
     def test_trailing_garbage_rejected(self, ms):
         ct = abe.encrypt_slice(ms, "a", b"x", random.Random(24))
         with pytest.raises(CodecError):
-            abe.parse_slice(abe.serialize_slice(ct) + b"\x00")
+            parse_slice(abe.serialize_slice(ct) + b"\x00")
 
     def test_header_hash_ignores_payload_fields(self, ms):
         ct = abe.encrypt_slice(ms, "a", b"x", random.Random(25))
@@ -532,7 +533,7 @@ class TestSerialization:
         one = abe.serialize_slice(container.slices[0][1])
         for cut in range(len(one)):
             with pytest.raises(CodecError):
-                abe.parse_slice(one[:cut])
+                parse_slice(one[:cut])
 
     @pytest.mark.parametrize("field", ["label", "policy", "attribute"])
     def test_invalid_utf8_is_a_codec_error(self, ms, field):
@@ -549,7 +550,7 @@ class TestSerialization:
             abe.parse_container(bytes(blob))
 
     def test_tampering_with_a_parsed_header_detected(self, ms):
-        ct = abe.parse_slice(abe.serialize_slice(
+        ct = parse_slice(abe.serialize_slice(
             abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(29))))
         key = make_key(ms, {"a", "b"})
         assert abe.decrypt_slice(key, ct) == b"m"
@@ -695,7 +696,7 @@ class TestParseWithoutShareObjects:
     def test_decrypt_opens_only_the_chosen_shares_and_builds_none(self, ms, aead_opens):
         policy = serve_shaped_policy(random.Random("opens"), 64)
         ct = abe.encrypt_slice(ms, policy, b"payload", random.Random(36))
-        parsed = abe.parse_slice(abe.serialize_slice(ct))
+        parsed = parse_slice(abe.serialize_slice(ct))
         tree = compile_policy(parse_policy(policy))
         attributes = [leaf.attribute for leaf in tree_leaves(tree)]
         for attrs in ({"tenant_acme", "audit"}, {"tenant_acme", *SERVE_ROLES}):

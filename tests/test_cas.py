@@ -1,5 +1,8 @@
+import fcntl
+import multiprocessing
 import os
 import random
+import threading
 
 import pytest
 
@@ -24,6 +27,18 @@ from helpers import alt_base58_encode
 HELLO = b"hello"
 HELLO_DIGEST = bytes.fromhex(
     "2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824")
+
+
+# A pack frame is a 4-byte body length and the 32-byte digest, then the body.
+FRAME_HEADER = 4 + 32
+
+
+def flip_pack_bit(root, offset: int, mask: int) -> None:
+    with open(root / cas.PACK_NAME, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ mask]))
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -56,19 +71,6 @@ class TestPut:
     def test_locator_is_pure_function_of_bytes(self, store):
         assert store.put(HELLO) == locator_for(HELLO)
 
-    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
-        store = DirectoryBlobStore(tmp_path)
-
-        def refuse(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cas.os, "replace", refuse)
-        with pytest.raises(StorageFailure, match="disk full"):
-            store.put(HELLO)
-        assert os.listdir(tmp_path / "blobs") == []
-        monkeypatch.undo()
-        assert store.get(store.put(HELLO)) == HELLO
-
 
 class TestGet:
     def test_roundtrip(self, store):
@@ -82,10 +84,7 @@ class TestGet:
     def test_directory_tamper_detected(self, tmp_path):
         store = DirectoryBlobStore(tmp_path)
         loc = store.put(b"important bytes")
-        path = tmp_path / "blobs" / loc.digest.hex()
-        raw = bytearray(path.read_bytes())
-        raw[3] ^= 0x40
-        path.write_bytes(bytes(raw))
+        flip_pack_bit(tmp_path, FRAME_HEADER + 3, 0x40)
         with pytest.raises(IntegrityViolation):
             store.get(loc)
 
@@ -100,18 +99,111 @@ class TestGet:
         store = DirectoryBlobStore(tmp_path)
         data = random.Random(2).randbytes(1024)
         loc = store.put(data)
-        path = tmp_path / "blobs" / loc.digest.hex()
-        original = path.read_bytes()
         rng = random.Random(3)
         for _ in range(64):
-            bit = rng.randrange(len(original) * 8)
-            raw = bytearray(original)
-            raw[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(bytes(raw))
+            bit = rng.randrange(len(data) * 8)
+            flip_pack_bit(tmp_path, FRAME_HEADER + bit // 8, 1 << (bit % 8))
             with pytest.raises(IntegrityViolation):
                 store.get(loc)
-        path.write_bytes(original)
+            flip_pack_bit(tmp_path, FRAME_HEADER + bit // 8, 1 << (bit % 8))
         assert store.get(loc) == data
+
+
+def put_fifty(root, tag: bytes, barrier) -> None:
+    store = DirectoryBlobStore(root)
+    for n in range(50):
+        barrier.wait(10)  # so that the two writers try to append at once
+        store.put(b"%s %d " % (tag, n) * 1000)
+
+
+class TestPack:
+    def test_torn_last_frame_is_dropped_then_truncated(self, tmp_path):
+        blobs = [b"first blob", b"second blob", b"third blob, cut short"]
+        locs = [DirectoryBlobStore(tmp_path).put(blob) for blob in blobs]
+        pack = tmp_path / cas.PACK_NAME
+        whole = pack.read_bytes()
+        last = len(whole) - FRAME_HEADER - len(blobs[2])
+        for cut in range(last, len(whole)):
+            pack.write_bytes(whole[:cut])
+            store = DirectoryBlobStore(tmp_path)
+            assert [store.get(loc) for loc in locs[:2]] == blobs[:2]
+            with pytest.raises(BlobNotFound):
+                store.get(locs[2])
+            extra = store.put(b"after the tear")
+            assert pack.stat().st_size == last + FRAME_HEADER + len(b"after the tear")
+            assert store.put(blobs[2]) == locs[2]
+            reopened = DirectoryBlobStore(tmp_path)
+            assert [reopened.get(loc) for loc in [*locs, extra]] == \
+                [*blobs, b"after the tear"]
+
+    def test_failed_append_leaves_the_pack_as_it_was(self, tmp_path, monkeypatch):
+        store = DirectoryBlobStore(tmp_path)
+        first = store.put(b"first")
+        pack = tmp_path / cas.PACK_NAME
+        size = pack.stat().st_size
+        pwritev = os.pwritev
+
+        def header_then_fail(fd, buffers, offset):
+            pwritev(fd, buffers[:1], offset)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cas.os, "pwritev", header_then_fail)
+        with pytest.raises(StorageFailure, match="disk full"):
+            store.put(HELLO)
+        assert pack.stat().st_size == size
+        monkeypatch.undo()
+        assert store.get(store.put(HELLO)) == HELLO
+        reopened = DirectoryBlobStore(tmp_path)
+        assert (reopened.get(first), reopened.get(locator_for(HELLO))) == (b"first", HELLO)
+
+    def test_two_writer_processes_share_one_pack(self, tmp_path):
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        workers = [context.Process(target=put_fifty, args=(tmp_path, tag, barrier))
+                   for tag in (b"left", b"right")]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30)
+            assert worker.exitcode == 0
+            worker.close()
+        blobs = [b"%s %d " % (tag, n) * 1000 for tag in (b"left", b"right")
+                 for n in range(50)]
+        store = DirectoryBlobStore(tmp_path)
+        assert [store.get(locator_for(blob)) for blob in blobs] == blobs
+        assert (tmp_path / cas.PACK_NAME).stat().st_size == \
+            sum(FRAME_HEADER + len(blob) for blob in blobs)
+
+    def test_an_append_waits_for_the_pack_lock(self, tmp_path):
+        store = DirectoryBlobStore(tmp_path)
+        store.put(b"first")
+        pack = tmp_path / cas.PACK_NAME
+        with open(pack, "rb") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            writer = threading.Thread(target=store.put, args=(HELLO,))
+            writer.start()
+            writer.join(0.2)
+            assert writer.is_alive()
+            assert pack.stat().st_size == FRAME_HEADER + len(b"first")
+            fcntl.flock(held, fcntl.LOCK_UN)
+            writer.join(5)
+        assert not writer.is_alive()
+        assert store.get(locator_for(HELLO)) == HELLO
+
+    def test_a_miss_finds_frames_appended_since_the_index_was_built(self, tmp_path):
+        reader = DirectoryBlobStore(tmp_path)
+        early = DirectoryBlobStore(tmp_path).put(b"early")
+        assert reader.get(early) == b"early"
+        late = DirectoryBlobStore(tmp_path).put(b"late")
+        assert reader.get(late) == b"late"
+
+    def test_nothing_is_created_until_a_put(self, tmp_path):
+        store = DirectoryBlobStore(tmp_path)
+        with pytest.raises(BlobNotFound):
+            store.get(locator_for(HELLO))
+        assert os.listdir(tmp_path) == []
+        store.put(HELLO)
+        assert os.listdir(tmp_path) == [cas.PACK_NAME]
 
 
 class TestLocatorCodec:

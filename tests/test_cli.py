@@ -419,14 +419,24 @@ class TestChainFile:
         assert cake("ledger", "verify")[0] == 0
 
 
+class TestBlobPack:
+    def test_reads_leave_no_descriptor_open(self, cake, stored):
+        assert cake("read", stored, "--as", "owner")[0] == 0
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            assert cake("read", stored, "--as", "owner")[0] == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 class TestExitCodes:
     def test_flipped_blob_byte_is_an_integrity_failure(self, cake, stored, tmp_path):
         _, shown = cake("ledger", "show", stored)
-        blob = (tmp_path / "home" / "blobs"
-                / cas.parse_locator(shown["locator"]).digest.hex())
-        data = bytearray(blob.read_bytes())
-        data[len(data) // 2] ^= 0x01
-        blob.write_bytes(bytes(data))
+        pack = tmp_path / "home" / cas.PACK_NAME
+        data = bytearray(pack.read_bytes())
+        digest_at = data.find(cas.parse_locator(shown["locator"]).digest)
+        length = int.from_bytes(data[digest_at - 4:digest_at], "big")
+        data[digest_at + 32 + length // 2] ^= 0x01
+        pack.write_bytes(bytes(data))
         assert cake("read", stored, "--as", "owner")[0] == cli.EXIT_INTEGRITY == 68
 
     def test_identity_missing_from_the_directory_fails_auth(self, cake, stored,
@@ -448,12 +458,18 @@ class TestExitCodes:
 
     def test_unusable_blob_directory_is_a_storage_failure(self, cake, stored,
                                                           tmp_path):
-        blobs = tmp_path / "home" / "blobs"
-        for blob in blobs.iterdir():
-            blob.unlink()
-        blobs.rmdir()
-        blobs.write_bytes(b"not a directory")
+        pack = tmp_path / "home" / cas.PACK_NAME
+        pack.unlink()
+        pack.mkdir()
+        assert cake("read", stored, "--as", "owner")[0] == cli.EXIT_STORAGE == 72
+        assert cake("certify", "stranger", "sales")[0] == cli.EXIT_STORAGE == 72
+
+    def test_home_with_a_blob_directory_is_refused(self, cake, stored, tmp_path):
+        (tmp_path / "home" / "blobs").mkdir()
+        with pytest.raises(cas.StorageFailure, match="one file per blob"):
+            cli.Home(tmp_path / "home").open()
         assert cake("ledger", "verify")[0] == cli.EXIT_STORAGE == 72
+        assert cake("read", stored, "--as", "owner")[0] == cli.EXIT_STORAGE
 
     def test_unmapped_service_error(self, cake, stored, monkeypatch):
         def broken(self, session, payload):

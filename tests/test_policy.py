@@ -13,21 +13,21 @@ from cake.policy import (
     PolicySyntaxError,
     TreeGate,
     TreeLeaf,
-    and_of,
     attributes_of,
     compile_policy,
     evaluate,
     min_satisfying_leaves,
     normalize_attribute,
-    or_of,
     parse_policy,
     render_policy,
     tree_leaves,
 )
 from helpers import (
     ATTRIBUTE_POOL,
+    and_of,
     attribute_subsets,
     min_satisfying_size,
+    or_of,
     random_policy,
     reference_parse,
     sympy_eval,

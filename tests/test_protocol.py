@@ -9,8 +9,8 @@ import time
 import pytest
 
 import cake.cli  # noqa: F401  (loads every module that defines an error class)
+from cake import cas, protocol
 from cake import policy as policy_mod
-from cake import protocol
 from cake.codec import Reader, Writer
 from cake.errors import CakeError
 from cake.protocol import (
@@ -430,6 +430,35 @@ class TestPreAuthFrameLimits:
             server.server_close()
             thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+class TestSealedFrameLimit:
+    def test_limit_is_a_sealed_blob_at_the_cap(self):
+        assert protocol.MAX_FRAME_BYTES == cas.MAX_BLOB_BYTES + 1 + 16
+
+    def test_oversized_sealed_prefix_refused_without_reading_body(self, deployment,
+                                                                  client):
+        server = protocol.ServiceServer(deployment.sdm, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            transport = protocol.connect_tcp(*server.server_address)
+            transport._sock.settimeout(5)
+            with protocol.ServiceClient(client, deployment.sdm.public(),
+                                        transport) as sdm:
+                # Only the length prefix is sent, as in the pre-HELLO test.
+                transport._sock.sendall(
+                    (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+                tag, payload = sdm.session.receive()
+                assert wire_error_code(bytes([tag]) + payload) == "ProtocolError"
+                with pytest.raises(protocol.TransportClosed):
+                    transport.recv_frame()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        honest_store(deployment, client)
 
 
 def nodelay(sock: socket.socket) -> bool:

@@ -11,9 +11,12 @@ Decryption decides from the key's attribute names alone whether the policy
 is satisfied, and then opens only the shares of a minimal satisfying leaf
 set; a key that does not satisfy the policy opens none. The per-policy
 header checks (the text parses, is canonical, and compiles to a tree) are
-memoized by the canonical policy text in a fixed-size LRU table, with the
-share layout the tree calls for; the check that a ciphertext's layout is
-that one runs on every read. Attribute wrap keys are memoized likewise, in
+memoized by the canonical policy text in a fixed-size LRU table
+(:func:`_compiled_header`), with the share layout the tree calls for, the
+skeleton of the policy's canonical header, and a bounded satisfiability
+memo: the leaf set chosen for each pattern of held policy attributes seen,
+or the denial. The check that a ciphertext's layout is that one runs on
+every read. Attribute wrap keys are memoized likewise, in
 a bounded LRU table keyed by master secret and attribute, since every leaf
 of every slice and every issued key needs one and attributes repeat; so
 are the ciphers that wrap shares at encryption.
@@ -35,13 +38,19 @@ are and a store writes them out without encoding the shares again.
 
 Containers are parsed in one pass that reads each length in place and
 checks it before taking its field, and checks that each string field is
-UTF-8. Parsing builds no per-share object: the walk over a slice's header
-(:func:`_walk_header`) records its share layout, each share's (leaf index,
-attribute), and where each share's nonce field starts in the header.
-Decryption compares that layout with the memoized one and reads the nonce
-and sealed share of a chosen leaf from the header bytes at its offset. The
-:class:`WrappedShare` tuples of a parsed slice are built from its header
-only when something reads :attr:`SliceCiphertext.wrapped_shares`.
+UTF-8. Parsing builds no per-share object. A slice header that is its
+policy's canonical header outside its nonces and sealed shares, which one
+struct unpack and one comparison with the memoized skeleton decide
+(:func:`_match_skeleton`), takes the memoized layout. Any other header (a
+policy text that is not canonical, other bytes, other field lengths) is
+walked (:func:`_walk_header`), which records its share layout, each
+share's (leaf index, attribute), and where each share's nonce field starts
+in the header, and raises what it raises; both give the same result for
+the same bytes. Decryption compares the layout with the memoized one and
+reads the nonce and sealed share of a chosen leaf from the header bytes at
+its offset. The :class:`WrappedShare` tuples of a parsed slice are built
+from its header only when something reads
+:attr:`SliceCiphertext.wrapped_shares`.
 
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
@@ -57,8 +66,10 @@ import functools
 import hashlib
 import random
 import struct
+import threading
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -142,7 +153,7 @@ class WrappedShare(NamedTuple):
 
 class _Layout(NamedTuple):
     shares: tuple[tuple[int, str], ...]  # (leaf index, attribute) of each share
-    nonces_at: tuple[int, ...]  # where each share's nonce field starts in the header
+    nonces_at: Sequence[int]  # where each share's nonce field starts in the header
 
 
 @dataclass(frozen=True)
@@ -150,13 +161,13 @@ class SliceCiphertext:
     """One encrypted slice.
 
     A parsed slice keeps the header bytes it was read from and the layout
-    that the parse walk recorded, and builds no :class:`WrappedShare`:
-    :attr:`wrapped_shares` is built from the header the first time
-    something reads it (equality, ``repr``, ``dataclasses.replace``), and
-    :func:`decrypt_slice` never does. A slice built by its constructor,
-    as :func:`encrypt_slice` and ``dataclasses.replace`` build them, gets
-    its header from its fields and its layout from the same walk over that
-    header.
+    that parsing took from the memo or the walk recorded, and builds no
+    :class:`WrappedShare`: :attr:`wrapped_shares` is built from the header
+    the first time something reads it (equality, ``repr``,
+    ``dataclasses.replace``), and :func:`decrypt_slice` never does. A slice
+    built by its constructor, as :func:`encrypt_slice` and
+    ``dataclasses.replace`` build them, gets its header from its fields and
+    its layout from the walk over that header.
     """
     policy_text: str  # canonical rendering
     wrapped_shares: tuple[WrappedShare, ...]
@@ -331,9 +342,10 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     compared with the one its policy's compiled tree gives, in one
     comparison. The key's attribute names alone then decide satisfiability:
     a minimal satisfying leaf set is chosen
-    (:func:`policy.min_satisfying_leaves`), and only the nonces and sealed
-    shares of that set are read from :attr:`SliceCiphertext.header` and
-    opened. No :class:`WrappedShare` is built.
+    (:func:`policy.min_satisfying_leaves`, memoized per policy by
+    :func:`_choose`), and only the nonces and sealed shares of that set are
+    read from :attr:`SliceCiphertext.header` and opened. No
+    :class:`WrappedShare` is built.
 
     Raises :class:`IntegrityFailure` when the policy header does not parse,
     is not canonical, or its share layout does not mirror its tree (checked
@@ -343,13 +355,14 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     authentication. Tampering with a share that is not opened, held or
     not, fails the payload AEAD, which binds the whole header.
     """
-    tree, leaves = _compiled_header(ct.policy_text)
+    compiled = _compiled_header(ct.policy_text)
     layout = ct._layout
+    leaves = compiled.layout.shares
     if layout.shares != leaves:
         raise IntegrityFailure("wrapped shares do not match the policy tree")
 
-    chosen = policy_mod.min_satisfying_leaves(tree, uk.attribute_keys)
-    if chosen is None:
+    chosen = _choose(compiled, uk.attribute_keys)
+    if not chosen:
         raise PolicyNotSatisfied(f"attributes do not satisfy {ct.policy_text!r}")
 
     header = ct.header
@@ -365,7 +378,7 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
             # A wrap key this user legitimately holds must open an honest share.
             raise IntegrityFailure("wrapped share failed authentication") from exc
 
-    data_key = sss.reconstruct_tree(tree, available)
+    data_key = sss.reconstruct_tree(compiled.tree, available)
     try:
         return AESGCM(_payload_key(data_key)).decrypt(
             ct.payload_nonce, ct.payload, header_hash(ct))
@@ -373,19 +386,52 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
         raise IntegrityFailure("payload or header authentication failed") from exc
 
 
+# The bytes of an honest sealed share: the field element and its AES-GCM tag.
+_SEALED_SHARE_BYTES = sss.FIELD_BYTES + 16
+
+
+class _CompiledHeader(NamedTuple):
+    """What every slice header of one canonical policy text shares."""
+    tree: policy_mod.AccessTree
+    # The share layout the tree calls for, with the nonce offsets of a header
+    # whose nonces and sealed shares have their honest lengths.
+    layout: _Layout
+    # Such a header after its policy text, with each share's nonce and sealed
+    # share cut out: a struct that reads the runs between those holes and
+    # skips the holes, and the bytes of the runs.
+    skeleton: struct.Struct
+    skeleton_bytes: bytes
+    attributes: tuple[str, ...]  # the policy's distinct attributes
+    # Satisfiability memo of :func:`_choose`: for each pattern of held
+    # attributes seen (bit i set if attribute i is held), the chosen leaves,
+    # or () for a denial.
+    choices: dict[int, tuple[int, ...]]
+
+
 # Compiled headers kept by :func:`_compiled_header`. Every reader of a slice
 # checks the same header, so reads of one policy outnumber its writes; the
-# bound caps the memory a stream of distinct policies can pin (a 32-leaf
-# entry is about 4 KB).
+# bound caps the memory a stream of distinct policies can pin (measured with
+# tracemalloc, a 32-leaf entry is about 10 KB, half of it the skeleton, and
+# 14 KB with a full satisfiability memo).
 _POLICY_MEMO_SIZE = 256
+
+# Answers kept per compiled header by :func:`_choose`; a full memo is
+# emptied. An answer depends only on which of the policy's attributes a key
+# holds, so keys that differ elsewhere share one answer.
+_CHOICE_MEMO_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_POLICY_MEMO_SIZE)
-def _compiled_header(policy_text: str) -> tuple[policy_mod.AccessTree,
-                                                tuple[tuple[int, str], ...]]:
-    """The compiled tree of a header's policy text and the share layout it
-    calls for: (position, attribute) of each of its leaves, positions
-    counted from 1 in leaf-index order.
+def _compiled_header(policy_text: str) -> _CompiledHeader:
+    """The compiled tree of a header's policy text, the share layout it
+    calls for ((position, attribute) of each of its leaves, positions
+    counted from 1 in leaf-index order), the skeleton of the policy's
+    canonical header, and an empty satisfiability memo.
+
+    The skeleton comes from the one encoder and the one walker: the header
+    of placeholder shares with honest field lengths is encoded, the walk
+    over it gives the nonce offsets, and each nonce and sealed share is a
+    hole. :func:`_match_skeleton` checks a parsed header against it.
 
     Raises :class:`IntegrityFailure` for text that does not parse or is not
     canonical; ``lru_cache`` keeps no entry for a call that raises, so such
@@ -398,8 +444,47 @@ def _compiled_header(policy_text: str) -> tuple[policy_mod.AccessTree,
     if policy_mod.render_policy(ast) != policy_text:
         raise IntegrityFailure("policy header is not in canonical form")
     tree = policy_mod.compile_policy(ast)
-    return tree, tuple(enumerate((leaf.attribute for leaf in policy_mod.tree_leaves(tree)),
-                                 start=1))
+    names = [leaf.attribute for leaf in policy_mod.tree_leaves(tree)]
+    shares = tuple(enumerate(names, start=1))
+    nonce, sealed = bytes(NONCE_BYTES), bytes(_SEALED_SHARE_BYTES)
+    header = _encode_header(policy_text, [(index, name, nonce, sealed) for index, name in shares])
+    nonces_at = _walk_header(header, 0, len(header))[1].nonces_at
+    # Each share from its nonce field on: the nonce's length, the nonce (a
+    # hole), the sealed share's length, the sealed share (a hole). Before
+    # each, a run from where the last share (or the policy text) ended.
+    share_tail = 4 + NONCE_BYTES + 4 + _SEALED_SHARE_BYTES
+    runs_at = 4 + len(policy_text.encode())
+    ends = [runs_at] + [at + share_tail for at in nonces_at]
+    runs = [at + 4 - end for at, end in zip(nonces_at, ends)]
+    hole = f"s{NONCE_BYTES}x4s{_SEALED_SHARE_BYTES}x"
+    skeleton = struct.Struct(">" + hole.join(map(str, runs)) + hole)
+    # Every slice parsed against this entry shares its layout.
+    layout = _Layout(shares, memoryview(nonces_at).toreadonly())
+    return _CompiledHeader(tree, layout, skeleton, b"".join(skeleton.unpack_from(header, runs_at)),
+                           tuple(dict.fromkeys(names)), {})
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags to base-2 digits
+_choices_lock = threading.Lock()  # held to add an answer to a memo
+
+
+def _choose(compiled: _CompiledHeader, attrs: dict[str, bytes]) -> tuple[int, ...]:
+    """The leaves :func:`policy.min_satisfying_leaves` chooses from the
+    compiled tree for a key holding ``attrs``, or ``()`` when they do not
+    satisfy it.
+
+    Memoized in ``compiled.choices`` by which of the policy's attributes
+    the key holds, which is all the answer depends on; denials are kept too.
+    """
+    held = int(bytes(map(attrs.__contains__, compiled.attributes)).translate(_BINARY_DIGITS), 2)
+    chosen = compiled.choices.get(held)
+    if chosen is None:
+        chosen = tuple(policy_mod.min_satisfying_leaves(compiled.tree, attrs) or ())
+        with _choices_lock:
+            if len(compiled.choices) >= _CHOICE_MEMO_SIZE:
+                compiled.choices.clear()
+            compiled.choices[held] = chosen
+    return chosen
 
 
 def new_message_id(rng: Optional[random.Random] = None) -> bytes:
@@ -458,7 +543,7 @@ def decrypt_container(uk: UserKey,
 _EMPTY_PAYLOAD_FIELDS = bytes(8)
 
 
-def _encode_header(policy_text: str, wrapped_shares: tuple[WrappedShare, ...]) -> bytes:
+def _encode_header(policy_text: str, wrapped_shares: Sequence[WrappedShare]) -> bytes:
     """The canonical bytes of a slice's policy text and wrapped shares, each
     variable-length field prefixed with its own length."""
     policy_bytes = policy_text.encode()
@@ -525,7 +610,7 @@ def _walk_header(data: bytes, pos: int, end: int) -> tuple[str, _Layout, int]:
             raise CodecError(_TRUNCATED)
         policy_text = data[start + 4:policy_end].decode()
         shares = []
-        nonces_at = []
+        nonces_at = array("Q")
         for _ in range(_u32_at(data, policy_end)[0]):
             leaf_index, attribute_len = _two_u32_at(data, pos)
             attribute_at = pos + 8
@@ -540,7 +625,7 @@ def _walk_header(data: bytes, pos: int, end: int) -> tuple[str, _Layout, int]:
         raise CodecError(_TRUNCATED) from None
     except UnicodeDecodeError as exc:
         raise _bad_utf8(exc) from exc
-    return policy_text, _Layout(tuple(shares), tuple(nonces_at)), pos
+    return policy_text, _Layout(tuple(shares), nonces_at), pos
 
 
 def _share_fields(header: bytes, at: int) -> tuple[bytes, bytes]:
@@ -552,12 +637,40 @@ def _share_fields(header: bytes, at: int) -> tuple[bytes, bytes]:
     return header[at + 4:nonce_end], header[wrapped_at:wrapped_end]
 
 
+def _match_skeleton(data: bytes, pos: int, end: int) -> Optional[tuple[str, _Layout, int]]:
+    """What :func:`_walk_header` returns for the slice header at
+    ``data[pos]``, taken from the memo entry of its policy text, if the
+    header is that policy's canonical one: its bytes outside the nonce and
+    sealed-share holes are the entry's skeleton, and it ends at or before
+    ``end``. ``None`` in every other case (text that is not UTF-8 or not a
+    canonical policy, other bytes, other field lengths), for the walk to
+    decide.
+    """
+    policy_end = pos + 4 + int.from_bytes(data[pos:pos + 4], "big")
+    if policy_end > end:
+        return None
+    try:
+        policy_text = data[pos + 4:policy_end].decode()
+        compiled = _compiled_header(policy_text)
+    except (UnicodeDecodeError, IntegrityFailure, RecursionError):
+        # RecursionError: a policy nested too deep to render, which the read
+        # of such a slice, not its parse, reports.
+        return None
+    skeleton = compiled.skeleton
+    header_end = policy_end + skeleton.size
+    if header_end > end or \
+            b"".join(skeleton.unpack_from(data, policy_end)) != compiled.skeleton_bytes:
+        return None
+    return policy_text, compiled.layout, header_end
+
+
 def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
     """The slice encoded in exactly ``data[pos:end]``, keeping its header
-    bytes and the layout the walk over them recorded; reads fields as
-    :func:`_walk_header` does."""
+    bytes and its layout: the memoized one when the header matches its
+    policy's skeleton (:func:`_match_skeleton`), else the one the walk over
+    the header records. Reads fields as :func:`_walk_header` does."""
     start = pos
-    policy_text, layout, pos = _walk_header(data, pos, end)
+    policy_text, layout, pos = _match_skeleton(data, pos, end) or _walk_header(data, pos, end)
     header_end = pos
     nonce_at = pos + 4
     nonce_end = nonce_at + int.from_bytes(data[pos:nonce_at], "big")

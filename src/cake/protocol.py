@@ -33,7 +33,9 @@ some 40 ms later; each frame is one write, so no extra small segments go
 out in its place. A ``ServiceServer`` connection has a handshake deadline
 and, once sealed, an idle timeout (:data:`HANDSHAKE_DEADLINE_S`,
 :data:`IDLE_TIMEOUT_S`); a read that runs out of time raises
-:class:`TransportClosed`, and the session ends.
+:class:`TransportClosed`, and the session ends. A ``ServiceServer`` runs
+at most :data:`MAX_SESSIONS` sessions at once and closes any connection
+past them as it accepts it.
 
 Each service answers one request tag, its ``request_tag``, and replies to
 a request with tag ``request_tag + 1``; a request with any other tag gets a
@@ -127,6 +129,9 @@ MAX_FRAME_BYTES = cas.MAX_BLOB_BYTES + 1 + 16
 # may stay silent once sealed (see the module docstring).
 HANDSHAKE_DEADLINE_S = 10.0
 IDLE_TIMEOUT_S = 300.0
+# Sessions one ServiceServer serves at once; a connection past them is closed
+# at accept, so clients cannot make it start unbounded threads.
+MAX_SESSIONS = 64
 NONCE_LEN = 16
 # Pre-authentication frames have fixed sizes; the server reads no more.
 HELLO_BYTES = 1 + ledger.ADDRESS_BYTES + 32 + NONCE_LEN
@@ -953,7 +958,10 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 class ServiceServer(socketserver.ThreadingTCPServer):
     """Threaded TCP server for one service; the caller runs serve_forever.
     A silent connection is dropped at :data:`HANDSHAKE_DEADLINE_S` or
-    :data:`IDLE_TIMEOUT_S`, so it cannot pin its thread."""
+    :data:`IDLE_TIMEOUT_S`, so it cannot pin its thread. At most
+    :data:`MAX_SESSIONS` sessions run at once: a connection accepted past
+    them is closed before any byte is read, and a slot frees when its
+    session's thread ends."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -961,6 +969,16 @@ class ServiceServer(socketserver.ThreadingTCPServer):
     def __init__(self, service: Service, host: str, port: int) -> None:
         super().__init__((host, port), _SessionHandler)
         self.cake_service = service
+        self._slots = threading.BoundedSemaphore(MAX_SESSIONS)
+
+    def verify_request(self, request: socket.socket, client_address: object) -> bool:
+        return self._slots.acquire(blocking=False)
+
+    def process_request_thread(self, request: socket.socket, client_address: object) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
 
 def connect_tcp(host: str, port: int) -> SocketTransport:

@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -33,6 +35,7 @@ from helpers import (
     random_policy,
     serve_shaped_policy,
 )
+from test_policy import asts
 
 IMPORT_DECLARATION = "(29837 and ((economic_operator) or (customs)))"
 TRANSPORT_DOCUMENT = "(29837 and ((economic_operator) or (customs) or (courier)))"
@@ -713,6 +716,173 @@ class TestParseWithoutShareObjects:
         assert "wrapped_shares" not in parsed.__dict__
         assert parsed.wrapped_shares == ct.wrapped_shares
         assert parsed == ct and replace(parsed) == ct
+
+
+def sixteen_byte_nonce(ms, ct: abe.SliceCiphertext, position: int) -> abe.SliceCiphertext:
+    """``ct`` with the share at ``position`` wrapped again under a 16-byte
+    nonce and the payload sealed again under the new header: a valid slice
+    whose field lengths are not the canonical ones."""
+    tree = compile_policy(parse_policy(ct.policy_text))
+    shares = list(ct.wrapped_shares)
+    values = {}
+    for i, ws in enumerate(shares):
+        aead = AESGCM(abe.attribute_wrap_key(ms, ws.attribute))
+        aad = ws.leaf_index.to_bytes(4, "big") + ws.attribute.encode()
+        raw = aead.decrypt(ws.nonce, ws.wrapped, aad)
+        values[ws.leaf_index] = decode_field(raw)
+        if i == position:
+            nonce = ws.nonce + bytes(4)
+            shares[i] = ws._replace(nonce=nonce, wrapped=aead.encrypt(nonce, raw, aad))
+    payload_key = hkdf_sha256(encode_field(reconstruct_tree(tree, values)), b"cake/payload-key")
+    plaintext = AESGCM(payload_key).decrypt(ct.payload_nonce, ct.payload, abe.header_hash(ct))
+    resealed = replace(ct, wrapped_shares=tuple(shares))
+    return replace(resealed, payload=AESGCM(payload_key).encrypt(
+        ct.payload_nonce, plaintext, abe.header_hash(resealed)))
+
+
+class TestHeaderSkeleton:
+    """A header that is its policy's canonical header, outside its nonces and
+    sealed shares, takes its layout from the memo entry; every other header
+    is walked, with the outcomes of the eager reference."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(asts)
+    def test_honest_headers_take_the_fast_path(self, ast):
+        ms = abe.setup(random.Random(40))
+        rng = random.Random(41)
+        ct = abe.encrypt_slice(ms, render_policy(ast), rng.randbytes(8), rng)
+        data = abe.serialize_slice(ct)
+        matched = abe._match_skeleton(data, 0, len(data))
+        assert matched is not None
+        assert matched == abe._walk_header(data, 0, len(data))
+        assert matched[1] is abe._compiled_header(ct.policy_text).layout
+        # inside a container, at an offset
+        container = abe.CiphertextContainer(bytes(16), (("first", ct), ("second", ct)))
+        parsed = abe.parse_container(abe.serialize_container(container))
+        for _, got in parsed.slices:
+            assert got._layout is matched[1]
+            assert got == ct
+
+    def test_other_field_lengths_fall_back_to_the_walk(self, ms):
+        rng = random.Random(42)
+        policies = ["tenant_acme", "(a or b)", serve_shaped_policy(random.Random(43), 16)]
+        keys = [make_key(ms, {"tenant_acme", "audit", "a"}), make_key(ms, {"b"}),
+                make_key(ms, {"tenant_acme", *SERVE_ROLES})]
+        for policy in policies:
+            ct = abe.encrypt_slice(ms, policy, b"sixteen", rng)
+            count = len(ct.wrapped_shares)
+            for position in sorted({0, count // 2, count - 1}):
+                shares = list(ct.wrapped_shares)
+                shares[position] = shares[position]._replace(
+                    wrapped=shares[position].wrapped + b"\0")
+                valid = sixteen_byte_nonce(ms, ct, position)
+                for odd in (valid, replace(ct, wrapped_shares=tuple(shares))):
+                    data = abe.serialize_slice(odd)
+                    assert abe._match_skeleton(data, 0, len(data)) is None
+                    parsed = parse_slice(data)
+                    assert parsed._layout == abe._walk_header(data, 0, len(data))[1]
+                    blob = abe.serialize_container(
+                        abe.CiphertextContainer(bytes(16), (("odd", odd),)))
+                    got = outcomes(abe.parse_container, abe.decrypt_slice, blob, keys)
+                    assert got == outcomes(reference_parse_container,
+                                           reference_decrypt_slice, blob, keys)
+                    if odd is valid:
+                        assert ("odd", b"sixteen") in got[0]
+
+    def test_a_header_past_the_end_is_not_matched(self, ms):
+        ct = abe.encrypt_slice(ms, "(a or (b and c))", b"m", random.Random(44))
+        data = abe.serialize_slice(ct) + bytes(64)
+        header_end = len(ct.header)
+        assert abe._match_skeleton(data, 0, header_end) is not None
+        for end in (header_end - 1, header_end - abe.NONCE_BYTES):
+            assert abe._match_skeleton(data, 0, end) is None
+            with pytest.raises(CodecError):
+                abe._parse_slice(data, 0, end)
+
+    def test_a_bad_policy_header_is_walked_and_fails_its_reads(self, ms):
+        ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(45))
+        for text in ("(a or", "a or b", "(b or a)"):
+            data = abe.serialize_slice(replace(ct, policy_text=text))
+            assert abe._match_skeleton(data, 0, len(data)) is None
+            parsed = parse_slice(data)
+            assert parsed._layout == abe._walk_header(data, 0, len(data))[1]
+            with pytest.raises(abe.IntegrityFailure):
+                abe.decrypt_slice(make_key(ms, {"a", "b"}), parsed)
+
+
+class TestSatisfiabilityMemo:
+    def test_memoized_choice_is_min_satisfying_leaves(self):
+        rng = random.Random(46)
+        for _ in range(40):
+            ast = random_policy(rng, ATTRIBUTE_POOL, depth=3)
+            tree = compile_policy(ast)
+            compiled = abe._compiled_header(render_policy(ast))
+            compiled.choices.clear()
+            for _ in range(12):
+                attrs = set(rng.sample(ATTRIBUTE_POOL + ["x7", "y8"], rng.randint(0, 8)))
+                want = tuple(min_satisfying_leaves(tree, attrs) or ())
+                for _ in range(2):  # computed, then read from the memo
+                    assert abe._choose(compiled, dict.fromkeys(attrs)) == want
+
+    def test_keys_with_different_policy_attributes_get_different_answers(self, ms):
+        ct = abe.encrypt_slice(ms, "(a or (b and c))", b"m", random.Random(47))
+        compiled = abe._compiled_header(ct.policy_text)
+        compiled.choices.clear()
+        assert abe._choose(compiled, {"z": b""}) == ()
+        assert abe._choose(compiled, {"a": b""}) == (1,)
+        assert abe._choose(compiled, {"b": b"", "c": b""}) == (2, 3)
+        assert abe._choose(compiled, {"b": b""}) == ()
+        # attributes outside the policy do not make a new pattern
+        assert abe._choose(compiled, {"a": b"", "z": b""}) == (1,)
+        assert len(compiled.choices) == 4
+        for attrs, outcome in (({"z"}, None), ({"b", "c"}, b"m"), ({"a"}, b"m"),
+                               ({"b"}, None)):
+            key = make_key(ms, attrs)
+            if outcome is None:
+                with pytest.raises(abe.PolicyNotSatisfied):
+                    abe.decrypt_slice(key, ct)
+            else:
+                assert abe.decrypt_slice(key, ct) == outcome
+
+    # 7 attributes, 128 patterns of held attributes: twice the memo's bound
+    NAMES = [f"r{i}" for i in range(7)]
+    POLICY = "(" + " or ".join(f"(r0 and {name})" for name in NAMES[1:]) + ")"
+
+    def answers(self):
+        tree = compile_policy(parse_policy(self.POLICY))
+        return {subset: tuple(min_satisfying_leaves(tree, subset) or ())
+                for subset in attribute_subsets(frozenset(self.NAMES))}
+
+    def test_memo_per_entry_is_bounded(self):
+        compiled = abe._compiled_header(render_policy(parse_policy(self.POLICY)))
+        for subset, want in self.answers().items():
+            assert abe._choose(compiled, dict.fromkeys(subset)) == want
+            assert len(compiled.choices) <= abe._CHOICE_MEMO_SIZE
+
+    def test_concurrent_readers_get_right_answers_from_a_bounded_memo(self):
+        compiled = abe._compiled_header(render_policy(parse_policy(self.POLICY)))
+        answers = list(self.answers().items())
+        wrong, sizes = [], []
+
+        def reader(offset):
+            for subset, want in answers[offset:] + answers[:offset]:
+                if abe._choose(compiled, dict.fromkeys(subset)) != want:
+                    wrong.append(subset)
+                sizes.append(len(compiled.choices))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(37 * i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(sizes) == 4 * len(answers) and max(sizes) <= abe._CHOICE_MEMO_SIZE
 
 
 class TestMessageIds:

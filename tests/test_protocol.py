@@ -342,6 +342,39 @@ class TestDeadlines:
             assert deployment.chain.message_get(message_id)
 
 
+class TestSessionCap:
+    def test_a_session_past_the_cap_is_refused_until_one_ends(self, deployment, client,
+                                                              monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_SESSIONS", 2)
+        before = set(threading.enumerate())
+        server, thread, finished = serving(deployment.sdm)
+
+        def connect():
+            return protocol.ServiceClient(client, deployment.sdm.public(),
+                                          protocol.connect_tcp(*server.server_address),
+                                          random.Random(6))
+
+        try:
+            first, second = connect(), connect()
+            try:
+                with pytest.raises(protocol.TransportClosed):
+                    connect()
+                first.store([("doc", "a", b"still served")])
+                first.close()
+                wait_finished(finished, 1)
+                with connect() as third:
+                    third.store([("doc", "a", b"a freed slot")])
+                second.store([("doc", "a", b"still served")])
+            finally:
+                first.close()
+                second.close()
+            wait_finished(finished, 3)
+        finally:
+            stop(server, thread)
+        assert deployment.chain.height == 3
+        assert set(threading.enumerate()) <= before
+
+
 class TestRefusedClient:
     def test_unregistered_tcp_client_closes_its_socket(self, deployment):
         stranger = protocol.Identity.generate(random.Random(5))  # never registered

@@ -29,28 +29,29 @@ Keys:
 The payload AEAD binds the slice header (policy text plus wrapped shares):
 its associated data is the SHA-256 of the canonical slice serialization with
 the payload fields emptied, so any header mutation fails authentication
-rather than decrypting to garbage. Encryption walks the tree's leaves once,
-wrapping each share; one encoder, :func:`_encode_header`, writes the header
-of every slice, encrypted or built by ``dataclasses.replace``. Each parsed
-or encrypted slice keeps its header bytes (:attr:`SliceCiphertext.header`),
-the ones parsing read or encryption encoded, so a read hashes them as they
-are and a store writes them out without encoding the shares again.
+rather than decrypting to garbage.
+
+A slice is its bytes. :class:`SliceCiphertext` holds the header bytes, the
+payload nonce and the sealed payload, and the header is the only form its
+shares take: nothing builds a per-share object. Two places build a slice.
+:func:`encrypt_slice` walks the tree's leaves once, wrapping each share, and
+one encoder, :func:`_encode_header`, writes the header and records where
+each share's nonce field starts. :func:`_parse_slice` keeps the header bytes
+it read. A header that is its policy's canonical header outside its nonces
+and sealed shares, which one struct unpack and one comparison with the
+memoized skeleton decide (:func:`_match_skeleton`), takes the memoized
+layout. Any other header (a policy text that is not canonical, other bytes,
+other field lengths) is walked (:func:`_walk_header`), which records its
+share layout, each share's (leaf index, attribute), and where each share's
+nonce field starts in the header, and raises what it raises; both give the
+same result for the same bytes. A read hashes the header as it is, a store
+writes it out as it is, and decryption compares the layout with the
+memoized one and reads the nonce and sealed share of a chosen leaf from the
+header bytes at its offset.
 
 Containers are parsed in one pass that reads each length in place and
 checks it before taking its field, and checks that each string field is
-UTF-8. Parsing builds no per-share object. A slice header that is its
-policy's canonical header outside its nonces and sealed shares, which one
-struct unpack and one comparison with the memoized skeleton decide
-(:func:`_match_skeleton`), takes the memoized layout. Any other header (a
-policy text that is not canonical, other bytes, other field lengths) is
-walked (:func:`_walk_header`), which records its share layout, each
-share's (leaf index, attribute), and where each share's nonce field starts
-in the header, and raises what it raises; both give the same result for
-the same bytes. Decryption compares the layout with the memoized one and
-reads the nonce and sealed share of a chosen leaf from the header bytes at
-its offset. The :class:`WrappedShare` tuples of a parsed slice are built
-from its header only when something reads
-:attr:`SliceCiphertext.wrapped_shares`.
+UTF-8.
 
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
@@ -68,7 +69,7 @@ import random
 import struct
 import threading
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
@@ -144,13 +145,6 @@ class UserKey:
         return frozenset(self.attribute_keys)
 
 
-class WrappedShare(NamedTuple):
-    leaf_index: int
-    attribute: str
-    nonce: bytes
-    wrapped: bytes  # AES-GCM sealed 32-byte share
-
-
 class _Layout(NamedTuple):
     shares: tuple[tuple[int, str], ...]  # (leaf index, attribute) of each share
     nonces_at: Sequence[int]  # where each share's nonce field starts in the header
@@ -158,50 +152,22 @@ class _Layout(NamedTuple):
 
 @dataclass(frozen=True)
 class SliceCiphertext:
-    """One encrypted slice.
+    """One encrypted slice: its header bytes, in the one encoding
+    :func:`_encode_header` writes, then its payload nonce and sealed payload.
 
-    A parsed slice keeps the header bytes it was read from and the layout
-    that parsing took from the memo or the walk recorded, and builds no
-    :class:`WrappedShare`: :attr:`wrapped_shares` is built from the header
-    the first time something reads it (equality, ``repr``,
-    ``dataclasses.replace``), and :func:`decrypt_slice` never does. A slice
-    built by its constructor, as :func:`encrypt_slice` and
-    ``dataclasses.replace`` build them, gets its header from its fields and
-    its layout from the walk over that header.
+    ``layout`` is each share's (leaf index, attribute) and where its nonce
+    field starts in ``header``, as the encoder wrote them or the parse read
+    them; it follows from ``header``, so equality and ``repr`` leave it out.
     """
-    policy_text: str  # canonical rendering
-    wrapped_shares: tuple[WrappedShare, ...]
+    header: bytes
     payload_nonce: bytes
     payload: bytes
+    layout: _Layout = field(compare=False, repr=False)
 
-    @functools.cached_property
-    def header(self) -> bytes:
-        """The canonical bytes of the policy text and the wrapped shares: the
-        slice's serialization up to its payload fields.
-
-        Parsing and encryption seed it with the bytes they already hold;
-        ``dataclasses.replace`` builds a new object, which encodes its own.
-        """
-        return _encode_header(self.policy_text, self.wrapped_shares)
-
-    @functools.cached_property
-    def _layout(self) -> _Layout:
-        """Each share's (leaf index, attribute), and where its nonce field
-        starts in :attr:`header`; parsing seeds it from its own walk."""
-        header = self.header
-        return _walk_header(header, 0, len(header))[1]
-
-    def __getattr__(self, name: str):
-        # Reached only for a field that is not in the instance dictionary,
-        # which is ``wrapped_shares`` of a parsed slice until first read.
-        if name != "wrapped_shares":
-            raise AttributeError(name)
-        header = self.header
-        shares, nonces_at = self._layout
-        built = tuple(WrappedShare(leaf_index, attribute, *_share_fields(header, at))
-                      for (leaf_index, attribute), at in zip(shares, nonces_at))
-        self.__dict__["wrapped_shares"] = built
-        return built
+    @property
+    def policy_text(self) -> str:
+        """The canonical rendering of the slice's policy, as its header holds it."""
+        return self.header[4:4 + _u32_at(self.header, 0)[0]].decode()
 
 
 @dataclass(frozen=True)
@@ -298,10 +264,10 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     """Encrypt one slice under an access policy.
 
     The policy is stored in its canonical rendering; the compiled tree's
-    leaves determine the wrapped-share list. One walk over the leaves wraps
-    each share, and :func:`_encode_header` encodes the header once. Raises
-    :class:`policy.PolicySyntaxError` / :class:`policy.InvalidAttributeError`
-    for bad policy text.
+    leaves determine the wrapped shares. One walk over the leaves wraps
+    each share, and :func:`_encode_header` encodes the header and its layout
+    once. Raises :class:`policy.PolicySyntaxError` /
+    :class:`policy.InvalidAttributeError` for bad policy text.
     """
     rng = _rng_or_system(rng)
     ast = policy_mod.parse_policy(policy)
@@ -323,29 +289,27 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
         sealed = _wrap_cipher(ms, leaf.attribute).encrypt(
             nonce, leaf_values[index].to_bytes(sss.FIELD_BYTES, "little"),
             _share_aad(index, leaf.attribute))
-        shares.append(WrappedShare(index, leaf.attribute, nonce, sealed))
+        shares.append((index, leaf.attribute, nonce, sealed))
 
-    wrapped_shares = tuple(shares)
-    header = _encode_header(canonical, wrapped_shares)
+    header, layout = _encode_header(canonical, shares)
     payload_nonce = nonces[-NONCE_BYTES:]
     payload = AESGCM(_payload_key(data_key)).encrypt(
         payload_nonce, plaintext, _header_digest(header))
-    ct = SliceCiphertext(canonical, wrapped_shares, payload_nonce, payload)
-    ct.__dict__["header"] = header  # the bytes its fields encode to
-    return ct
+    return SliceCiphertext(header, payload_nonce, payload, layout)
 
 
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     """Recover the slice plaintext, or explain why not.
 
-    The slice's share layout, each share's (leaf index, attribute), is
-    compared with the one its policy's compiled tree gives, in one
+    Everything is read from the slice's bytes. Its share layout, each
+    share's (leaf index, attribute) as the encoder wrote or the parse read
+    it, is compared with the one its policy's compiled tree gives, in one
     comparison. The key's attribute names alone then decide satisfiability:
     a minimal satisfying leaf set is chosen
     (:func:`policy.min_satisfying_leaves`, memoized per policy by
     :func:`_choose`), and only the nonces and sealed shares of that set are
-    read from :attr:`SliceCiphertext.header` and opened. No
-    :class:`WrappedShare` is built.
+    read from :attr:`SliceCiphertext.header`, at the layout's offsets, and
+    opened.
 
     Raises :class:`IntegrityFailure` when the policy header does not parse,
     is not canonical, or its share layout does not mirror its tree (checked
@@ -356,7 +320,7 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     not, fails the payload AEAD, which binds the whole header.
     """
     compiled = _compiled_header(ct.policy_text)
-    layout = ct._layout
+    layout = ct.layout
     leaves = compiled.layout.shares
     if layout.shares != leaves:
         raise IntegrityFailure("wrapped shares do not match the policy tree")
@@ -428,10 +392,10 @@ def _compiled_header(policy_text: str) -> _CompiledHeader:
     counted from 1 in leaf-index order), the skeleton of the policy's
     canonical header, and an empty satisfiability memo.
 
-    The skeleton comes from the one encoder and the one walker: the header
-    of placeholder shares with honest field lengths is encoded, the walk
-    over it gives the nonce offsets, and each nonce and sealed share is a
-    hole. :func:`_match_skeleton` checks a parsed header against it.
+    The skeleton comes from the one encoder: it encodes the header of
+    placeholder shares with honest field lengths and gives the nonce
+    offsets it wrote, and each nonce and sealed share is a hole.
+    :func:`_match_skeleton` checks a parsed header against it.
 
     Raises :class:`IntegrityFailure` for text that does not parse or is not
     canonical; ``lru_cache`` keeps no entry for a call that raises, so such
@@ -445,10 +409,9 @@ def _compiled_header(policy_text: str) -> _CompiledHeader:
         raise IntegrityFailure("policy header is not in canonical form")
     tree = policy_mod.compile_policy(ast)
     names = [leaf.attribute for leaf in policy_mod.tree_leaves(tree)]
-    shares = tuple(enumerate(names, start=1))
     nonce, sealed = bytes(NONCE_BYTES), bytes(_SEALED_SHARE_BYTES)
-    header = _encode_header(policy_text, [(index, name, nonce, sealed) for index, name in shares])
-    nonces_at = _walk_header(header, 0, len(header))[1].nonces_at
+    header, (shares, nonces_at) = _encode_header(
+        policy_text, [(index, name, nonce, sealed) for index, name in enumerate(names, start=1)])
     # Each share from its nonce field on: the nonce's length, the nonce (a
     # hole), the sealed share's length, the sealed share (a hole). Before
     # each, a run from where the last share (or the policy text) ended.
@@ -543,16 +506,25 @@ def decrypt_container(uk: UserKey,
 _EMPTY_PAYLOAD_FIELDS = bytes(8)
 
 
-def _encode_header(policy_text: str, wrapped_shares: Sequence[WrappedShare]) -> bytes:
-    """The canonical bytes of a slice's policy text and wrapped shares, each
-    variable-length field prefixed with its own length."""
+def _encode_header(policy_text: str, shares: Sequence[tuple[int, str, bytes, bytes]]
+                   ) -> tuple[bytes, _Layout]:
+    """The canonical bytes of a slice's policy text and its shares, given as
+    (leaf index, attribute, nonce, sealed share), each variable-length field
+    prefixed with its own length; and their layout, with the offset of each
+    nonce field it wrote."""
     policy_bytes = policy_text.encode()
-    fields = [_u32(len(policy_bytes)), policy_bytes, _u32(len(wrapped_shares))]
-    for leaf_index, attribute, nonce, wrapped in wrapped_shares:
+    fields = [_u32(len(policy_bytes)), policy_bytes, _u32(len(shares))]
+    at = len(policy_bytes) + 8
+    nonces_at = array("Q")
+    for leaf_index, attribute, nonce, sealed in shares:
         name = attribute.encode()
+        at += 8 + len(name)
+        nonces_at.append(at)
+        at += 8 + len(nonce) + len(sealed)
         fields += (_u32(leaf_index), _u32(len(name)), name, _u32(len(nonce)), nonce,
-                   _u32(len(wrapped)), wrapped)
-    return b"".join(fields)
+                   _u32(len(sealed)), sealed)
+    layout = _Layout(tuple((share[0], share[1]) for share in shares), nonces_at)
+    return b"".join(fields), layout
 
 
 def _header_digest(header: bytes) -> bytes:
@@ -630,7 +602,7 @@ def _walk_header(data: bytes, pos: int, end: int) -> tuple[str, _Layout, int]:
 
 def _share_fields(header: bytes, at: int) -> tuple[bytes, bytes]:
     """The nonce and the sealed share of the share whose nonce field starts
-    at ``header[at]``; :func:`_walk_header` has checked both fields."""
+    at ``header[at]``; the encoder wrote both fields, or the parse checked them."""
     nonce_end = at + 4 + _u32_at(header, at)[0]
     wrapped_at = nonce_end + 4
     wrapped_end = wrapped_at + _u32_at(header, nonce_end)[0]
@@ -670,7 +642,7 @@ def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
     policy's skeleton (:func:`_match_skeleton`), else the one the walk over
     the header records. Reads fields as :func:`_walk_header` does."""
     start = pos
-    policy_text, layout, pos = _match_skeleton(data, pos, end) or _walk_header(data, pos, end)
+    _, layout, pos = _match_skeleton(data, pos, end) or _walk_header(data, pos, end)
     header_end = pos
     nonce_at = pos + 4
     nonce_end = nonce_at + int.from_bytes(data[pos:nonce_at], "big")
@@ -680,13 +652,8 @@ def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
         raise CodecError(_TRUNCATED)
     if pos != end:
         raise CodecError(f"{end - pos} trailing bytes after last field")
-    # The dataclass constructor would need the wrapped shares; a parsed slice
-    # builds them from its header only when they are read.
-    ct = object.__new__(SliceCiphertext)
-    ct.__dict__.update(policy_text=policy_text, payload_nonce=data[nonce_at:nonce_end],
-                       payload=data[payload_at:pos], header=data[start:header_end],
-                       _layout=layout)
-    return ct
+    return SliceCiphertext(data[start:header_end], data[nonce_at:nonce_end],
+                           data[payload_at:pos], layout)
 
 
 def serialize_container(container: CiphertextContainer) -> bytes:

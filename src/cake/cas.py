@@ -144,6 +144,26 @@ def parse_locator(text: str) -> Locator:
     return Locator(raw[len(MULTIHASH_PREFIX):])
 
 
+def append_at(fd: int, end: int, buffers: list[bytes]) -> int:
+    """Write ``buffers`` at ``end``, the end of a log file's whole frames, in
+    one ``pwritev``, and return the new end.
+
+    A write that fails or comes up short is cut back to ``end`` and raises
+    :class:`StorageFailure`, so the file keeps its whole frames and the next
+    append starts at ``end`` again. The chain file and the blob pack both
+    append through it.
+    """
+    try:
+        written = os.pwritev(fd, buffers, end)
+        if written != sum(map(len, buffers)):
+            raise OSError(f"short write of {written} bytes")
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, end)
+        raise StorageFailure(f"cannot append at offset {end}: {exc}") from exc
+    return end + written
+
+
 class BlobStore:
     """put/get over some backing storage keyed by content digest."""
 
@@ -203,7 +223,8 @@ class DirectoryBlobStore(BlobStore):
     pack is not written twice. A frame cut short by a crash (the last one)
     is not indexed, and the next put truncates it before appending; an
     append that fails is truncated away before :class:`StorageFailure` is
-    raised. As with the chain file, the append does not ``fsync``.
+    raised (:func:`append_at`). As with the chain file, the append does not
+    ``fsync``.
 
     A get reads the body with ``pread``, and :meth:`BlobStore.get` re-hashes
     it. Descriptors are opened per call and closed before it returns.
@@ -252,17 +273,9 @@ class DirectoryBlobStore(BlobStore):
                 _log.warning("%s: truncating a torn %d-byte tail", self.path,
                              size - end)
                 os.ftruncate(fd, end)
-            header = _FRAME_HEADER.pack(len(data), loc.digest)
-            try:
-                written = os.pwritev(fd, [header, data], end)
-                if written != len(header) + len(data):
-                    raise OSError(f"short write of {written} bytes")
-            except OSError:
-                with contextlib.suppress(OSError):
-                    os.ftruncate(fd, end)
-                raise
-            self._index[loc.digest] = (end + len(header)) << 32 | len(data)
-            self._indexed_end = end + len(header) + len(data)
+            self._indexed_end = append_at(
+                fd, end, [_FRAME_HEADER.pack(len(data), loc.digest), data])
+            self._index[loc.digest] = (end + _FRAME_HEADER.size) << 32 | len(data)
         except OSError as exc:
             raise StorageFailure(f"cannot persist blob: {exc}") from exc
         finally:

@@ -26,7 +26,11 @@ The chain file ``chain.bin`` has one writer at a time. :meth:`Home.open`
 sets the chain's ``on_seal`` hook, so each block is appended to the file,
 in one ``write``, as it is sealed and before its receipt is returned. A
 blob is appended to the pack before the transaction that names it is
-submitted, so no block names a blob written after it. Like the pack
+submitted, so no block names a blob written after it. Both files append
+through :func:`cas.append_at`: a write that fails or comes up short is cut
+back to the file's last whole frame, and the store or certification whose
+seal wrote it fails with :class:`cas.StorageFailure` (exit 72). Its block
+stays sealed in memory and is written by the next seal. Like the pack
 append, the chain append does not ``fsync``: a sealed block outlives the
 process that sealed it, not a crash of the machine. A file whose last block
 was cut short keeps its whole blocks; the torn tail is logged, dropped from
@@ -201,7 +205,10 @@ class Home:
         Without the lock of :meth:`lock_chain`, the file is locked around
         this append alone. Raises :class:`ChainConflict`, and writes
         nothing, when another process holds the lock or the file's size is
-        not the one this process last saw.
+        not the one this process last saw; raises :class:`cas.StorageFailure`,
+        and leaves the file at its last whole block, when the write fails.
+        The blocks stay sealed in memory either way; after a failed write,
+        the next call writes them.
         """
         blocks = chain.blocks[self._saved_height:]
         if not blocks:
@@ -218,15 +225,16 @@ class Home:
 
     def _append(self, fh: io.FileIO, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, the end of the file's whole blocks,
-        cutting off a torn tail first."""
+        cutting off a torn tail first; a write that fails is cut back to
+        ``offset`` and raises :class:`cas.StorageFailure`."""
         size = os.fstat(fh.fileno()).st_size
         if size != self._chain_file_size:
             raise ChainConflict(f"{self.chain_file} changed since it was read "
                                 f"({self._chain_file_size} -> {size} bytes)")
         if size != offset:
             os.ftruncate(fh.fileno(), offset)
-        os.pwrite(fh.fileno(), data, offset)
-        self._chain_file_size = offset + len(data)
+            self._chain_file_size = offset
+        self._chain_file_size = cas.append_at(fh.fileno(), offset, [data])
 
     def lock_chain(self) -> None:
         """Hold the chain file open and exclusively locked until

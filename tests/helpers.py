@@ -7,10 +7,12 @@ import hmac
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import sympy
 
 from cake import abe
+from cake.codec import Reader, Writer
 from cake.policy import (
     ATTRIBUTE_RE,
     AccessTree,
@@ -47,6 +49,70 @@ def or_of(children: list[PolicyAst] | tuple[PolicyAst, ...]) -> PolicyAst:
 def parse_slice(data: bytes) -> abe.SliceCiphertext:
     """The one slice encoded in all of ``data``."""
     return abe._parse_slice(data, 0, len(data))
+
+
+# A slice's fields decoded one by one, and encoded again, with ``codec``'s
+# ``Reader`` and ``Writer``: the reference for ``abe``'s header encoder and
+# parse, and the way a test builds the bytes an attacker would send.
+class WrappedShare(NamedTuple):
+    leaf_index: int
+    attribute: str
+    nonce: bytes
+    wrapped: bytes  # AES-GCM sealed 32-byte share
+
+
+class SliceFields(NamedTuple):
+    policy_text: str
+    shares: tuple[WrappedShare, ...]
+    payload_nonce: bytes
+    payload: bytes
+
+
+def take_slice_fields(r: Reader) -> SliceFields:
+    """The fields of the one slice that fills the rest of ``r``."""
+    policy_text = r.take_str()
+    shares = tuple(WrappedShare(r.take_u32(), r.take_str(), r.take_bytes(), r.take_bytes())
+                   for _ in range(r.take_u32()))
+    fields = SliceFields(policy_text, shares, r.take_bytes(), r.take_bytes())
+    r.expect_end()
+    return fields
+
+
+def slice_fields(ct: abe.SliceCiphertext) -> SliceFields:
+    """The decoded fields of a slice."""
+    return take_slice_fields(Reader(abe.serialize_slice(ct)))
+
+
+def encode_header(policy_text: str, shares) -> bytes:
+    """The header of a slice with these fields: its serialization up to the
+    payload fields."""
+    w = Writer()
+    w.put_str(policy_text)
+    w.put_u32(len(shares))
+    for leaf_index, attribute, nonce, wrapped in shares:
+        w.put_u32(leaf_index)
+        w.put_str(attribute)
+        w.put_bytes(nonce)
+        w.put_bytes(wrapped)
+    return w.getvalue()
+
+
+def encode_slice(fields: SliceFields) -> bytes:
+    w = Writer()
+    w.put_raw(encode_header(fields.policy_text, fields.shares))
+    w.put_bytes(fields.payload_nonce)
+    w.put_bytes(fields.payload)
+    return w.getvalue()
+
+
+def build_slice(fields: SliceFields) -> abe.SliceCiphertext:
+    """The slice with these fields, built as a stored one is: from its bytes."""
+    return parse_slice(encode_slice(fields))
+
+
+def reslice(ct: abe.SliceCiphertext, **changes) -> abe.SliceCiphertext:
+    """``ct`` with the named :class:`SliceFields` changed, encoded and parsed."""
+    return build_slice(slice_fields(ct)._replace(**changes))
 
 
 def random_policy(rng: random.Random, attrs: list[str], depth: int = 4,

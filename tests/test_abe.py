@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import random
@@ -28,12 +29,20 @@ from cake.sss import FieldDecodeError, decode_field, encode_field, reconstruct_t
 from helpers import (
     ATTRIBUTE_POOL,
     SERVE_ROLES,
+    SliceFields,
+    WrappedShare,
     attribute_subsets,
+    build_slice,
+    encode_header,
+    encode_slice,
     hkdf_sha256,
     min_satisfying_size,
     parse_slice,
     random_policy,
+    reslice,
     serve_shaped_policy,
+    slice_fields,
+    take_slice_fields,
 )
 from test_policy import asts
 
@@ -54,13 +63,14 @@ KDF_VECTORS = [
 
 
 # Containers with arbitrary field values: parsing checks the encoding only,
-# never that a policy parses or a share opens.
+# never that a policy parses or a share opens. Each slice is encoded by the
+# helpers' encoder and parsed.
 texts = st.text(max_size=12)
-wrapped_shares = st.builds(abe.WrappedShare, st.integers(0, 2**32 - 1), texts,
+wrapped_shares = st.builds(WrappedShare, st.integers(0, 2**32 - 1), texts,
                            st.binary(max_size=16), st.binary(max_size=64))
 slice_ciphertexts = st.builds(
-    abe.SliceCiphertext, texts, st.lists(wrapped_shares, max_size=5).map(tuple),
-    st.binary(max_size=16), st.binary(max_size=64))
+    SliceFields, texts, st.lists(wrapped_shares, max_size=5).map(tuple),
+    st.binary(max_size=16), st.binary(max_size=64)).map(build_slice)
 containers = st.builds(
     abe.CiphertextContainer, st.binary(min_size=16, max_size=16),
     st.lists(st.tuples(texts, slice_ciphertexts), min_size=1, max_size=4,
@@ -71,7 +81,7 @@ def make_key(ms, attrs, holder=HOLDER):
     return abe.keygen(ms, holder, frozenset(attrs), issued_at=0)
 
 
-def flip_last_byte(ws: abe.WrappedShare) -> abe.WrappedShare:
+def flip_last_byte(ws: WrappedShare) -> WrappedShare:
     return ws._replace(wrapped=ws.wrapped[:-1] + bytes([ws.wrapped[-1] ^ 1]))
 
 
@@ -261,7 +271,7 @@ class TestSliceRoundtrip:
 
         rng = CountingRandom(11)
         ct = abe.encrypt_slice(ms, TRANSPORT_DOCUMENT, b"payload", rng)
-        nonces = [ws.nonce for ws in ct.wrapped_shares] + [ct.payload_nonce]
+        nonces = [ws.nonce for ws in slice_fields(ct).shares] + [ct.payload_nonce]
         assert rng.draws == [abe.NONCE_BYTES * len(nonces)]
         assert all(len(n) == abe.NONCE_BYTES for n in nonces)
         assert len(set(nonces)) == len(nonces)
@@ -285,22 +295,22 @@ class TestIntegrity:
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(12))
         key = make_key(ms, {"a", "b"})
         # same leaves, different gate: shares still reconstruct, header fails
-        mutated = replace(ct, policy_text="(a and b)")
+        mutated = reslice(ct, policy_text="(a and b)")
         with pytest.raises(abe.IntegrityFailure):
             abe.decrypt_slice(key, mutated)
         with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, replace(ct, policy_text="(a or (b or b))"))
+            abe.decrypt_slice(key, reslice(ct, policy_text="(a or (b or b))"))
         with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, replace(ct, policy_text="a or b"))  # non-canonical
+            abe.decrypt_slice(key, reslice(ct, policy_text="a or b"))  # non-canonical
 
     def test_wrapped_share_mutation_detected(self, ms):
         ct = abe.encrypt_slice(ms, "(a and b)", b"m", random.Random(13))
         key = make_key(ms, {"a", "b"})
-        first, second = ct.wrapped_shares
+        first, second = slice_fields(ct).shares
         broken = first._replace(wrapped=bytes(first.wrapped[:-1])
                                 + bytes([first.wrapped[-1] ^ 1]))
         with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, replace(ct, wrapped_shares=(broken, second)))
+            abe.decrypt_slice(key, reslice(ct, shares=(broken, second)))
 
     def test_every_serialized_byte_is_load_bearing(self, ms):
         # no single-byte corruption may ever yield wrong plaintext silently
@@ -323,7 +333,7 @@ class TestIntegrity:
         rng = random.Random(15)
         one = abe.encrypt_slice(ms, "a", b"one", rng)
         two = abe.encrypt_slice(ms, "a", b"two", rng)
-        franken = replace(one, wrapped_shares=two.wrapped_shares)
+        franken = reslice(one, shares=slice_fields(two).shares)
         with pytest.raises(abe.IntegrityFailure):
             abe.decrypt_slice(make_key(ms, {"a"}), franken)
 
@@ -358,39 +368,43 @@ class TestMinimalUnwrap:
     def test_tampered_share_held_but_not_opened_detected(self, ms, aead_opens):
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(31))
         key = make_key(ms, {"a", "b"})
-        first, second = ct.wrapped_shares
+        first, second = slice_fields(ct).shares
         with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, replace(ct, wrapped_shares=(first, flip_last_byte(second))))
+            abe.decrypt_slice(key, reslice(ct, shares=(first, flip_last_byte(second))))
         # only share 1 and the payload were opened; the payload AEAD caught it
         assert len(aead_opens) == 2
 
     def test_unsatisfying_key_with_tampered_share_is_not_satisfied(self, ms):
         # such a reader could not rebuild the data key either way
         ct = abe.encrypt_slice(ms, "(a and b)", b"m", random.Random(32))
-        first, second = ct.wrapped_shares
+        first, second = slice_fields(ct).shares
         with pytest.raises(abe.PolicyNotSatisfied):
             abe.decrypt_slice(make_key(ms, {"a"}),
-                              replace(ct, wrapped_shares=(flip_last_byte(first), second)))
+                              reslice(ct, shares=(flip_last_byte(first), second)))
 
     def test_bad_header_fails_every_read(self, ms):
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(33))
         key = make_key(ms, {"a", "b"})
         for text in ("(a or", "a or b", "(a or b))"):
+            bad = reslice(ct, policy_text=text)  # its parse misses the memo too
             misses = abe._compiled_header.cache_info().misses
             for _ in range(3):
                 with pytest.raises(abe.IntegrityFailure):
-                    abe.decrypt_slice(key, replace(ct, policy_text=text))
+                    abe.decrypt_slice(key, bad)
             assert abe._compiled_header.cache_info().misses == misses + 3
 
     def test_share_list_checked_on_memo_hit(self, ms):
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(34))
         key = make_key(ms, {"a", "b"})
         assert abe.decrypt_slice(key, ct) == b"m"
+        shares = slice_fields(ct).shares
+        # their parses look the policy up too
+        swapped, cut = reslice(ct, shares=shares[::-1]), reslice(ct, shares=shares[:1])
         hits = abe._compiled_header.cache_info().hits
         with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, replace(ct, wrapped_shares=ct.wrapped_shares[::-1]))
+            abe.decrypt_slice(key, swapped)
         with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, replace(ct, wrapped_shares=ct.wrapped_shares[:1]))
+            abe.decrypt_slice(key, cut)
         assert abe._compiled_header.cache_info().hits == hits + 2
 
     def test_memo_is_bounded(self):
@@ -499,16 +513,14 @@ class TestSerialization:
 
     def test_serve_shaped_slices_are_pinned(self, ms):
         """Twenty 8-32 leaf policies of the data manager's benchmark shape,
-        encrypted in turn with one seeded generator: the bytes, and the
-        header that encryption builds as it wraps, are those of the
-        encoder the header was once built with."""
+        encrypted in turn with one seeded generator: the bytes are those of
+        the encoder the header was once built with."""
         corpus = random.Random("serve-shaped corpus")
         rng = random.Random(7)
         digest = hashlib.sha256()
         for _ in range(20):
             policy = serve_shaped_policy(corpus, corpus.randint(8, 32))
             ct = abe.encrypt_slice(ms, policy, corpus.randbytes(corpus.randint(0, 512)), rng)
-            assert ct.header == replace(ct).header
             digest.update(abe.serialize_slice(ct))
         assert digest.hexdigest() == \
             "fb4e2d9721694b320313319c1225e30a5854dbf4a1d7d8af6342676fcf1a8ead"
@@ -518,9 +530,36 @@ class TestSerialization:
     def test_container_roundtrip_keeps_canonical_headers(self, container):
         parsed = abe.parse_container(abe.serialize_container(container))
         assert parsed == container
-        for _, ct in parsed.slices:
-            # replace() builds a new object, which encodes its header from its fields
-            assert ct.header == replace(ct).header
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(asts)
+    def test_encryption_takes_the_layout_the_walk_reads(self, ast):
+        ms = abe.setup(random.Random(48))
+        ct = abe.encrypt_slice(ms, render_policy(ast), b"", random.Random(49))
+        header = ct.header
+        assert abe._walk_header(header, 0, len(header)) == \
+            (ct.policy_text, ct.layout, len(header))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(texts, st.lists(wrapped_shares, max_size=5))
+    def test_header_encoder_agrees_with_the_reference_and_the_walk(self, policy_text, shares):
+        header, layout = abe._encode_header(policy_text, shares)
+        assert header == encode_header(policy_text, shares)
+        assert abe._walk_header(header, 0, len(header)) == (policy_text, layout, len(header))
+
+    def test_a_slice_is_built_from_its_bytes_only(self, ms):
+        assert [f.name for f in dataclasses.fields(abe.SliceCiphertext)] == \
+            ["header", "payload_nonce", "payload", "layout"]
+        assert not hasattr(abe, "WrappedShare")
+        ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(50))
+        for name, value in (("policy_text", "(a and b)"),
+                            ("wrapped_shares", slice_fields(ct).shares)):
+            with pytest.raises(TypeError):
+                abe.SliceCiphertext(ct.header, ct.payload_nonce, ct.payload, ct.layout,
+                                    **{name: value})
+            with pytest.raises(TypeError):
+                replace(ct, **{name: value})
+        assert ct.policy_text == "(a or b)"
 
     def test_every_strict_prefix_is_a_codec_error(self, ms):
         rng = random.Random(27)
@@ -559,17 +598,23 @@ class TestSerialization:
         assert abe.decrypt_slice(key, ct) == b"m"
         for text in ("(a and b)", "(a or (b or b))", "a or b"):
             with pytest.raises(abe.IntegrityFailure):
-                abe.decrypt_slice(key, replace(ct, policy_text=text))
-        first, second = ct.wrapped_shares
+                abe.decrypt_slice(key, reslice(ct, policy_text=text))
+        first, second = slice_fields(ct).shares
         for shares in ((flip_last_byte(first), second), (first, flip_last_byte(second)),
                        (second, first)):
             with pytest.raises(abe.IntegrityFailure):
-                abe.decrypt_slice(key, replace(ct, wrapped_shares=shares))
+                abe.decrypt_slice(key, reslice(ct, shares=shares))
+
+
+def header_digest(fields: SliceFields) -> bytes:
+    """The SHA-256 of the slice's serialization with the payload fields emptied."""
+    return hashlib.sha256(encode_slice(fields._replace(payload_nonce=b"", payload=b""))).digest()
 
 
 def reference_parse_container(data: bytes) -> abe.CiphertextContainer:
     """``parse_container`` as it was while parsing built every wrapped share:
-    each field taken with ``codec.Reader``, each check made as it is read."""
+    each field taken with ``codec.Reader``, each check made as it is read.
+    Its slices are :class:`SliceFields`."""
     r = Reader(data)
     message_id = r.take_bytes()
     if len(message_id) != abe.MESSAGE_ID_BYTES:
@@ -577,13 +622,7 @@ def reference_parse_container(data: bytes) -> abe.CiphertextContainer:
     slices = []
     for _ in range(r.take_u32()):
         label = r.take_str()
-        s = Reader(r.take_bytes())
-        policy_text = s.take_str()
-        shares = tuple(abe.WrappedShare(s.take_u32(), s.take_str(), s.take_bytes(),
-                                        s.take_bytes()) for _ in range(s.take_u32()))
-        payload_nonce, payload = s.take_bytes(), s.take_bytes()
-        s.expect_end()
-        slices.append((label, abe.SliceCiphertext(policy_text, shares, payload_nonce, payload)))
+        slices.append((label, take_slice_fields(Reader(r.take_bytes()))))
     r.expect_end()
     if not slices:
         raise abe.EmptyContainer("container has no slices")
@@ -604,12 +643,12 @@ def reference_compiled_header(policy_text: str):
     return compile_policy(ast)
 
 
-def reference_decrypt_slice(uk: abe.UserKey, ct: abe.SliceCiphertext) -> bytes:
+def reference_decrypt_slice(uk: abe.UserKey, ct: SliceFields) -> bytes:
     """``decrypt_slice`` as it was while it read the wrapped-share list: the
     header checks, then the list against the tree, then satisfiability, then
     the chosen shares' opens and the payload's."""
     tree = reference_compiled_header(ct.policy_text)
-    if [(ws.leaf_index, ws.attribute) for ws in ct.wrapped_shares] \
+    if [(ws.leaf_index, ws.attribute) for ws in ct.shares] \
             != list(enumerate((leaf.attribute for leaf in tree_leaves(tree)), start=1)):
         raise abe.IntegrityFailure("wrapped shares do not match the policy tree")
     chosen = min_satisfying_leaves(tree, uk.attribute_keys)
@@ -617,7 +656,7 @@ def reference_decrypt_slice(uk: abe.UserKey, ct: abe.SliceCiphertext) -> bytes:
         raise abe.PolicyNotSatisfied("attributes do not satisfy the policy")
     available = {}
     for leaf_index in chosen:
-        ws = ct.wrapped_shares[leaf_index - 1]
+        ws = ct.shares[leaf_index - 1]
         aad = leaf_index.to_bytes(4, "big") + ws.attribute.encode()
         try:
             available[leaf_index] = decode_field(AESGCM(uk.attribute_keys[ws.attribute])
@@ -627,16 +666,15 @@ def reference_decrypt_slice(uk: abe.UserKey, ct: abe.SliceCiphertext) -> bytes:
     payload_key = hkdf_sha256(encode_field(reconstruct_tree(tree, available)),
                               b"cake/payload-key")
     try:
-        # ``ct`` was built by its constructor, so its header is encoded from
-        # its wrapped shares.
-        return AESGCM(payload_key).decrypt(ct.payload_nonce, ct.payload, abe.header_hash(ct))
+        return AESGCM(payload_key).decrypt(ct.payload_nonce, ct.payload, header_digest(ct))
     except InvalidTag as exc:
         raise abe.IntegrityFailure("payload or header authentication failed") from exc
 
 
 def outcomes(parse, decrypt_slice, blob: bytes, keys) -> list:
-    """The parse's exception class, or per key each slice's plaintext, None
-    when the key does not satisfy its policy, or the exception class."""
+    """The parse's exception class; or per key each slice's plaintext, None
+    when the key does not satisfy its policy, or the exception class, and
+    the message id and each slice's label and decoded fields."""
     try:
         container = parse(blob)
     except Exception as exc:
@@ -650,13 +688,29 @@ def outcomes(parse, decrypt_slice, blob: bytes, keys) -> list:
                 results.append((label, None))
             except Exception as exc:
                 results.append(type(exc))
-    return [results, container]
+    decoded = [(label, ct if isinstance(ct, SliceFields) else slice_fields(ct))
+               for label, ct in container.slices]
+    return [results, container.message_id, decoded]
+
+
+# What a slice holds: its bytes and their layout, no share objects.
+SLICE_FIELDS = {"header", "payload_nonce", "payload", "layout"}
+
+
+def parse_holding_bytes_only(data: bytes) -> abe.CiphertextContainer:
+    """``parse_container``, checking that each slice it returns holds only
+    :data:`SLICE_FIELDS`."""
+    container = abe.parse_container(data)
+    for _, ct in container.slices:
+        assert vars(ct).keys() == SLICE_FIELDS
+    return container
 
 
 class TestParseWithoutShareObjects:
     """Parsing keeps each slice's header bytes and share layout; decryption
     opens the chosen shares from those bytes. Both must agree with the
-    parse and decrypt that built every wrapped share, on every input."""
+    parse and decrypt that built every wrapped share, on every input: the
+    outcome for each key, and each slice's decoded fields."""
 
     @pytest.fixture
     def corpus(self, ms):
@@ -687,14 +741,11 @@ class TestParseWithoutShareObjects:
                 flipped[i] ^= 0x01 if i % 2 else 0x80
                 mutants.append((f"byte {i} flipped", bytes(flipped)))
             for what, mutant in mutants:
-                got = outcomes(abe.parse_container, abe.decrypt_slice, mutant, keys)
+                got = outcomes(parse_holding_bytes_only, abe.decrypt_slice, mutant, keys)
                 want = outcomes(reference_parse_container, reference_decrypt_slice,
                                 mutant, keys)
-                assert got[0] == want[0], what
-                if len(got) == 2:
-                    for _, ct in got[1].slices:
-                        assert "wrapped_shares" not in ct.__dict__
-                    assert got[1] == want[1]  # builds the shares from the header
+                assert got[0] == want[0], what  # an AssertionError of the parse shows here
+                assert got[1:] == want[1:], what
 
     def test_decrypt_opens_only_the_chosen_shares_and_builds_none(self, ms, aead_opens):
         policy = serve_shaped_policy(random.Random("opens"), 64)
@@ -713,8 +764,8 @@ class TestParseWithoutShareObjects:
         with pytest.raises(abe.PolicyNotSatisfied):
             abe.decrypt_slice(make_key(ms, {"audit", *SERVE_ROLES}), parsed)
         assert aead_opens == []
-        assert "wrapped_shares" not in parsed.__dict__
-        assert parsed.wrapped_shares == ct.wrapped_shares
+        assert vars(parsed).keys() == SLICE_FIELDS
+        assert slice_fields(parsed) == slice_fields(ct)
         assert parsed == ct and replace(parsed) == ct
 
 
@@ -722,8 +773,9 @@ def sixteen_byte_nonce(ms, ct: abe.SliceCiphertext, position: int) -> abe.SliceC
     """``ct`` with the share at ``position`` wrapped again under a 16-byte
     nonce and the payload sealed again under the new header: a valid slice
     whose field lengths are not the canonical ones."""
-    tree = compile_policy(parse_policy(ct.policy_text))
-    shares = list(ct.wrapped_shares)
+    fields = slice_fields(ct)
+    tree = compile_policy(parse_policy(fields.policy_text))
+    shares = list(fields.shares)
     values = {}
     for i, ws in enumerate(shares):
         aead = AESGCM(abe.attribute_wrap_key(ms, ws.attribute))
@@ -734,10 +786,10 @@ def sixteen_byte_nonce(ms, ct: abe.SliceCiphertext, position: int) -> abe.SliceC
             nonce = ws.nonce + bytes(4)
             shares[i] = ws._replace(nonce=nonce, wrapped=aead.encrypt(nonce, raw, aad))
     payload_key = hkdf_sha256(encode_field(reconstruct_tree(tree, values)), b"cake/payload-key")
-    plaintext = AESGCM(payload_key).decrypt(ct.payload_nonce, ct.payload, abe.header_hash(ct))
-    resealed = replace(ct, wrapped_shares=tuple(shares))
-    return replace(resealed, payload=AESGCM(payload_key).encrypt(
-        ct.payload_nonce, plaintext, abe.header_hash(resealed)))
+    plaintext = AESGCM(payload_key).decrypt(ct.payload_nonce, ct.payload, header_digest(fields))
+    resealed = fields._replace(shares=tuple(shares))
+    return build_slice(resealed._replace(payload=AESGCM(payload_key).encrypt(
+        ct.payload_nonce, plaintext, header_digest(resealed))))
 
 
 class TestHeaderSkeleton:
@@ -760,7 +812,7 @@ class TestHeaderSkeleton:
         container = abe.CiphertextContainer(bytes(16), (("first", ct), ("second", ct)))
         parsed = abe.parse_container(abe.serialize_container(container))
         for _, got in parsed.slices:
-            assert got._layout is matched[1]
+            assert got.layout is matched[1]
             assert got == ct
 
     def test_other_field_lengths_fall_back_to_the_walk(self, ms):
@@ -770,17 +822,17 @@ class TestHeaderSkeleton:
                 make_key(ms, {"tenant_acme", *SERVE_ROLES})]
         for policy in policies:
             ct = abe.encrypt_slice(ms, policy, b"sixteen", rng)
-            count = len(ct.wrapped_shares)
+            count = len(slice_fields(ct).shares)
             for position in sorted({0, count // 2, count - 1}):
-                shares = list(ct.wrapped_shares)
+                shares = list(slice_fields(ct).shares)
                 shares[position] = shares[position]._replace(
                     wrapped=shares[position].wrapped + b"\0")
                 valid = sixteen_byte_nonce(ms, ct, position)
-                for odd in (valid, replace(ct, wrapped_shares=tuple(shares))):
+                for odd in (valid, reslice(ct, shares=tuple(shares))):
                     data = abe.serialize_slice(odd)
                     assert abe._match_skeleton(data, 0, len(data)) is None
                     parsed = parse_slice(data)
-                    assert parsed._layout == abe._walk_header(data, 0, len(data))[1]
+                    assert parsed.layout == abe._walk_header(data, 0, len(data))[1]
                     blob = abe.serialize_container(
                         abe.CiphertextContainer(bytes(16), (("odd", odd),)))
                     got = outcomes(abe.parse_container, abe.decrypt_slice, blob, keys)
@@ -802,10 +854,10 @@ class TestHeaderSkeleton:
     def test_a_bad_policy_header_is_walked_and_fails_its_reads(self, ms):
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(45))
         for text in ("(a or", "a or b", "(b or a)"):
-            data = abe.serialize_slice(replace(ct, policy_text=text))
+            data = encode_slice(slice_fields(ct)._replace(policy_text=text))
             assert abe._match_skeleton(data, 0, len(data)) is None
             parsed = parse_slice(data)
-            assert parsed._layout == abe._walk_header(data, 0, len(data))[1]
+            assert parsed.layout == abe._walk_header(data, 0, len(data))[1]
             with pytest.raises(abe.IntegrityFailure):
                 abe.decrypt_slice(make_key(ms, {"a", "b"}), parsed)
 

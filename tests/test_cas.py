@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from cake import cas
+from cake import cas, cli, protocol
 from cake.cas import (
     BlobNotFound,
     BlobTooLarge,
@@ -155,6 +155,50 @@ class TestPack:
         assert store.get(store.put(HELLO)) == HELLO
         reopened = DirectoryBlobStore(tmp_path)
         assert (reopened.get(first), reopened.get(locator_for(HELLO))) == (b"first", HELLO)
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-tail"])
+    @pytest.mark.parametrize("failure", ["short write", "OSError"])
+    def test_failed_chain_append_leaves_the_chain_file_as_it_was(self, tmp_path, monkeypatch,
+                                                                 failure, torn):
+        home = cli.Home(tmp_path / "home")
+        home.ensure_provisioned()
+        owner = protocol.Identity.generate()
+        home.save_identity("owner", owner)
+        deployment = home.open()
+
+        def store(body: bytes) -> bytes:
+            with deployment.connect_sdm(owner) as client:
+                return client.store([("doc", "a", body)])[0]
+
+        acknowledged = [store(b"first")]
+        size = home.chain_file.stat().st_size
+        if torn:  # the append that fails first cuts the torn tail off
+            with home.chain_file.open("ab") as fh:
+                fh.write(b"\0\0")
+            deployment = home.open()
+        pwritev, chain_inode = os.pwritev, home.chain_file.stat().st_ino
+
+        def failing_chain_write(fd, buffers, offset):
+            if os.fstat(fd).st_ino != chain_inode:
+                return pwritev(fd, buffers, offset)  # the blob pack
+            if failure == "OSError":
+                raise OSError("disk full")
+            data = b"".join(buffers)
+            return pwritev(fd, [data[:len(data) // 2]], offset)
+
+        monkeypatch.setattr(cas.os, "pwritev", failing_chain_write)
+        with pytest.raises(StorageFailure):
+            store(b"failed")
+        assert home.chain_file.stat().st_size == size
+        monkeypatch.undo()
+        acknowledged.append(store(b"second"))
+        # the failed store's block was written by the next seal
+        assert home.chain_file.read_bytes() == deployment.chain.serialize()
+        reopened = cli.Home(tmp_path / "home").open().chain
+        assert reopened.height == deployment.chain.height == 3
+        for message_id in acknowledged:
+            reopened.message_get(message_id)
+        assert reopened.verify().ok
 
     def test_two_writer_processes_share_one_pack(self, tmp_path):
         context = multiprocessing.get_context("fork")

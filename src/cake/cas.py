@@ -17,6 +17,11 @@ behind it: :class:`MemoryBlobStore`, a dict, and :class:`DirectoryBlobStore`,
 one append-only pack file per deployment home (a log with an in-memory
 index, as in Bitcask).
 
+:class:`FrameLog` owns the framing of the home's append-only files, the
+pack and the chain file: the scan of whole frames that stops at a torn
+tail, and the one checked append that cuts that tail off, refuses frames
+another writer added, and cuts a failed write back.
+
 Parsed locators are memoized by their text in a fixed-size LRU table, since
 every reader of a document parses the same locator from its chain record.
 """
@@ -33,6 +38,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .errors import CakeError
 
@@ -144,24 +150,73 @@ def parse_locator(text: str) -> Locator:
     return Locator(raw[len(MULTIHASH_PREFIX):])
 
 
-def append_at(fd: int, end: int, buffers: list[bytes]) -> int:
-    """Write ``buffers`` at ``end``, the end of a log file's whole frames, in
-    one ``pwritev``, and return the new end.
+class LogConflict(StorageFailure):
+    """A frame log holds a whole frame past the end that this process read
+    or wrote, or is shorter than that end: another writer changed it."""
 
-    A write that fails or comes up short is cut back to ``end`` and raises
-    :class:`StorageFailure`, so the file keeps its whole frames and the next
-    append starts at ``end`` again. The chain file and the blob pack both
-    append through it.
+
+class FrameLog:
+    """An append-only file of frames, each a ``header`` then a body whose
+    length is the header's first field.
+
+    :attr:`end` is the end of the last whole frame read or written through
+    this object. Frames past it that are cut short (a crash mid-append) are
+    a torn tail: :meth:`read_new` stops before it, and :meth:`append` cuts
+    it off. Callers pass an open descriptor and hold whatever lock keeps
+    writers apart; the log opens nothing itself.
     """
-    try:
-        written = os.pwritev(fd, buffers, end)
-        if written != sum(map(len, buffers)):
-            raise OSError(f"short write of {written} bytes")
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.ftruncate(fd, end)
-        raise StorageFailure(f"cannot append at offset {end}: {exc}") from exc
-    return end + written
+
+    def __init__(self, path: str | Path, header: struct.Struct) -> None:
+        self.path = Path(path)
+        self.header = header
+        self.end = 0
+
+    def _whole_frame(self, fd: int, pos: int, size: int) -> tuple | None:
+        """The header fields of the whole frame at ``pos`` of a file of
+        ``size`` bytes, or ``None`` where none ends within it."""
+        if pos + self.header.size > size:
+            return None
+        fields = self.header.unpack(os.pread(fd, self.header.size, pos))
+        return fields if pos + self.header.size + fields[0] <= size else None
+
+    def read_new(self, fd: int) -> Iterator[tuple[tuple, int]]:
+        """Yield (header fields, body offset) for each whole frame past
+        :attr:`end`, moving :attr:`end` past it; stop at a torn tail."""
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise StorageFailure(f"{self.path} is not a regular file")
+        while (fields := self._whole_frame(fd, self.end, st.st_size)) is not None:
+            body = self.end + self.header.size
+            self.end = body + fields[0]
+            yield fields, body
+
+    def append(self, fd: int, buffers: list[bytes]) -> int:
+        """Write ``buffers``, whole frames, at :attr:`end` in one ``pwritev``
+        and return the offset the write starts at.
+
+        A torn tail is cut off first, with a warning. Raises
+        :class:`LogConflict`, and writes nothing, when the file holds a
+        whole frame past :attr:`end` or is shorter than it. A write that
+        fails or comes up short is cut back to :attr:`end` and raises
+        :class:`StorageFailure`, so the file keeps its whole frames.
+        """
+        end = self.end
+        size = os.fstat(fd).st_size
+        if size < end or self._whole_frame(fd, end, size) is not None:
+            raise LogConflict(f"{self.path} changed since it was read ({end} -> {size} bytes)")
+        try:
+            if size > end:
+                _log.warning("%s: truncating a torn %d-byte tail", self.path, size - end)
+                os.ftruncate(fd, end)
+            written = os.pwritev(fd, buffers, end)
+            if written != sum(map(len, buffers)):
+                raise OSError(f"short write of {written} bytes")
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.ftruncate(fd, end)
+            raise StorageFailure(f"cannot append to {self.path} at {end}: {exc}") from exc
+        self.end = end + written
+        return end
 
 
 class BlobStore:
@@ -207,75 +262,55 @@ class MemoryBlobStore(BlobStore):
 
 
 class DirectoryBlobStore(BlobStore):
-    """Every blob of a home in one append-only file, ``<root>/blobs.pack``.
+    """Every blob of a home in one append-only :class:`FrameLog`,
+    ``<root>/blobs.pack``.
 
-    The pack is a run of frames: a 4-byte big-endian body length, the
-    32-byte SHA-256 digest of the body, then the body. Nothing is read or
-    created until the first put or get. An index from digest to (body
-    offset, length) is then built by one scan of the frame headers; each
-    header is read with ``pread``, never a body. A later miss, and every
-    put, first rescans from the end of the indexed frames, so a store sees
-    frames another process appended since it last looked.
+    A frame is a 4-byte big-endian body length, the 32-byte SHA-256 digest
+    of the body, then the body. Nothing is read or created until the first
+    put or get. An index from digest to (body offset, length) is then built
+    by one :meth:`FrameLog.read_new` scan, which reads each frame header
+    with ``pread``, never a body. A later miss, and every put, first scans
+    the frames past the log's end, so a store sees frames another process
+    appended since it last looked.
 
-    A put appends one frame in one ``pwritev`` under an exclusive ``flock``
-    on the pack, after that rescan; writers in different processes or
-    threads therefore never interleave frames, and a blob already in the
-    pack is not written twice. A frame cut short by a crash (the last one)
-    is not indexed, and the next put truncates it before appending; an
-    append that fails is truncated away before :class:`StorageFailure` is
-    raised (:func:`append_at`). As with the chain file, the append does not
-    ``fsync``.
+    A put appends one frame under an exclusive ``flock`` on the pack, after
+    that scan; writers in different processes or threads therefore never
+    interleave frames, and a blob already in the pack is not written twice.
+    A frame cut short by a crash (the last one) is not indexed, and the
+    next put truncates it; an append that fails is cut back before
+    :class:`StorageFailure` is raised (:meth:`FrameLog.append`). As with
+    the chain file, the append does not ``fsync``.
 
     A get reads the body with ``pread``, and :meth:`BlobStore.get` re-hashes
     it. Descriptors are opened per call and closed before it returns.
     """
 
     def __init__(self, root: str | Path) -> None:
-        self.path = Path(root) / PACK_NAME
+        self._log = FrameLog(Path(root) / PACK_NAME, _FRAME_HEADER)
         # digest -> body offset << 32 | body length: one int per blob takes
         # ~150 bytes with its key, against ~230 for an (offset, length) tuple.
         self._index: dict[bytes, int] = {}
-        # End of the last frame in ``_index``; always a frame boundary.
-        self._indexed_end = 0
 
-    def _scan(self, fd: int) -> tuple[int, int]:
-        """Index the whole frames past :attr:`_indexed_end`; return the end
-        of the last whole frame and the file's size."""
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise StorageFailure(f"{self.path} is not a regular file")
-        size = st.st_size
-        pos = self._indexed_end
-        while pos + _FRAME_HEADER.size <= size:
-            length, digest = _FRAME_HEADER.unpack(
-                os.pread(fd, _FRAME_HEADER.size, pos))
-            body = pos + _FRAME_HEADER.size
-            if body + length > size:
-                break  # torn tail
+    def _scan(self, fd: int) -> None:
+        """Index the whole frames past the log's end."""
+        for (length, digest), body in self._log.read_new(fd):
             self._index[digest] = body << 32 | length
-            pos = body + length
-        self._indexed_end = pos
-        return pos, size
 
     def _write(self, loc: Locator, data: bytes) -> None:
         if loc.digest in self._index:
             return  # idempotent re-put
         try:
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+            fd = os.open(self._log.path, os.O_RDWR | os.O_CREAT, 0o644)
         except OSError as exc:
             raise StorageFailure(f"cannot persist blob: {exc}") from exc
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
-            end, size = self._scan(fd)
+            self._scan(fd)
             if loc.digest in self._index:
                 return
-            if size != end:
-                _log.warning("%s: truncating a torn %d-byte tail", self.path,
-                             size - end)
-                os.ftruncate(fd, end)
-            self._indexed_end = append_at(
-                fd, end, [_FRAME_HEADER.pack(len(data), loc.digest), data])
-            self._index[loc.digest] = (end + _FRAME_HEADER.size) << 32 | len(data)
+            start = self._log.append(
+                fd, [_FRAME_HEADER.pack(len(data), loc.digest), data])
+            self._index[loc.digest] = (start + _FRAME_HEADER.size) << 32 | len(data)
         except OSError as exc:
             raise StorageFailure(f"cannot persist blob: {exc}") from exc
         finally:
@@ -283,7 +318,7 @@ class DirectoryBlobStore(BlobStore):
 
     def _read(self, loc: Locator) -> bytes:
         try:
-            fd = os.open(self.path, os.O_RDONLY)
+            fd = os.open(self._log.path, os.O_RDONLY)
         except FileNotFoundError:
             raise BlobNotFound(f"no blob stored under {loc}") from None
         except OSError as exc:

@@ -22,38 +22,41 @@ file per blob, is refused with :class:`cas.StorageFailure` (exit 72). A
 command that reads no blob, such as ``cake ledger verify``, never opens the
 pack.
 
-The chain file ``chain.bin`` has one writer at a time. :meth:`Home.open`
-sets the chain's ``on_seal`` hook, so each block is appended to the file,
-in one ``write``, as it is sealed and before its receipt is returned. A
-blob is appended to the pack before the transaction that names it is
-submitted, so no block names a blob written after it. Both files append
-through :func:`cas.append_at`: a write that fails or comes up short is cut
-back to the file's last whole frame, and the store or certification whose
-seal wrote it fails with :class:`cas.StorageFailure` (exit 72). Its block
-stays sealed in memory and is written by the next seal. Like the pack
-append, the chain append does not ``fsync``: a sealed block outlives the
-process that sealed it, not a crash of the machine. A file whose last block
-was cut short keeps its whole blocks; the torn tail is logged, dropped from
-the chain, and truncated by the next append. ``cake serve`` holds an
-exclusive ``flock`` on the chain file while it runs; a one-shot command
-takes the lock, without waiting, around its own append only. A second
-writer, or a writer that finds the file changed since it read it, fails
-with :class:`ChainConflict` (exit 71) and appends nothing. Pack appends
-take the pack's own ``flock`` around each append, so a one-shot command and
-``cake serve`` never interleave frames.
+The chain file ``chain.bin`` has one writer at a time. Both files are
+read and appended through :class:`cas.FrameLog`, which alone knows their
+framing. :meth:`Home.open` reads the chain file's whole blocks and sets
+the chain's ``on_seal`` hook, so each block is appended to the file, in one
+write, as it is sealed and before its transactions are applied or its
+receipt is returned. A blob is appended to the pack before the transaction
+that names it is submitted, so no block names a blob written after it. A
+write that fails or comes up short is cut back to the file's last whole
+frame, and the store or certification whose seal wrote it fails with
+:class:`cas.StorageFailure` (exit 72); its block is taken off the chain, so
+a failed store is not notarized and a retry notarizes it once. Like the
+pack append, the chain append does not ``fsync``: a sealed block outlives
+the process that sealed it, not a crash of the machine. A file whose last
+block was cut short keeps its whole blocks; the torn tail is logged,
+dropped from the chain, and truncated by the next append. ``cake serve``
+holds an exclusive ``flock`` on the chain file while it runs; a one-shot
+command takes the lock, without waiting, around its own append only. A
+second writer, or a writer that finds whole blocks it did not read past
+the ones it did, or a file shorter than them, fails with
+:class:`ChainConflict` (exit 71) and appends nothing. Pack appends take the
+pack's own ``flock`` around each append, so a one-shot command and ``cake
+serve`` never interleave frames.
 
 ``cake serve`` runs in two processes. It binds the three listeners, then
 forks: the child serves the key manager (SKM) alone, the parent the data
 manager (SDM) and the user directory (UD), which seal blocks. The SKM only
 reads, so the child keeps its own replica of the chain and, before every
 key request, applies the blocks the parent has appended to the file since
-it last looked (``Chain.extend`` from the replica's size). Its copy of the
-pack index is the parent's at the fork; a metadata blob the parent appended
-since is not in it, so the lookup misses and rescans the pack from the end
-of the indexed frames. Key handshakes then no longer hold the parent's
-interpreter lock while stores run. The child ignores SIGINT, exits on
-SIGTERM and exits once its parent is gone; the parent stops it with SIGTERM
-and reaps it on every way out.
+it last looked (``Chain.extend`` of the frames past its chain log's end).
+Its copy of the pack index is the parent's at the fork; a metadata blob the
+parent appended since is not in it, so the lookup misses and rescans the
+pack from the end of the indexed frames. Key handshakes then no longer hold
+the parent's interpreter lock while stores run. The child ignores SIGINT,
+exits on SIGTERM and exits once its parent is gone; the parent stops it
+with SIGTERM and reaps it on every way out.
 
 Exit codes: 0 success, 64 usage, 65-75 one code per error class.
 """
@@ -67,11 +70,12 @@ import json
 import logging
 import os
 import signal
+import struct
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import abe, cas, ledger, protocol, scenario
 from . import policy as policy_mod
@@ -93,6 +97,8 @@ EXIT_BAD_REQUEST = 74
 EXIT_OTHER = 75
 
 _log = logging.getLogger(__name__)
+# A chain file frame header: the block's length.
+_CHAIN_FRAME = struct.Struct(">I")
 
 
 class ChainConflict(CakeError):
@@ -136,8 +142,8 @@ class Home:
         self.path = path
         # Blocks of the open chain that are in the chain file.
         self._saved_height = 0
-        # Size of the chain file when this process last read or wrote it.
-        self._chain_file_size = 0
+        # The chain file's frames read or written for the open chain.
+        self._chain_log = cas.FrameLog(self.chain_file, _CHAIN_FRAME)
         # The chain file, open and exclusively locked, while ``cake serve`` runs.
         self._chain_writer: Optional[io.FileIO] = None
 
@@ -183,16 +189,18 @@ class Home:
         services = json.loads(self.services_file.read_text())
         identities = {name: protocol.Identity.from_dict(blob)
                       for name, blob in services.items()}
-        data = self.chain_file.read_bytes()
-        deployment = protocol.deploy(master, identities,
-                                     cas.DirectoryBlobStore(self.path), data)
+        self._chain_log = cas.FrameLog(self.chain_file, _CHAIN_FRAME)
+        with self.chain_file.open("rb") as fh:
+            deployment = protocol.deploy(master, identities,
+                                         cas.DirectoryBlobStore(self.path),
+                                         self._new_blocks(fh.fileno()))
+            torn = os.fstat(fh.fileno()).st_size - self._chain_log.end
         chain = deployment.chain
-        if chain.serialized_size < len(data):
+        if torn > 0:
             _log.warning("%s: dropped a torn %d-byte tail after %d whole blocks; "
-                         "the next append truncates it", self.chain_file,
-                         len(data) - chain.serialized_size, chain.height)
+                         "the next append truncates it", self.chain_file, torn,
+                         chain.height)
         self._saved_height = chain.height
-        self._chain_file_size = len(data)
         chain.on_seal = self.save_chain
         for peer in json.loads(self.directory_file.read_text())["peers"].values():
             deployment.register(protocol.PeerIdentity.from_dict(peer))
@@ -204,37 +212,30 @@ class Home:
 
         Without the lock of :meth:`lock_chain`, the file is locked around
         this append alone. Raises :class:`ChainConflict`, and writes
-        nothing, when another process holds the lock or the file's size is
-        not the one this process last saw; raises :class:`cas.StorageFailure`,
-        and leaves the file at its last whole block, when the write fails.
-        The blocks stay sealed in memory either way; after a failed write,
-        the next call writes them.
+        nothing, when another process holds the lock or has changed the
+        file's whole blocks since this process read them; raises
+        :class:`cas.StorageFailure`, and leaves the file at its last whole
+        block, when the write fails (:meth:`cas.FrameLog.append`).
         """
         blocks = chain.blocks[self._saved_height:]
         if not blocks:
             return
         data = ledger.serialize_blocks(blocks)
-        offset = chain.serialized_size - len(data)
-        if self._chain_writer is not None:
-            self._append(self._chain_writer, offset, data)
-        else:
-            with self.chain_file.open("r+b", buffering=0) as fh:
-                _lock_exclusive(fh)
-                self._append(fh, offset, data)
+        try:
+            if self._chain_writer is not None:
+                self._chain_log.append(self._chain_writer.fileno(), [data])
+            else:
+                with self.chain_file.open("r+b", buffering=0) as fh:
+                    _lock_exclusive(fh)
+                    self._chain_log.append(fh.fileno(), [data])
+        except cas.LogConflict as exc:
+            raise ChainConflict(*exc.args) from exc
         self._saved_height += len(blocks)
 
-    def _append(self, fh: io.FileIO, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset``, the end of the file's whole blocks,
-        cutting off a torn tail first; a write that fails is cut back to
-        ``offset`` and raises :class:`cas.StorageFailure`."""
-        size = os.fstat(fh.fileno()).st_size
-        if size != self._chain_file_size:
-            raise ChainConflict(f"{self.chain_file} changed since it was read "
-                                f"({self._chain_file_size} -> {size} bytes)")
-        if size != offset:
-            os.ftruncate(fh.fileno(), offset)
-            self._chain_file_size = offset
-        self._chain_file_size = cas.append_at(fh.fileno(), offset, [data])
+    def _new_blocks(self, fd: int) -> Iterator[bytes]:
+        """The blocks in the chain file ``fd`` past the chain log's end."""
+        for (length,), body in self._chain_log.read_new(fd):
+            yield os.pread(fd, length, body)
 
     def lock_chain(self) -> None:
         """Hold the chain file open and exclusively locked until
@@ -261,8 +262,7 @@ class Home:
         """Apply to ``chain`` the blocks another process appended to the
         chain file since ``chain`` was read from it."""
         with chain.lock, self.chain_file.open("rb") as fh:
-            fh.seek(chain.serialized_size)
-            chain.extend(fh.read())
+            chain.extend(self._new_blocks(fh.fileno()))
 
     # named identities and keys
     def save_identity(self, name: str, identity: protocol.Identity) -> None:

@@ -23,12 +23,13 @@ certifier services), message ids, and locators appear in clear.
 Queries (``message_get``, ``actor_get``) read sealed state only; pending
 transactions are invisible until the next seal.
 
-The chain file form is each serialized block, length-prefixed, in order.
-``Chain.extend`` applies the whole blocks at the front of such bytes and
-leaves a partial trailing one for its next call, so one reader can follow a
-file that a writer appends to; ``Chain.load`` is ``extend`` on a new chain.
-A chain is not locked by its own methods: ``Chain.lock`` is for callers
-that submit, seal or extend from several threads.
+The chain file form is each serialized block, length-prefixed, in order;
+:class:`cas.FrameLog` reads and appends that file, so this module knows no
+file or byte offset. ``Chain.extend`` replays serialized blocks, so a
+reader can follow a file that a writer appends to; ``Chain.load`` is
+``extend`` on a new chain. A chain is not locked by its own methods:
+``Chain.lock`` is for callers that submit, seal or extend from several
+threads.
 """
 
 from __future__ import annotations
@@ -290,11 +291,10 @@ class Chain:
         self._next_nonce: dict[bytes, int] = {}
         self._messages: dict[bytes, MessageRecord] = {}
         self._actors: dict[bytes, ActorRecord] = {}
-        # Length of :meth:`serialize`'s output, kept as blocks are added.
-        self.serialized_size = 0
         self.lock = threading.Lock()
-        # Called with this chain after :meth:`seal_block` appends a block,
-        # e.g. to persist it. Passed the chain, so it need not hold one.
+        # Called with this chain once :meth:`seal_block` has appended a
+        # block, before its transactions are applied, e.g. to persist it.
+        # Passed the chain, so it need not hold one.
         self.on_seal: Optional[Callable[["Chain"], None]] = None
 
     # -- submission and sealing ------------------------------------------
@@ -321,21 +321,29 @@ class Chain:
         return receipt
 
     def seal_block(self) -> Block:
-        """Apply pending transactions in order and append the next block."""
+        """Append the next block of the pending transactions, run
+        :attr:`on_seal`, then apply the transactions in order.
+
+        If :attr:`on_seal` raises, the block is taken off again and its
+        transactions are dropped unapplied; their senders' nonces stay
+        used, which replay and :meth:`verify` allow."""
         height = len(self.blocks)
-        for tx in self._pending:
-            self._apply_with_receipt(tx, height)
         prev_hash = self.blocks[-1].block_hash if self.blocks else GENESIS_PREV_HASH
         transactions = tuple(self._pending)
+        self._pending = []
         body = _block_body(height, prev_hash, transactions)
         block_hash = hashlib.sha256(body).digest()
         block = Block(height, prev_hash, transactions, block_hash)
         object.__setattr__(block, "_serialized", body + block_hash)
         self.blocks.append(block)
-        self.serialized_size += _FRAME_PREFIX + len(body) + HASH_BYTES
-        self._pending = []
         if self.on_seal is not None:
-            self.on_seal(self)
+            try:
+                self.on_seal(self)
+            except BaseException:
+                del self.blocks[-1]
+                raise
+        for tx in transactions:
+            self._apply_with_receipt(tx, height)
         return block
 
     def _apply_with_receipt(self, tx: Transaction, height: int) -> None:
@@ -428,42 +436,25 @@ class Chain:
         """The chain file form of every sealed block; see :func:`serialize_blocks`."""
         return serialize_blocks(self.blocks)
 
-    def extend(self, data: bytes) -> int:
-        """Replay the whole serialized blocks at the front of ``data`` onto
-        this chain and return the number of bytes they take up.
-
-        A partial block frame at the end of ``data`` is left unread, for a
-        later call with the rest of it. Parsing is strict but state replay
-        is lenient: hash or signature mismatches are left for
-        :meth:`verify` to report.
-        """
-        pos = 0
-        while len(data) - pos >= _FRAME_PREFIX:
-            start = pos + _FRAME_PREFIX
-            end = start + int.from_bytes(data[pos:start], "big")
-            if end > len(data):
-                break
-            block = parse_block(data[start:end])
+    def extend(self, blocks: Iterable[bytes]) -> None:
+        """Replay ``blocks``, each a serialized block, onto this chain in
+        order. Parsing is strict but state replay is lenient: hash or
+        signature mismatches are left for :meth:`verify` to report."""
+        for data in blocks:
+            block = parse_block(data)
             for tx in block.transactions:
                 self._next_nonce[tx.sender] = max(
                     self._next_nonce.get(tx.sender, 1), tx.sender_nonce + 1)
                 self._apply_with_receipt(tx, block.height)
             self.blocks.append(block)
-            self.serialized_size += end - pos
-            pos = end
-        return pos
 
     @classmethod
     def load(cls, accounts: Iterable[bytes], certifiers: Iterable[bytes],
-             data: bytes) -> "Chain":
-        """A new chain that has replayed ``data``; see :meth:`extend`."""
+             blocks: Iterable[bytes]) -> "Chain":
+        """A new chain that has replayed ``blocks``; see :meth:`extend`."""
         chain = cls(accounts, certifiers)
-        chain.extend(data)
+        chain.extend(blocks)
         return chain
-
-
-# Each block in the chain file form is preceded by its length in 4 bytes.
-_FRAME_PREFIX = 4
 
 
 def serialize_blocks(blocks: Iterable[Block]) -> bytes:

@@ -909,17 +909,17 @@ class Deployment:
 
 
 def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
-           store: cas.BlobStore, chain_data: bytes,
+           store: cas.BlobStore, chain_blocks: Iterable[bytes],
            clock: Clock = _system_clock,
            rng: Optional[random.Random] = None) -> Deployment:
     """Wire a deployment: ``identities`` maps each of :data:`SERVICE_ROLES`
-    to its identity; the chain replays ``chain_data`` and accepts
-    transactions from the data manager and the certifier only. Without
-    ``rng``, the services draw from the system source."""
+    to its identity; the chain replays ``chain_blocks``, serialized blocks,
+    and accepts transactions from the data manager and the certifier only.
+    Without ``rng``, the services draw from the system source."""
     rng = rng if rng is not None else random.SystemRandom()
     sdm, ud, skm, certifier = (identities[role] for role in SERVICE_ROLES)
     chain = ledger.Chain.load(accounts=[sdm.signing_public, certifier.signing_public],
-                              certifiers=[certifier.address], data=chain_data)
+                              certifiers=[certifier.address], blocks=chain_blocks)
     directory: IdentityDirectory = {certifier.address: certifier.signing_public}
     return Deployment(
         master, chain, store, directory,
@@ -937,7 +937,7 @@ def provision(rng: Optional[random.Random] = None,
     rng = rng if rng is not None else random.SystemRandom()
     master = abe.setup(rng)
     identities = {role: Identity.generate(rng) for role in SERVICE_ROLES}
-    return deploy(master, identities, cas.MemoryBlobStore(), b"", clock, rng)
+    return deploy(master, identities, cas.MemoryBlobStore(), (), clock, rng)
 
 
 def serve_in_background(service: Service) -> Transport:

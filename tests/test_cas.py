@@ -1,7 +1,10 @@
 import fcntl
+import hashlib
+import logging
 import multiprocessing
 import os
 import random
+import struct
 import threading
 
 import pytest
@@ -192,10 +195,10 @@ class TestPack:
         assert home.chain_file.stat().st_size == size
         monkeypatch.undo()
         acknowledged.append(store(b"second"))
-        # the failed store's block was written by the next seal
+        # the failed store is not on the chain, in memory or in the file
         assert home.chain_file.read_bytes() == deployment.chain.serialize()
         reopened = cli.Home(tmp_path / "home").open().chain
-        assert reopened.height == deployment.chain.height == 3
+        assert reopened.height == deployment.chain.height == 2
         for message_id in acknowledged:
             reopened.message_get(message_id)
         assert reopened.verify().ok
@@ -248,6 +251,92 @@ class TestPack:
         assert os.listdir(tmp_path) == []
         store.put(HELLO)
         assert os.listdir(tmp_path) == [cas.PACK_NAME]
+
+
+# The header fields of a frame of ``body`` under each header the home's logs
+# use: the pack's (length, digest) and the chain file's (length).
+FRAME_FIELDS = {
+    ">I32s": lambda body: (len(body), hashlib.sha256(body).digest()),
+    ">I": lambda body: (len(body),),
+}
+BODIES = [b"", b"first", b"x" * 40, b"last"]
+
+
+@pytest.fixture(params=FRAME_FIELDS)
+def frames(request):
+    """A header, a function framing a body under it, and the bytes of
+    :data:`BODIES` framed in order, each as (fields, body offset, end)."""
+    header = struct.Struct(request.param)
+
+    def frame(body: bytes) -> bytes:
+        return header.pack(*FRAME_FIELDS[request.param](body)) + body
+
+    data, spans = b"", []
+    for body in BODIES:
+        spans.append((FRAME_FIELDS[request.param](body), len(data) + header.size,
+                      len(data) + len(frame(body))))
+        data += frame(body)
+    return header, frame, data, spans
+
+
+def read_all(log: cas.FrameLog, path) -> list[tuple[tuple, int]]:
+    with open(path, "rb") as fh:
+        return list(log.read_new(fh.fileno()))
+
+
+def append(log: cas.FrameLog, path, data: bytes) -> int:
+    with open(path, "r+b") as fh:
+        return log.append(fh.fileno(), [data])
+
+
+class TestFrameLog:
+    def test_read_new_yields_the_whole_frames_at_every_cut(self, tmp_path, frames):
+        header, _, data, spans = frames
+        path = tmp_path / "log"
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            log = cas.FrameLog(path, header)
+            whole = [span for span in spans if span[2] <= cut]
+            assert read_all(log, path) == [(fields, body) for fields, body, _ in whole]
+            assert log.end == (whole[-1][2] if whole else 0)
+            path.write_bytes(data)
+            assert read_all(log, path) == \
+                [(fields, body) for fields, body, _ in spans[len(whole):]]
+            assert log.end == len(data)
+
+    def test_an_append_cuts_a_torn_tail_and_logs_once(self, tmp_path, frames, caplog):
+        header, frame, data, spans = frames
+        path = tmp_path / "log"
+        last = spans[-2][2]
+        for cut in range(last, len(data)):
+            path.write_bytes(data[:cut])
+            log = cas.FrameLog(path, header)
+            read_all(log, path)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="cake.cas"):
+                assert append(log, path, frame(b"one")) == last
+                assert append(log, path, frame(b"two")) == last + len(frame(b"one"))
+            assert path.read_bytes() == data[:last] + frame(b"one") + frame(b"two")
+            assert log.end == path.stat().st_size
+            assert [record.getMessage() for record in caplog.records] == \
+                ([f"{path}: truncating a torn {cut - last}-byte tail"] if cut > last else [])
+
+    def test_frames_another_writer_changed_make_an_append_raise(self, tmp_path, frames):
+        header, frame, data, spans = frames
+        path = tmp_path / "log"
+        end = spans[1][2]
+        path.write_bytes(data[:end])
+        log = cas.FrameLog(path, header)
+        read_all(log, path)
+        for changed in (data[:spans[2][2]],  # a whole frame past the end
+                        data[:spans[2][2] + 3],  # ... and a torn tail after it
+                        data[:end - 1],  # shorter than the end
+                        data[:spans[0][2]]):
+            path.write_bytes(changed)
+            with pytest.raises(cas.LogConflict):
+                append(log, path, frame(b"mine"))
+            assert path.read_bytes() == changed
+            assert log.end == end
 
 
 class TestLocatorCodec:

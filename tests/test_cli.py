@@ -175,6 +175,31 @@ class TestServeProcesses:
                              message_id.hex()]) == 0
         assert cli.main(["--home", str(home_dir), "ledger", "verify"]) == 0
 
+    def test_client_commands_reach_the_services_it_names(self, tmp_path, monkeypatch,
+                                                         capsys):
+        home_dir, _, _ = home_with(tmp_path, "owner")
+        (tmp_path / "doc.txt").write_bytes(b"remote body")
+        cake = ["--home", str(home_dir), "--format", "json"]
+        with serving(tmp_path, home_dir) as (proc, ports):
+            for which, port in ports.items():
+                monkeypatch.setenv(f"CAKE_{which.upper()}_ADDR", f"{HOST}:{port}")
+            # the server holds the chain file, so only it can seal these
+            assert cli.main([*cake, "certify", "owner", "finance"]) == 0
+            capsys.readouterr()
+            assert cli.main([*cake, "store", "--as", "owner", "--policy", "finance",
+                             str(tmp_path / "doc.txt")]) == 0
+            message_id = json.loads(capsys.readouterr().out)["message_id"]
+            assert cli.main([*cake, "key", "request", "--as", "owner"]) == 0
+            assert cli.main([*cake, "read", message_id, "--as", "owner",
+                             "--out-dir", str(tmp_path / "out")]) == 0
+            assert (tmp_path / "out" / "doc.txt").read_bytes() == b"remote body"
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        assert cli.main([*cake, "ledger", "verify"]) == 0
+        monkeypatch.setenv("CAKE_SDM_ADDR", "no-port")
+        assert cli.main([*cake, "store", "--as", "owner", "--policy", "finance",
+                         str(tmp_path / "doc.txt")]) == cli.EXIT_USAGE == 64
+
     def test_second_writer_is_refused(self, tmp_path, monkeypatch, capsys):
         for var in ("CAKE_SDM_ADDR", "CAKE_UD_ADDR", "CAKE_SKM_ADDR"):
             monkeypatch.delenv(var, raising=False)
@@ -389,7 +414,7 @@ class TestChainFile:
                 client.certify(home.address_of(name), ["sales"])
             finally:
                 client.close()
-        assert sizes[0] < sizes[1] == deployment.chain.serialized_size
+        assert sizes[0] < sizes[1] == len(deployment.chain.serialize())
         home.save_chain(deployment.chain)  # nothing left to write
         assert home.chain_file.stat().st_size == sizes[1]
 

@@ -39,9 +39,13 @@ def built_chain() -> ledger.Chain:
     return chain
 
 
+def serialized(chain: ledger.Chain) -> list[bytes]:
+    return [block.serialize() for block in chain.blocks]
+
+
 def reload(chain: ledger.Chain) -> ledger.Chain:
     return ledger.Chain.load(chain.accounts.values(), chain.certifiers,
-                             chain.serialize())
+                             serialized(chain))
 
 
 def reseal(block: ledger.Block, **changes) -> ledger.Block:
@@ -74,15 +78,6 @@ class TestReplay:
         assert built_chain().serialize() == built_chain().serialize()
 
 
-def frame_ends(data: bytes) -> list[int]:
-    """Offsets in chain file bytes where a whole block frame ends."""
-    ends, pos = [0], 0
-    while pos < len(data):
-        pos += 4 + int.from_bytes(data[pos:pos + 4], "big")
-        ends.append(pos)
-    return ends
-
-
 class TestEncodingsKept:
     """Sealed and parsed objects reuse bytes they hold; a fresh object with
     the same fields encodes to the same bytes."""
@@ -110,52 +105,43 @@ class TestEncodingsKept:
 
 
 class TestExtend:
-    def test_serialized_size_tracks_every_seal(self):
-        chain = fresh_chain()
-        assert chain.serialized_size == 0
-        for n in range(3):
-            ledger.message_store(chain, SDM, f"id-{n}".encode(), f"loc-{n}")
-            chain.seal_block()
-            assert chain.serialized_size == len(chain.serialize())
-
-    def test_extend_at_every_cut_matches_load(self):
-        data = built_chain().serialize()
-        ends = frame_ends(data)
-        for cut in range(len(data) + 1):
-            chain = fresh_chain()
-            consumed = chain.extend(data[:cut])
-            assert consumed == max(end for end in ends if end <= cut)
-            assert chain.serialized_size == consumed
-            assert chain.height == ends.index(consumed)
-            assert chain.extend(data[consumed:]) == len(data) - consumed
-            assert chain.serialize() == data
-            assert chain.next_nonce(SDM.address) == 6
-
-    def test_load_keeps_the_whole_blocks_of_a_torn_file(self):
-        data = built_chain().serialize()
-        chain = ledger.Chain.load([SDM.public_bytes, CERTIFIER.public_bytes],
-                                  [CERTIFIER.address], data[:-3])
-        assert chain.height == 4
-        assert chain.serialized_size == frame_ends(data)[4]
-        assert chain.verify().ok
-        with pytest.raises(ledger.RecordNotFound):
-            chain.message_get(b"id-4")
-
     def test_a_whole_frame_that_does_not_parse_raises(self):
-        data = built_chain().serialize()
-        garbage = (3).to_bytes(4, "big") + b"\x00\x01\x02"
         with pytest.raises(CodecError):
-            fresh_chain().extend(data + garbage)
+            fresh_chain().extend([*serialized(built_chain()), b"\x00\x01\x02"])
 
     def test_on_seal_sees_sealed_blocks_not_replayed_ones(self):
         chain = fresh_chain()
         seen = []
         chain.on_seal = lambda sealed: seen.append((sealed, sealed.height))
-        chain.extend(built_chain().serialize())
+        chain.extend(serialized(built_chain()))
         assert seen == []
         ledger.message_store(chain, SDM, b"id-5", "loc-5")
         chain.seal_block()
         assert seen == [(chain, 6)]
+
+    def test_a_failed_on_seal_leaves_no_block_and_applies_nothing(self):
+        chain = built_chain()
+        before = chain.serialize()
+
+        def fail(sealed):
+            assert sealed.height == 6
+            raise OSError("disk full")
+
+        chain.on_seal = fail
+        receipt = ledger.message_store(chain, SDM, b"id-5", "loc-5")
+        with pytest.raises(OSError):
+            chain.seal_block()
+        assert chain.serialize() == before
+        assert receipt.status != ledger.STATUS_APPLIED
+        with pytest.raises(ledger.RecordNotFound):
+            chain.message_get(b"id-5")
+        chain.on_seal = None
+        retried = ledger.message_store(chain, SDM, b"id-5", "loc-5")
+        chain.seal_block()
+        assert retried.status == ledger.STATUS_APPLIED
+        assert chain.message_get(b"id-5").height == 5
+        assert chain.next_nonce(SDM.address) == 8  # the dropped nonce stays used
+        assert chain.verify().ok and reload(chain).verify().ok
 
 
 class TestContracts:

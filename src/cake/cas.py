@@ -19,8 +19,9 @@ index, as in Bitcask).
 
 :class:`FrameLog` owns the framing of the home's append-only files, the
 pack and the chain file: the scan of whole frames that stops at a torn
-tail, and the one checked append that cuts that tail off, refuses frames
-another writer added, and cuts a failed write back.
+tail, the re-read of the frames already scanned, and the one checked
+append that cuts that tail off, refuses frames another writer added, and
+cuts a failed write back.
 
 Parsed locators are memoized by their text in a fixed-size LRU table, since
 every reader of a document parses the same locator from its chain record.
@@ -179,14 +180,23 @@ class FrameLog:
         fields = self.header.unpack(os.pread(fd, self.header.size, pos))
         return fields if pos + self.header.size + fields[0] <= size else None
 
+    def read(self, fd: int, pos: int = 0,
+             size: int | None = None) -> Iterator[tuple[tuple, int]]:
+        """Yield (header fields, body offset) for each whole frame from
+        ``pos`` on, in a file of ``size`` bytes: by default, each frame
+        before :attr:`end`."""
+        size = self.end if size is None else size
+        while (fields := self._whole_frame(fd, pos, size)) is not None:
+            yield fields, pos + self.header.size
+            pos += self.header.size + fields[0]
+
     def read_new(self, fd: int) -> Iterator[tuple[tuple, int]]:
         """Yield (header fields, body offset) for each whole frame past
         :attr:`end`, moving :attr:`end` past it; stop at a torn tail."""
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             raise StorageFailure(f"{self.path} is not a regular file")
-        while (fields := self._whole_frame(fd, self.end, st.st_size)) is not None:
-            body = self.end + self.header.size
+        for fields, body in self.read(fd, self.end, st.st_size):
             self.end = body + fields[0]
             yield fields, body
 

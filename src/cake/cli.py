@@ -24,33 +24,35 @@ pack.
 
 The chain file ``chain.bin`` has one writer at a time. Both files are
 read and appended through :class:`cas.FrameLog`, which alone knows their
-framing. :meth:`Home.open` reads the chain file's whole blocks and sets
-the chain's ``on_seal`` hook, so each block is appended to the file, in one
-write, as it is sealed and before its transactions are applied or its
-receipt is returned. A blob is appended to the pack before the transaction
+framing. :meth:`Home.open` reads the chain file's whole blocks and makes
+the file the chain's block log (:class:`ChainFile`), so each block is
+appended to the file, in one write, as it is sealed and before its
+transactions are applied or its receipt is returned; the chain keeps no
+block in memory. A blob is appended to the pack before the transaction
 that names it is submitted, so no block names a blob written after it. A
 write that fails or comes up short is cut back to the file's last whole
 frame, and the store or certification whose seal wrote it fails with
-:class:`cas.StorageFailure` (exit 72); its block is taken off the chain, so
-a failed store is not notarized and a retry notarizes it once. Like the
-pack append, the chain append does not ``fsync``: a sealed block outlives
-the process that sealed it, not a crash of the machine. A file whose last
+:class:`cas.StorageFailure` (exit 72); the block is not sealed, so a failed
+store is not notarized and a retry notarizes it once. Like the pack
+append, the chain append does not ``fsync``: a sealed block outlives the
+process that sealed it, not a crash of the machine. A file whose last
 block was cut short keeps its whole blocks; the torn tail is logged,
-dropped from the chain, and truncated by the next append. ``cake serve``
-holds an exclusive ``flock`` on the chain file while it runs; a one-shot
-command takes the lock, without waiting, around its own append only. A
-second writer, or a writer that finds whole blocks it did not read past
-the ones it did, or a file shorter than them, fails with
-:class:`ChainConflict` (exit 71) and appends nothing. Pack appends take the
-pack's own ``flock`` around each append, so a one-shot command and ``cake
-serve`` never interleave frames.
+dropped from the chain, and truncated by the next append. ``cake ledger
+verify`` re-reads ``chain.bin``: it walks the bytes of the blocks it
+loaded, and checks every signature. ``cake serve`` holds an exclusive
+``flock`` on the chain file while it runs; a one-shot command takes the
+lock, without waiting, around its own append only. A second writer, or a
+writer that finds whole blocks it did not read past the ones it did, or a
+file shorter than them, fails with :class:`ChainConflict` (exit 71) and
+appends nothing. Pack appends take the pack's own ``flock`` around each
+append, so a one-shot command and ``cake serve`` never interleave frames.
 
 ``cake serve`` runs in two processes. It binds the three listeners, then
 forks: the child serves the key manager (SKM) alone, the parent the data
 manager (SDM) and the user directory (UD), which seal blocks. The SKM only
 reads, so the child keeps its own replica of the chain and, before every
 key request, applies the blocks the parent has appended to the file since
-it last looked (``Chain.extend`` of the frames past its chain log's end).
+it last looked (``Chain.extend`` of the frames past its chain file's end).
 Its copy of the pack index is the parent's at the fork; a metadata blob the
 parent appended since is not in it, so the lookup misses and rescans the
 pack from the end of the indexed frames. Key handshakes then no longer hold
@@ -135,15 +137,53 @@ class UsageError(Exception):
 
 # --- the deployment directory ------------------------------------------------
 
+class ChainFile:
+    """The block log of a chain opened from a home: ``chain.bin``, one frame
+    per block, read and appended through a :class:`cas.FrameLog`.
+
+    Iterating reads, with ``pread``, the blocks of the frames read or
+    written through this log, so it holds nothing per block. An append
+    writes through the handle :meth:`Home.lock_chain` holds locked, or, when
+    there is none, locks the file around this append alone. It raises
+    :class:`ChainConflict`, and writes nothing, when another process holds
+    the lock or has changed the file's whole blocks since this process read
+    them; it raises :class:`cas.StorageFailure`, and leaves the file at its
+    last whole block, when the write fails (:meth:`cas.FrameLog.append`).
+    """
+
+    def __init__(self, home: "Home") -> None:
+        self._home = home
+        self.frames = cas.FrameLog(home.chain_file, _CHAIN_FRAME)
+
+    def __iter__(self) -> Iterator[bytes]:
+        with self.frames.path.open("rb") as fh:
+            for (length,), body in self.frames.read(fh.fileno()):
+                yield os.pread(fh.fileno(), length, body)
+
+    def read_new(self, fd: int) -> Iterator[bytes]:
+        """The blocks in the chain file ``fd`` past the frames this log has
+        read or written, which it then counts as read."""
+        for (length,), body in self.frames.read_new(fd):
+            yield os.pread(fd, length, body)
+
+    def append(self, block: bytes) -> None:
+        frame = [_CHAIN_FRAME.pack(len(block)), block]
+        writer = self._home._chain_writer
+        try:
+            if writer is not None:
+                self.frames.append(writer.fileno(), frame)
+            else:
+                with _open_locked(self.frames.path) as fh:
+                    self.frames.append(fh.fileno(), frame)
+        except cas.LogConflict as exc:
+            raise ChainConflict(*exc.args) from exc
+
+
 class Home:
     """On-disk deployment state for the in-process services."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        # Blocks of the open chain that are in the chain file.
-        self._saved_height = 0
-        # The chain file's frames read or written for the open chain.
-        self._chain_log = cas.FrameLog(self.chain_file, _CHAIN_FRAME)
         # The chain file, open and exclusively locked, while ``cake serve`` runs.
         self._chain_writer: Optional[io.FileIO] = None
 
@@ -177,8 +217,8 @@ class Home:
         print(f"provisioned new deployment in {self.path}", file=sys.stderr)
 
     def open(self) -> protocol.Deployment:
-        """The deployment on this home; each block its chain seals is
-        appended to the chain file by :meth:`save_chain`."""
+        """The deployment on this home; its chain's block log is the chain
+        file, so each block the chain seals is appended to it."""
         self.ensure_provisioned()
         old_blobs = self.path / "blobs"
         if old_blobs.is_dir():
@@ -189,66 +229,34 @@ class Home:
         services = json.loads(self.services_file.read_text())
         identities = {name: protocol.Identity.from_dict(blob)
                       for name, blob in services.items()}
-        self._chain_log = cas.FrameLog(self.chain_file, _CHAIN_FRAME)
+        log = ChainFile(self)
         with self.chain_file.open("rb") as fh:
             deployment = protocol.deploy(master, identities,
                                          cas.DirectoryBlobStore(self.path),
-                                         self._new_blocks(fh.fileno()))
-            torn = os.fstat(fh.fileno()).st_size - self._chain_log.end
-        chain = deployment.chain
+                                         log.read_new(fh.fileno()), log=log)
+            torn = os.fstat(fh.fileno()).st_size - log.frames.end
         if torn > 0:
             _log.warning("%s: dropped a torn %d-byte tail after %d whole blocks; "
                          "the next append truncates it", self.chain_file, torn,
-                         chain.height)
-        self._saved_height = chain.height
-        chain.on_seal = self.save_chain
+                         deployment.chain.height)
         for peer in json.loads(self.directory_file.read_text())["peers"].values():
             deployment.register(protocol.PeerIdentity.from_dict(peer))
         return deployment
 
     def save_chain(self, chain: ledger.Chain) -> None:
-        """Append the blocks of ``chain`` that are not yet in the chain file,
-        in one write; with none, do nothing. Runs at every seal.
-
-        Without the lock of :meth:`lock_chain`, the file is locked around
-        this append alone. Raises :class:`ChainConflict`, and writes
-        nothing, when another process holds the lock or has changed the
-        file's whole blocks since this process read them; raises
-        :class:`cas.StorageFailure`, and leaves the file at its last whole
-        block, when the write fails (:meth:`cas.FrameLog.append`).
-        """
-        blocks = chain.blocks[self._saved_height:]
-        if not blocks:
-            return
-        data = ledger.serialize_blocks(blocks)
-        try:
-            if self._chain_writer is not None:
-                self._chain_log.append(self._chain_writer.fileno(), [data])
-            else:
-                with self.chain_file.open("r+b", buffering=0) as fh:
-                    _lock_exclusive(fh)
-                    self._chain_log.append(fh.fileno(), [data])
-        except cas.LogConflict as exc:
-            raise ChainConflict(*exc.args) from exc
-        self._saved_height += len(blocks)
-
-    def _new_blocks(self, fd: int) -> Iterator[bytes]:
-        """The blocks in the chain file ``fd`` past the chain log's end."""
-        for (length,), body in self._chain_log.read_new(fd):
-            yield os.pread(fd, length, body)
+        """Make sure that every block ``chain`` sealed is in the chain file.
+        A chain from :meth:`open` appends each block to the file as it seals
+        it, so this writes nothing; a chain that keeps its blocks anywhere
+        else raises :class:`ValueError`."""
+        if not (isinstance(chain.log, ChainFile) and chain.log.frames.path == self.chain_file):
+            raise ValueError(f"the chain does not keep its blocks in {self.chain_file}")
 
     def lock_chain(self) -> None:
         """Hold the chain file open and exclusively locked until
         :meth:`release_chain`; raises :class:`ChainConflict` if another
         process holds it."""
         self.ensure_provisioned()
-        fh = self.chain_file.open("r+b", buffering=0)
-        try:
-            _lock_exclusive(fh)
-        except ChainConflict:
-            fh.close()
-            raise
-        self._chain_writer = fh
+        self._chain_writer = _open_locked(self.chain_file)
 
     def release_chain(self) -> None:
         """Close this process's handle on the locked chain file. The lock
@@ -259,10 +267,10 @@ class Home:
             self._chain_writer = None
 
     def refresh_chain(self, chain: ledger.Chain) -> None:
-        """Apply to ``chain`` the blocks another process appended to the
-        chain file since ``chain`` was read from it."""
+        """Apply to ``chain``, opened from this home, the blocks another
+        process appended to the chain file since ``chain`` last read it."""
         with chain.lock, self.chain_file.open("rb") as fh:
-            chain.extend(self._new_blocks(fh.fileno()))
+            chain.extend(chain.log.read_new(fh.fileno()))
 
     # named identities and keys
     def save_identity(self, name: str, identity: protocol.Identity) -> None:
@@ -300,11 +308,16 @@ class Home:
         return abe.parse_user_key(path.read_bytes())
 
 
-def _lock_exclusive(fh: io.FileIO) -> None:
+def _open_locked(path: Path) -> io.FileIO:
+    """``path`` open for writing and exclusively locked; raises
+    :class:`ChainConflict` if another process holds the lock."""
+    fh = path.open("r+b", buffering=0)
     try:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
     except BlockingIOError as exc:
-        raise ChainConflict(f"another process is writing {fh.name}") from exc
+        fh.close()
+        raise ChainConflict(f"another process is writing {path}") from exc
+    return fh
 
 
 def _remote_addr(var: str) -> Optional[tuple[str, int]]:

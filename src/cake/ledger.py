@@ -23,22 +23,28 @@ certifier services), message ids, and locators appear in clear.
 Queries (``message_get``, ``actor_get``) read sealed state only; pending
 transactions are invisible until the next seal.
 
-The chain file form is each serialized block, length-prefixed, in order;
-:class:`cas.FrameLog` reads and appends that file, so this module knows no
-file or byte offset. ``Chain.extend`` replays serialized blocks, so a
-reader can follow a file that a writer appends to; ``Chain.load`` is
-``extend`` on a new chain. A chain is not locked by its own methods:
-``Chain.lock`` is for callers that submit, seal or extend from several
-threads.
+A chain keeps its registry state and its tip; the sealed blocks, each
+serialized, live in its block log: a ``list[bytes]`` in memory, or the
+chain file of a home (``cli.ChainFile``, over :class:`cas.FrameLog`), so
+this module knows no file or byte offset. ``seal_block`` appends each block
+to the log before it applies the block's transactions; ``verify`` walks the
+log's bytes. The chain file form is each serialized block, length-prefixed,
+in order. ``Chain.extend`` replays serialized blocks that follow the tip in
+the log, so a reader can follow a file that a writer appends to;
+``Chain.load`` is ``extend`` on a new chain. A chain is not locked by its
+own methods: ``Chain.lock`` is for callers that submit, seal or extend from
+several threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import threading
+import types
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Iterator, Optional, Protocol
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -128,12 +134,11 @@ def verify_signature(public_key: bytes, signature: bytes, data: bytes) -> bool:
         return False
 
 
-# A transaction or block that this process builds is encoded once, as it
-# is built, and keeps that encoding (``_encoded`` / ``_serialized``, which
-# are ``None`` on the class), so signing, submit, the seal and the chain file
-# append reuse the bytes. A parsed one keeps only its transactions' hashes,
-# taken from the bytes read, and encodes on demand: a loaded chain holds no
-# second copy of the bytes it was read from.
+# A transaction keeps the encoding it was built or parsed from (``_encoded``,
+# which is ``None`` on the class), so signing, submit and the seal reuse the
+# bytes. Neither a transaction nor a block outlives the seal or the replay
+# that made it: the block log keeps the bytes, and the chain only the
+# registry state they produce.
 
 @dataclass(frozen=True)
 class Transaction:
@@ -191,17 +196,6 @@ class Block:
     prev_hash: bytes
     transactions: tuple[Transaction, ...]
     block_hash: bytes
-    _serialized = None  # not a field
-
-    def body_bytes(self) -> bytes:
-        return self.serialize()[:-HASH_BYTES]
-
-    def serialize(self) -> bytes:
-        serialized = self._serialized
-        if serialized is None:
-            serialized = _block_body(self.height, self.prev_hash,
-                                     self.transactions) + self.block_hash
-        return serialized
 
 
 def _block_body(height: int, prev_hash: bytes,
@@ -226,7 +220,7 @@ def _parse_transaction(data: bytes) -> Transaction:
         signature=r.take_bytes(),
     )
     r.expect_end()
-    object.__setattr__(tx, "tx_hash", hashlib.sha256(data).digest())
+    object.__setattr__(tx, "_encoded", data)
     return tx
 
 
@@ -272,30 +266,40 @@ class ChainVerification:
         return self.ok
 
 
+class BlockLog(Protocol):
+    """Where a chain keeps its sealed blocks, each serialized, in order."""
+
+    def append(self, block: bytes) -> None: ...
+
+    def __iter__(self) -> Iterator[bytes]: ...
+
+
 class Chain:
     """Single-sealer chain over the two registry contracts.
 
     ``accounts`` are the signing public keys allowed to send transactions
-    (the services), fixed at deployment like the certifier set.
+    (the services), fixed at deployment like the certifier set: the mapping
+    is read-only, so a signature checked once stays checked. The blocks are
+    in :attr:`log`; the chain holds the registries, each sender's next
+    nonce, the height and tip hash, the pending transactions with their
+    receipts, and one checkpoint (see :meth:`verify`).
     """
 
-    def __init__(self, accounts: Iterable[bytes],
-                 certifiers: Iterable[bytes] = ()) -> None:
-        self.accounts: dict[bytes, bytes] = {address_of(pub): pub for pub in accounts}
+    def __init__(self, accounts: Iterable[bytes], certifiers: Iterable[bytes] = (),
+                 log: Optional[BlockLog] = None) -> None:
+        self.accounts = types.MappingProxyType({address_of(pub): pub for pub in accounts})
         self.certifiers: frozenset[bytes] = frozenset(certifiers)
-        self.blocks: list[Block] = []
-        self._pending: list[Transaction] = []
-        self._receipts: dict[bytes, TxReceipt] = {}
-        # tx_hash -> the account key ``submit`` verified its signature with.
-        self._signature_checked: dict[bytes, bytes] = {}
+        self.log: BlockLog = [] if log is None else log
+        self.height = 0
+        self._tip = GENESIS_PREV_HASH
+        # (height, hash of the block below it): the blocks whose signatures
+        # this object has checked.
+        self._checkpoint = (0, GENESIS_PREV_HASH)
+        self._pending: list[tuple[Transaction, TxReceipt]] = []
         self._next_nonce: dict[bytes, int] = {}
         self._messages: dict[bytes, MessageRecord] = {}
         self._actors: dict[bytes, ActorRecord] = {}
         self.lock = threading.Lock()
-        # Called with this chain once :meth:`seal_block` has appended a
-        # block, before its transactions are applied, e.g. to persist it.
-        # Passed the chain, so it need not hold one.
-        self.on_seal: Optional[Callable[["Chain"], None]] = None
 
     # -- submission and sealing ------------------------------------------
 
@@ -314,52 +318,46 @@ class Chain:
         if tx.contract not in (CONTRACT_MESSAGE_REGISTRY, CONTRACT_ACTOR_REGISTRY):
             raise UnknownContract(f"no contract {tx.contract!r}")
         self._next_nonce[tx.sender] = expected + 1
-        self._pending.append(tx)
         receipt = TxReceipt(tx_hash=tx.tx_hash)
-        self._receipts[receipt.tx_hash] = receipt
-        self._signature_checked[receipt.tx_hash] = public_key
+        self._pending.append((tx, receipt))
         return receipt
 
     def seal_block(self) -> Block:
-        """Append the next block of the pending transactions, run
-        :attr:`on_seal`, then apply the transactions in order.
+        """Append the next block of the pending transactions to :attr:`log`,
+        then apply the transactions in order and fill in their receipts.
 
-        If :attr:`on_seal` raises, the block is taken off again and its
-        transactions are dropped unapplied; their senders' nonces stay
-        used, which replay and :meth:`verify` allow."""
-        height = len(self.blocks)
-        prev_hash = self.blocks[-1].block_hash if self.blocks else GENESIS_PREV_HASH
-        transactions = tuple(self._pending)
-        self._pending = []
+        If the append raises, no block is sealed: height and tip stay, the
+        transactions are dropped unapplied, and their receipts are rejected
+        with the exception's class name as the error. Their senders' nonces
+        stay used, which replay and :meth:`verify` allow."""
+        pending, self._pending = self._pending, []
+        height, prev_hash = self.height, self._tip
+        transactions = tuple(tx for tx, _ in pending)
         body = _block_body(height, prev_hash, transactions)
         block_hash = hashlib.sha256(body).digest()
-        block = Block(height, prev_hash, transactions, block_hash)
-        object.__setattr__(block, "_serialized", body + block_hash)
-        self.blocks.append(block)
-        if self.on_seal is not None:
-            try:
-                self.on_seal(self)
-            except BaseException:
-                del self.blocks[-1]
-                raise
-        for tx in transactions:
-            self._apply_with_receipt(tx, height)
-        return block
-
-    def _apply_with_receipt(self, tx: Transaction, height: int) -> None:
-        """Apply ``tx`` and fill in its receipt. A transaction that the
-        contracts refuse or whose arguments do not decode is rejected, so it
-        never stops a block from being sealed or loaded."""
-        receipt = self._receipts.setdefault(tx.tx_hash, TxReceipt(tx.tx_hash))
-        receipt.height = height
         try:
-            self._apply(tx, height)
-        except (LedgerError, CodecError) as exc:
-            receipt.status, receipt.error = STATUS_REJECTED, type(exc).__name__
-        else:
-            receipt.status, receipt.error = STATUS_APPLIED, None
+            self.log.append(body + block_hash)
+        except BaseException as exc:
+            for _, receipt in pending:
+                receipt.status, receipt.error = STATUS_REJECTED, type(exc).__name__
+            raise
+        if self._checkpoint == (height, prev_hash):
+            self._checkpoint = (height + 1, block_hash)
+        self.height, self._tip = height + 1, block_hash
+        for tx, receipt in pending:
+            receipt.height = height
+            try:
+                self._apply(tx, height)
+            except (LedgerError, CodecError) as exc:
+                receipt.status, receipt.error = STATUS_REJECTED, type(exc).__name__
+            else:
+                receipt.status = STATUS_APPLIED
+        return Block(height, prev_hash, transactions, block_hash)
 
     def _apply(self, tx: Transaction, height: int) -> None:
+        """Apply ``tx`` to the registries. A transaction that the contracts
+        refuse or whose arguments do not decode raises, and is rejected by
+        the caller, so it never stops a block from being sealed or loaded."""
         if tx.contract == CONTRACT_MESSAGE_REGISTRY and tx.method == "store":
             message_id, locator = _decode_store_args(tx.args)
             if message_id in self._messages:
@@ -373,17 +371,7 @@ class Chain:
         else:
             raise UnknownContract(f"no method {tx.method!r} on {tx.contract!r}")
 
-    def receipt(self, tx_hash: bytes) -> TxReceipt:
-        try:
-            return self._receipts[tx_hash]
-        except KeyError:
-            raise RecordNotFound(f"no receipt for {tx_hash.hex()}")
-
     # -- queries over sealed state ----------------------------------------
-
-    @property
-    def height(self) -> int:
-        return len(self.blocks)
 
     def message_get(self, message_id: bytes) -> MessageRecord:
         try:
@@ -400,70 +388,94 @@ class Chain:
     # -- integrity ---------------------------------------------------------
 
     def verify(self) -> ChainVerification:
-        """Recompute every block height, link and hash, and check every
-        transaction signature.
+        """Walk the serialized blocks in :attr:`log`: recompute each block's
+        height, link and hash, and check the signatures of the blocks past
+        the checkpoint. The log must hold the chain's :attr:`height` blocks,
+        the last with the chain's tip hash.
 
-        Each signature is checked once per ``Chain`` object: a transaction
-        whose signature :meth:`submit` verified, against the key its sender
-        still has, is not verified again. Its hash covers the signature and
-        everything signed, so the result is the one a fresh check would
-        give. A chain from :meth:`load` was never submitted to, so all of
-        its signatures are checked.
+        The checkpoint is the run of blocks whose signatures this object has
+        checked: :meth:`submit` checks each signature, so a seal that follows
+        the checkpoint moves it, and so does a ``verify`` that succeeds. The
+        blocks below it are taken as checked only while the recomputed hash
+        of its last block is the one recorded; otherwise every signature is
+        checked, so a forged signature whose later hashes were redone fails
+        at its own height. A chain from :meth:`load` starts with none
+        checked.
         """
-        prev_hash = GENESIS_PREV_HASH
-        for expected_height, block in enumerate(self.blocks):
-            ok = (
-                block.height == expected_height
-                and block.prev_hash == prev_hash
-                and block.block_hash == hashlib.sha256(block.body_bytes()).digest()
-                and all(self._tx_valid(tx) for tx in block.transactions)
-            )
-            if not ok:
-                return ChainVerification(False, expected_height)
-            prev_hash = block.block_hash
+        failed = self._first_failure(*self._checkpoint)
+        if failed is not None and failed < self._checkpoint[0]:
+            failed = self._first_failure(0, GENESIS_PREV_HASH)
+        if failed is not None:
+            return ChainVerification(False, failed)
+        self._checkpoint = (self.height, self._tip)
         return ChainVerification(True)
 
-    def _tx_valid(self, tx: Transaction) -> bool:
-        public_key = self.accounts.get(tx.sender)
-        if public_key is None:
+    def _first_failure(self, checked: int, checked_hash: bytes) -> Optional[int]:
+        """The first height of :attr:`log` that does not verify, taking the
+        signatures below ``checked`` as checked if the block at
+        ``checked - 1`` recomputes to ``checked_hash``; ``None`` if all do."""
+        # A serialized block starts with its height (u64) and link, and ends
+        # with its hash (see _block_body).
+        prev_hash, walked = GENESIS_PREV_HASH, 0
+        for height, data in zip(range(self.height), self.log):
+            block_hash = hashlib.sha256(data[:-HASH_BYTES]).digest()
+            if (int.from_bytes(data[:8], "big") != height
+                    or data[8:8 + HASH_BYTES] != prev_hash
+                    or data[-HASH_BYTES:] != block_hash
+                    or (height == checked - 1 and block_hash != checked_hash)
+                    or (height == self.height - 1 and block_hash != self._tip)
+                    or (height >= checked and not self._signatures_valid(data))):
+                return height
+            prev_hash, walked = block_hash, height + 1
+        return None if walked == self.height else walked
+
+    def _signatures_valid(self, data: bytes) -> bool:
+        """Whether ``data`` parses and each of its transactions is signed by
+        its sender's account key."""
+        try:
+            transactions = parse_block(data).transactions
+        except CodecError:
             return False
-        return (self._signature_checked.get(tx.tx_hash) == public_key
-                or verify_signature(public_key, tx.signature, tx.signing_bytes()))
+        return all(tx.sender in self.accounts and verify_signature(
+            self.accounts[tx.sender], tx.signature, tx.signing_bytes()) for tx in transactions)
 
     # -- persistence --------------------------------------------------------
 
     def serialize(self) -> bytes:
-        """The chain file form of every sealed block; see :func:`serialize_blocks`."""
-        return serialize_blocks(self.blocks)
+        """The chain file form of the blocks in :attr:`log`: each
+        length-prefixed, in order. The file is append-only: the form of a
+        later run of blocks is appended to it as is."""
+        w = Writer()
+        for data in self.log:
+            w.put_bytes(data)
+        return w.getvalue()
 
     def extend(self, blocks: Iterable[bytes]) -> None:
-        """Replay ``blocks``, each a serialized block, onto this chain in
-        order. Parsing is strict but state replay is lenient: hash or
-        signature mismatches are left for :meth:`verify` to report."""
+        """Replay ``blocks``, serialized blocks that follow the tip in
+        :attr:`log`, onto this chain's state in order. Parsing is strict
+        but state replay is lenient: a transaction the contracts refuse is
+        skipped, and hash or signature mismatches are left for
+        :meth:`verify` to report."""
         for data in blocks:
             block = parse_block(data)
             for tx in block.transactions:
                 self._next_nonce[tx.sender] = max(
                     self._next_nonce.get(tx.sender, 1), tx.sender_nonce + 1)
-                self._apply_with_receipt(tx, block.height)
-            self.blocks.append(block)
+                with contextlib.suppress(LedgerError, CodecError):
+                    self._apply(tx, block.height)
+            self.height, self._tip = self.height + 1, block.block_hash
 
     @classmethod
     def load(cls, accounts: Iterable[bytes], certifiers: Iterable[bytes],
-             blocks: Iterable[bytes]) -> "Chain":
-        """A new chain that has replayed ``blocks``; see :meth:`extend`."""
-        chain = cls(accounts, certifiers)
+             blocks: Iterable[bytes], log: Optional[BlockLog] = None) -> "Chain":
+        """A new chain that has replayed ``blocks`` (see :meth:`extend`) and
+        keeps its blocks in ``log``, which holds them already; without
+        ``log``, in a new list of ``blocks``."""
+        if log is None:
+            blocks = log = list(blocks)
+        chain = cls(accounts, certifiers, log)
         chain.extend(blocks)
         return chain
-
-
-def serialize_blocks(blocks: Iterable[Block]) -> bytes:
-    """Chain file form: each block length-prefixed, in order. The file is
-    append-only: the form of a later run of blocks is appended to it as is."""
-    w = Writer()
-    for block in blocks:
-        w.put_bytes(block.serialize())
-    return w.getvalue()
 
 
 def _decode_store_args(args: bytes) -> tuple[bytes, str]:

@@ -69,17 +69,19 @@ fetches it once and decrypts it with each.
 
 Every service owns the deployment's chain and content store; the data
 manager and the user directory write through ``Service._notarize`` (store
-put, then submit, seal, and the chain's ``on_seal`` hook under the chain's
-one lock, and :class:`LedgerRejected` unless applied). ``deploy`` is the one
-place that wires a deployment: the chain, the identity directory (address
--> signing key, seeded with the certifier) and the three services.
+put, then submit and seal under the chain's one lock, and
+:class:`LedgerRejected` unless applied); the seal appends the block to the
+chain's block log before it applies the block. ``deploy`` is the one place
+that wires a deployment: the chain, the identity directory (address ->
+signing key, seeded with the certifier) and the three services.
 ``provision`` draws a fresh master secret and ``SERVICE_ROLES`` identities
-and deploys them on an empty chain; the CLI reads them from its home.
+and deploys them on an empty chain whose block log is a list; the CLI reads
+them from its home, whose chain file is the block log.
 
 Process layout: in one process, as in ``provision`` and the in-process CLI,
 the three services share one chain object. ``cake serve`` keeps the two
-writers in one process, whose hook appends each block to the chain file as
-it is sealed, and forks the key manager into a process of its own, which
+writers in one process, whose chain appends each block to the chain file
+as it is sealed, and forks the key manager into a process of its own, which
 reads: its chain is a replica, and its ``SkmService.refresh`` hook applies
 the blocks appended to the file since the last key request before it
 answers the next one (see :mod:`cake.cli`).
@@ -660,10 +662,11 @@ class Service:
         ``submit`` makes for its locator into a block, and return the
         locator; raises :class:`LedgerRejected` unless the chain applied it.
 
-        ``submit`` reads the sender's next nonce, signs and submits; that,
-        the seal and the chain's ``on_seal`` hook run under ``chain.lock``,
-        so concurrent sessions never reuse a nonce or seal a pending list
-        that another session is still appending to."""
+        ``submit`` reads the sender's next nonce, signs and submits; that
+        and the seal, which appends the block to the chain's block log, run
+        under ``chain.lock``, so concurrent sessions never reuse a nonce or
+        seal a pending list that another session is still appending to. An
+        append that fails raises here, and the transaction is not applied."""
         locator = self.store.put(blob).render()
         with self.chain.lock:
             receipt = submit(locator)
@@ -911,15 +914,19 @@ class Deployment:
 def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
            store: cas.BlobStore, chain_blocks: Iterable[bytes],
            clock: Clock = _system_clock,
-           rng: Optional[random.Random] = None) -> Deployment:
+           rng: Optional[random.Random] = None,
+           log: Optional[ledger.BlockLog] = None) -> Deployment:
     """Wire a deployment: ``identities`` maps each of :data:`SERVICE_ROLES`
-    to its identity; the chain replays ``chain_blocks``, serialized blocks,
-    and accepts transactions from the data manager and the certifier only.
-    Without ``rng``, the services draw from the system source."""
+    to its identity; the chain replays ``chain_blocks``, serialized blocks
+    that ``log`` holds (by default, a new list of them), keeps its blocks in
+    ``log``, and accepts transactions from the data manager and the
+    certifier only. Without ``rng``, the services draw from the system
+    source."""
     rng = rng if rng is not None else random.SystemRandom()
     sdm, ud, skm, certifier = (identities[role] for role in SERVICE_ROLES)
     chain = ledger.Chain.load(accounts=[sdm.signing_public, certifier.signing_public],
-                              certifiers=[certifier.address], blocks=chain_blocks)
+                              certifiers=[certifier.address], blocks=chain_blocks,
+                              log=log)
     directory: IdentityDirectory = {certifier.address: certifier.signing_public}
     return Deployment(
         master, chain, store, directory,

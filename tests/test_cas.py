@@ -300,6 +300,9 @@ class TestFrameLog:
             assert read_all(log, path) == [(fields, body) for fields, body, _ in whole]
             assert log.end == (whole[-1][2] if whole else 0)
             path.write_bytes(data)
+            with path.open("rb") as fh:  # ``read`` stops at ``end``
+                assert list(log.read(fh.fileno())) == \
+                    [(fields, body) for fields, body, _ in whole]
             assert read_all(log, path) == \
                 [(fields, body) for fields, body, _ in spans[len(whole):]]
             assert log.end == len(data)

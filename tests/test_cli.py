@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -384,9 +385,9 @@ class TestChainFile:
             self, cake, stored, tmp_path):
         chain_file = tmp_path / "home" / "chain.bin"
         data = chain_file.read_bytes()
-        blocks = cli.Home(tmp_path / "home").open().chain.blocks
-        assert len(blocks) == 3
-        start = len(ledger.serialize_blocks(blocks[:2]))
+        blocks = list(cli.Home(tmp_path / "home").open().chain.log)
+        assert len(blocks) == 3 and data.endswith(blocks[-1])
+        start = len(data) - 4 - len(blocks[-1])  # the last block's frame
         for cut in range(start, len(data)):
             chain_file.write_bytes(data[:cut])
             # ``ledger verify`` reports the height of the chain Home.open read.
@@ -401,13 +402,13 @@ class TestChainFile:
             assert chain_file.read_bytes() == chain.serialize()
 
     def test_each_seal_is_on_disk_before_the_command_returns(self, cake, stored,
-                                                             tmp_path):
+                                                             tmp_path, monkeypatch):
         home = cli.Home(tmp_path / "home")
         deployment = home.open()
-        sizes = []
-        saving = deployment.chain.on_seal
-        deployment.chain.on_seal = lambda chain: (
-            saving(chain), sizes.append(home.chain_file.stat().st_size))
+        log, sizes = deployment.chain.log, []
+        append = log.append
+        monkeypatch.setattr(log, "append", lambda block: (
+            append(block), sizes.append(home.chain_file.stat().st_size)))
         for name in ("owner", "clerk"):
             client = deployment.connect_ud(deployment.certifier)
             try:
@@ -417,10 +418,35 @@ class TestChainFile:
         assert sizes[0] < sizes[1] == len(deployment.chain.serialize())
         home.save_chain(deployment.chain)  # nothing left to write
         assert home.chain_file.stat().st_size == sizes[1]
+        with pytest.raises(ValueError):
+            home.save_chain(protocol.provision().chain)  # its blocks are in memory
+
+    def test_a_sealing_chain_holds_no_block(self, cake, stored, tmp_path):
+        # The blocks are in the chain file; what the chain keeps per store is
+        # its registry record (~300 B), not the ~280 B block a second time.
+        deployment = cli.Home(tmp_path / "home").open()
+        chain, signer = deployment.chain, deployment.sdm.identity.signer
+        rng = random.Random(5)
+        stores = [(rng.randbytes(16), cas.locator_for(rng.randbytes(8)).render())
+                  for _ in range(500)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for message_id, locator in stores:
+                ledger.message_store(chain, signer, message_id, locator)
+                chain.seal_block()
+            del stores
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert chain.height == 503
+        assert grown / 500 < 600
 
     def test_an_opened_chain_needs_no_cycle_collection(self, cake, stored, tmp_path):
-        # Loaded chains can hold many blocks: the hook Home.open sets must
-        # not tie a chain into a reference cycle that keeps it alive.
+        # Loaded chains can hold many blocks: the block log Home.open gives
+        # a chain must not tie it into a reference cycle that keeps it alive.
         gc.disable()
         try:
             chain = weakref.ref(cli.Home(tmp_path / "home").open().chain)

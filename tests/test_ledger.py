@@ -17,14 +17,14 @@ CERTIFIER = signer(2)
 OUTSIDER = signer(3)
 
 
-def fresh_chain() -> ledger.Chain:
+def fresh_chain(log=None) -> ledger.Chain:
     return ledger.Chain(accounts=[SDM.public_bytes, CERTIFIER.public_bytes],
-                        certifiers=[CERTIFIER.address])
+                        certifiers=[CERTIFIER.address], log=log)
 
 
-def built_chain() -> ledger.Chain:
+def built_chain(log=None) -> ledger.Chain:
     """Five blocks: two stores, a certification, two stores in one block."""
-    chain = fresh_chain()
+    chain = fresh_chain(log)
     ledger.message_store(chain, SDM, b"id-0", "loc-0")
     chain.seal_block()
     ledger.message_store(chain, SDM, b"id-1", "loc-1")
@@ -39,20 +39,30 @@ def built_chain() -> ledger.Chain:
     return chain
 
 
-def serialized(chain: ledger.Chain) -> list[bytes]:
-    return [block.serialize() for block in chain.blocks]
-
-
 def reload(chain: ledger.Chain) -> ledger.Chain:
-    return ledger.Chain.load(chain.accounts.values(), chain.certifiers,
-                             serialized(chain))
+    return ledger.Chain.load(chain.accounts.values(), chain.certifiers, chain.log)
 
 
-def reseal(block: ledger.Block, **changes) -> ledger.Block:
-    """The block with ``changes`` applied and a hash recomputed to match."""
-    block = dataclasses.replace(block, **changes)
-    return dataclasses.replace(
-        block, block_hash=hashlib.sha256(block.body_bytes()).digest())
+def reseal(block: bytes) -> bytes:
+    """A serialized block with its hash recomputed to match its body."""
+    body = block[:-ledger.HASH_BYTES]
+    return body + hashlib.sha256(body).digest()
+
+
+def relink(block: bytes, prev_hash: bytes) -> bytes:
+    """A serialized block with ``prev_hash`` as its link, resealed."""
+    return reseal(block[:8] + prev_hash + block[8 + ledger.HASH_BYTES:])
+
+
+class FailingLog(list):
+    """A block log whose appends raise :attr:`failure` while it is set."""
+
+    failure = None
+
+    def append(self, block: bytes) -> None:
+        if self.failure is not None:
+            raise self.failure
+        super().append(block)
 
 
 class TestReplay:
@@ -79,63 +89,74 @@ class TestReplay:
 
 
 class TestEncodingsKept:
-    """Sealed and parsed objects reuse bytes they hold; a fresh object with
-    the same fields encodes to the same bytes."""
+    """A block in the log is the encoding of the block that was sealed; a
+    transaction encodes to the same bytes whether it kept the encoding it
+    was built or parsed from or is encoded afresh."""
+
+    @staticmethod
+    def encoded(block: ledger.Block) -> bytes:
+        fresh = tuple(dataclasses.replace(tx) for tx in block.transactions)
+        return ledger._block_body(block.height, block.prev_hash, fresh) + block.block_hash
+
+    @staticmethod
+    def assert_encodes_afresh(tx: ledger.Transaction) -> None:
+        again = dataclasses.replace(tx)
+        assert tx.canonical_bytes() == again.canonical_bytes()
+        assert tx.signing_bytes() == again.signing_bytes()
+        assert tx.tx_hash == again.tx_hash == \
+            hashlib.sha256(again.canonical_bytes()).digest()
 
     def test_sealed_blocks_and_their_transactions(self):
-        for block in built_chain().blocks:
-            fresh = dataclasses.replace(block)
-            assert block.serialize() == fresh.serialize()
-            assert block.body_bytes() == fresh.body_bytes()
+        chain = fresh_chain()
+        for n in range(3):
+            for k in range(n):
+                ledger.message_store(chain, SDM, f"id-{n}-{k}".encode(), f"loc-{k}")
+            block = chain.seal_block()
+            assert list(chain.log)[-1] == self.encoded(block)
             for tx in block.transactions:
-                again = dataclasses.replace(tx)
-                assert tx.canonical_bytes() == again.canonical_bytes()
-                assert tx.signing_bytes() == again.signing_bytes()
-                assert tx.tx_hash == again.tx_hash == \
-                    hashlib.sha256(again.canonical_bytes()).digest()
+                self.assert_encodes_afresh(tx)
+        assert chain.height == len(chain.log) == 3
 
     def test_parsed_blocks_and_their_transactions(self):
         chain = built_chain()
-        for sealed, parsed in zip(chain.blocks, reload(chain).blocks):
-            assert parsed == sealed
-            assert parsed.serialize() == sealed.serialize()
-            for tx, ours in zip(parsed.transactions, sealed.transactions):
-                assert tx.tx_hash == ours.tx_hash
-                assert tx.signing_bytes() == ours.signing_bytes()
+        assert reload(chain).log == chain.log
+        for data in chain.log:
+            block = ledger.parse_block(data)
+            assert self.encoded(block) == data
+            for tx in block.transactions:
+                self.assert_encodes_afresh(tx)
 
 
 class TestExtend:
     def test_a_whole_frame_that_does_not_parse_raises(self):
         with pytest.raises(CodecError):
-            fresh_chain().extend([*serialized(built_chain()), b"\x00\x01\x02"])
+            fresh_chain().extend([*built_chain().log, b"\x00\x01\x02"])
 
-    def test_on_seal_sees_sealed_blocks_not_replayed_ones(self):
-        chain = fresh_chain()
-        seen = []
-        chain.on_seal = lambda sealed: seen.append((sealed, sealed.height))
-        chain.extend(serialized(built_chain()))
-        assert seen == []
+    def test_seal_appends_to_the_log_and_replay_does_not(self):
+        sealed = built_chain().log
+        log = list(sealed)
+        chain = fresh_chain(log)
+        chain.extend(list(log))
+        assert log == sealed and chain.height == 5
         ledger.message_store(chain, SDM, b"id-5", "loc-5")
         chain.seal_block()
-        assert seen == [(chain, 6)]
+        assert log[:5] == sealed and len(log) == chain.height == 6
+        assert chain.verify().ok
 
-    def test_a_failed_on_seal_leaves_no_block_and_applies_nothing(self):
-        chain = built_chain()
+    def test_a_failed_append_seals_no_block_and_applies_nothing(self):
+        log = FailingLog()
+        chain = built_chain(log)
         before = chain.serialize()
-
-        def fail(sealed):
-            assert sealed.height == 6
-            raise OSError("disk full")
-
-        chain.on_seal = fail
+        log.failure = OSError("disk full")
         receipt = ledger.message_store(chain, SDM, b"id-5", "loc-5")
         with pytest.raises(OSError):
             chain.seal_block()
-        assert chain.serialize() == before
-        assert receipt.status != ledger.STATUS_APPLIED
+        assert chain.serialize() == before and chain.height == 5
+        assert (receipt.status, receipt.error, receipt.height) == (
+            ledger.STATUS_REJECTED, "OSError", None)
         with pytest.raises(ledger.RecordNotFound):
             chain.message_get(b"id-5")
-        chain.on_seal = None
+        log.failure = None
         retried = ledger.message_store(chain, SDM, b"id-5", "loc-5")
         chain.seal_block()
         assert retried.status == ledger.STATUS_APPLIED
@@ -166,16 +187,17 @@ class TestContracts:
         assert second.status == ledger.STATUS_REJECTED
         assert second.error == "AlreadyRecorded"
         assert chain.message_get(b"id").locator == "first"
-        assert chain.receipt(second.tx_hash) is second
 
     def test_rejected_transaction_stays_rejected_after_load(self):
         chain = fresh_chain()
         ledger.message_store(chain, SDM, b"id", "first")
         second = ledger.message_store(chain, SDM, b"id", "second")
         chain.seal_block()
+        assert second.error == "AlreadyRecorded"
         loaded = reload(chain)
-        assert loaded.receipt(second.tx_hash).error == "AlreadyRecorded"
+        assert loaded.message_get(b"id") == chain.message_get(b"id")
         assert loaded.message_get(b"id").locator == "first"
+        assert loaded.next_nonce(SDM.address) == 3
 
     @pytest.mark.parametrize("sender,contract,method", [
         (SDM, ledger.CONTRACT_MESSAGE_REGISTRY, "store"),
@@ -199,8 +221,10 @@ class TestContracts:
         assert later.status == ledger.STATUS_APPLIED
         assert chain.verify().ok
         loaded = reload(chain)
-        assert [loaded.receipt(r.tx_hash) for r in (good, bad, later)] == \
-            [good, bad, later]
+        for message_id in (b"id-0", b"id-1"):
+            assert loaded.message_get(message_id) == chain.message_get(message_id)
+        assert loaded.next_nonce(sender.address) == chain.next_nonce(sender.address)
+        assert loaded.verify().ok
 
     def test_unknown_sender_is_refused_at_submit(self):
         chain = fresh_chain()
@@ -215,46 +239,59 @@ class TestContracts:
             chain.submit(dataclasses.replace(tx, sender=SDM.address))
 
 
-def edit_tx_argument(chain: ledger.Chain) -> None:
-    block = chain.blocks[3]
-    tx = block.transactions[1]
-    forged = dataclasses.replace(
-        tx, args=ledger._encode_store_args(b"id-3", "elsewhere"))
-    chain.blocks[3] = reseal(block, transactions=(block.transactions[0], forged))
+# Each tamper edits the serialized blocks in a built chain's log, or loads
+# them into another chain, and returns the chain to verify.
+
+def edit_tx_argument(chain: ledger.Chain) -> ledger.Chain:
+    # A locator in the second store of block 3, with the block hash redone.
+    chain.log[3] = reseal(chain.log[3].replace(b"loc-3", b"loc-9"))
+    return chain
 
 
-def forge_block_hash(chain: ledger.Chain) -> None:
-    chain.blocks[2] = dataclasses.replace(chain.blocks[2], block_hash=bytes(32))
+def forge_block_hash(chain: ledger.Chain) -> ledger.Chain:
+    chain.log[2] = chain.log[2][:-ledger.HASH_BYTES] + bytes(ledger.HASH_BYTES)
+    return chain
 
 
-def break_prev_hash(chain: ledger.Chain) -> None:
-    chain.blocks[4] = reseal(chain.blocks[4], prev_hash=bytes(32))
+def break_prev_hash(chain: ledger.Chain) -> ledger.Chain:
+    chain.log[4] = relink(chain.log[4], bytes(ledger.HASH_BYTES))
+    return chain
 
 
-def swap_tx_after_sealing(chain: ledger.Chain) -> None:
-    # A properly signed transaction of another chain, with the block hash
-    # left as sealed.
+def swap_tx_after_sealing(chain: ledger.Chain) -> ledger.Chain:
+    # The transactions of block 1 replaced by a properly signed one of
+    # another chain, with the block hash left as sealed. A block's
+    # transaction count starts after its height and link.
     other = ledger.Chain(accounts=[SDM.public_bytes])
     ledger.message_store(other, SDM, b"id-9", "loc-9")
-    block = chain.blocks[1]
-    chain.blocks[1] = dataclasses.replace(
-        block, transactions=other.seal_block().transactions)
+    other.seal_block()
+    start = 8 + ledger.HASH_BYTES
+    block = chain.log[1]
+    chain.log[1] = (block[:start] + other.log[0][start:-ledger.HASH_BYTES]
+                    + block[-ledger.HASH_BYTES:])
+    return chain
 
 
-def forge_signature_and_reseal(chain: ledger.Chain) -> None:
+def forge_signature_and_reseal(chain: ledger.Chain) -> ledger.Chain:
     # A signature by another key, with the hashes of this block and every
-    # later one redone to match.
-    block = chain.blocks[1]
-    tx = dataclasses.replace(block.transactions[0],
-                             signature=OUTSIDER.sign(b"other bytes"))
-    chain.blocks[1] = reseal(block, transactions=(tx,))
+    # later one redone to match. Block 1 holds one transaction, whose
+    # signature ends just before the block hash.
+    block = chain.log[1]
+    signature_end = len(block) - ledger.HASH_BYTES
+    forged = OUTSIDER.sign(b"other bytes")
+    chain.log[1] = reseal(block[:signature_end - len(forged)] + forged
+                          + block[signature_end:])
     for height in range(2, chain.height):
-        chain.blocks[height] = reseal(chain.blocks[height],
-                                      prev_hash=chain.blocks[height - 1].block_hash)
+        chain.log[height] = relink(chain.log[height],
+                                   chain.log[height - 1][-ledger.HASH_BYTES:])
+    return chain
 
 
-def replace_account_key(chain: ledger.Chain) -> None:
-    chain.accounts[CERTIFIER.address] = OUTSIDER.public_bytes
+def replace_account_key(chain: ledger.Chain) -> ledger.Chain:
+    # The same blocks, loaded by a chain whose accounts hold another key
+    # in place of the certifier's.
+    return ledger.Chain.load([SDM.public_bytes, OUTSIDER.public_bytes],
+                             chain.certifiers, chain.log)
 
 
 TAMPERS = {
@@ -273,15 +310,44 @@ class TestTamper:
         tamper, height = TAMPERS[name]
         chain = built_chain()
         assert chain.verify() == ledger.ChainVerification(True)
-        tamper(chain)
-        assert chain.verify() == ledger.ChainVerification(False, height)
+        assert tamper(chain).verify() == ledger.ChainVerification(False, height)
 
     @pytest.mark.parametrize("name", TAMPERS)
     def test_loaded_copy_reports_the_same_height(self, name):
         tamper, height = TAMPERS[name]
+        tampered = tamper(built_chain())
+        assert reload(tampered).verify() == ledger.ChainVerification(False, height)
+
+    def test_a_replica_finds_a_forged_signature_below_its_checkpoint(self):
+        # Verified at five blocks, then a sixth replayed from the log, as a
+        # replica following a file does: the checkpoint is below the tip.
+        source = built_chain()
+        ledger.message_store(source, SDM, b"id-5", "loc-5")
+        source.seal_block()
+        replica = ledger.Chain.load(source.accounts.values(), source.certifiers,
+                                    source.log[:5])
+        assert replica.verify().ok
+        replica.log.append(source.log[5])
+        replica.extend(source.log[5:])
+        forge_signature_and_reseal(replica)
+        assert replica.verify() == ledger.ChainVerification(False, 1)
+
+    def test_a_log_that_lost_its_last_block_fails_there(self):
         chain = built_chain()
-        tamper(chain)
-        assert reload(chain).verify() == ledger.ChainVerification(False, height)
+        del chain.log[4]
+        assert chain.verify() == ledger.ChainVerification(False, 4)
+
+    def test_a_loaded_chain_checks_its_log_ends_at_its_tip(self):
+        # A properly signed block on the same four blocks, in place of the
+        # fifth one the chain was loaded from: a valid log, not this chain's.
+        chain = built_chain()
+        loaded = reload(chain)
+        fork = ledger.Chain.load(chain.accounts.values(), chain.certifiers, chain.log[:4])
+        ledger.message_store(fork, SDM, b"id-9", "loc-9")
+        fork.seal_block()
+        assert fork.verify().ok
+        loaded.log[4] = fork.log[4]
+        assert loaded.verify() == ledger.ChainVerification(False, 4)
 
 
 @pytest.fixture
@@ -301,7 +367,8 @@ def signature_checks(monkeypatch):
 class TestSignatureRecord:
     def test_each_signature_is_checked_once_per_chain(self, signature_checks):
         chain = built_chain()
-        transactions = sum(len(block.transactions) for block in chain.blocks)
+        transactions = sum(len(ledger.parse_block(data).transactions)
+                           for data in chain.log)
         assert len(signature_checks) == transactions == 6  # one per submit
         signature_checks.clear()
         assert chain.verify().ok
@@ -315,9 +382,20 @@ class TestSignatureRecord:
         assert loaded.verify().ok
         assert len(signature_checks) == 6
 
-    def test_replaced_account_key_is_checked_again(self, signature_checks):
-        chain = built_chain()
+    def test_a_verified_chain_checks_only_later_blocks(self, signature_checks):
+        loaded = reload(built_chain())
+        ledger.message_store(loaded, SDM, b"id-5", "loc-5")
+        loaded.seal_block()  # on blocks this chain has not checked
         signature_checks.clear()
-        replace_account_key(chain)
-        assert not chain.verify().ok
-        assert signature_checks == [OUTSIDER.public_bytes]
+        assert loaded.verify().ok
+        assert len(signature_checks) == 7
+        signature_checks.clear()
+        ledger.message_store(loaded, SDM, b"id-6", "loc-6")
+        loaded.seal_block()
+        assert loaded.verify().ok and len(signature_checks) == 1  # at submit
+
+    def test_accounts_are_read_only(self):
+        chain = built_chain()
+        with pytest.raises(TypeError):
+            chain.accounts[CERTIFIER.address] = OUTSIDER.public_bytes
+        assert chain.accounts[CERTIFIER.address] == CERTIFIER.public_bytes

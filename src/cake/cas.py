@@ -18,10 +18,10 @@ one append-only pack file per deployment home (a log with an in-memory
 index, as in Bitcask).
 
 :class:`FrameLog` owns the framing of the home's append-only files, the
-pack and the chain file: the scan of whole frames that stops at a torn
-tail, the re-read of the frames already scanned, and the one checked
-append that cuts that tail off, refuses frames another writer added, and
-cuts a failed write back.
+pack and the chain file: it writes every frame header, and holds the scan
+of whole frames that stops at a torn tail, the re-read of the frames
+already scanned, and the one checked append that cuts that tail off,
+refuses frames another writer added, and cuts a failed write back.
 
 Parsed locators are memoized by their text in a fixed-size LRU table, since
 every reader of a document parses the same locator from its chain record.
@@ -46,10 +46,8 @@ from .errors import CakeError
 DIGEST_BYTES = 32
 MULTIHASH_PREFIX = b"\x12\x20"  # SHA-256, 32 bytes
 MAX_BLOB_BYTES = 64 * 1024 * 1024
-# The file of :class:`DirectoryBlobStore` in its root, and its frame header:
-# body length, then the body's digest.
+# The file of :class:`DirectoryBlobStore` in its root.
 PACK_NAME = "blobs.pack"
-_FRAME_HEADER = struct.Struct(">I32s")
 
 BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _BASE58_INDEX = {c: i for i, c in enumerate(BASE58_ALPHABET)}
@@ -157,8 +155,9 @@ class LogConflict(StorageFailure):
 
 
 class FrameLog:
-    """An append-only file of frames, each a ``header`` then a body whose
-    length is the header's first field.
+    """An append-only file of frames, each a header then a body. The header
+    is the body's 4-byte big-endian length, then ``fields`` (a
+    :mod:`struct` format, such as the pack's ``"32s"`` digest).
 
     :attr:`end` is the end of the last whole frame read or written through
     this object. Frames past it that are cut short (a crash mid-append) are
@@ -167,9 +166,9 @@ class FrameLog:
     writers apart; the log opens nothing itself.
     """
 
-    def __init__(self, path: str | Path, header: struct.Struct) -> None:
+    def __init__(self, path: str | Path, fields: str = "") -> None:
         self.path = Path(path)
-        self.header = header
+        self.header = struct.Struct(">I" + fields)
         self.end = 0
 
     def _whole_frame(self, fd: int, pos: int, size: int) -> tuple | None:
@@ -200,9 +199,10 @@ class FrameLog:
             self.end = body + fields[0]
             yield fields, body
 
-    def append(self, fd: int, buffers: list[bytes]) -> int:
-        """Write ``buffers``, whole frames, at :attr:`end` in one ``pwritev``
-        and return the offset the write starts at.
+    def append(self, fd: int, body: bytes, *fields: object) -> int:
+        """Write one frame, ``body`` under a header of its length and
+        ``fields``, at :attr:`end` in one ``pwritev`` and return the offset
+        the frame starts at.
 
         A torn tail is cut off first, with a warning. Raises
         :class:`LogConflict`, and writes nothing, when the file holds a
@@ -210,6 +210,7 @@ class FrameLog:
         fails or comes up short is cut back to :attr:`end` and raises
         :class:`StorageFailure`, so the file keeps its whole frames.
         """
+        header = self.header.pack(len(body), *fields)
         end = self.end
         size = os.fstat(fd).st_size
         if size < end or self._whole_frame(fd, end, size) is not None:
@@ -218,8 +219,8 @@ class FrameLog:
             if size > end:
                 _log.warning("%s: truncating a torn %d-byte tail", self.path, size - end)
                 os.ftruncate(fd, end)
-            written = os.pwritev(fd, buffers, end)
-            if written != sum(map(len, buffers)):
+            written = os.pwritev(fd, [header, body], end)
+            if written != len(header) + len(body):
                 raise OSError(f"short write of {written} bytes")
         except OSError as exc:
             with contextlib.suppress(OSError):
@@ -296,7 +297,7 @@ class DirectoryBlobStore(BlobStore):
     """
 
     def __init__(self, root: str | Path) -> None:
-        self._log = FrameLog(Path(root) / PACK_NAME, _FRAME_HEADER)
+        self._log = FrameLog(Path(root) / PACK_NAME, "32s")
         # digest -> body offset << 32 | body length: one int per blob takes
         # ~150 bytes with its key, against ~230 for an (offset, length) tuple.
         self._index: dict[bytes, int] = {}
@@ -318,9 +319,8 @@ class DirectoryBlobStore(BlobStore):
             self._scan(fd)
             if loc.digest in self._index:
                 return
-            start = self._log.append(
-                fd, [_FRAME_HEADER.pack(len(data), loc.digest), data])
-            self._index[loc.digest] = (start + _FRAME_HEADER.size) << 32 | len(data)
+            start = self._log.append(fd, data, loc.digest)
+            self._index[loc.digest] = (start + self._log.header.size) << 32 | len(data)
         except OSError as exc:
             raise StorageFailure(f"cannot persist blob: {exc}") from exc
         finally:

@@ -72,7 +72,6 @@ import json
 import logging
 import os
 import signal
-import struct
 import sys
 import threading
 import time
@@ -99,8 +98,6 @@ EXIT_BAD_REQUEST = 74
 EXIT_OTHER = 75
 
 _log = logging.getLogger(__name__)
-# A chain file frame header: the block's length.
-_CHAIN_FRAME = struct.Struct(">I")
 
 
 class ChainConflict(CakeError):
@@ -153,7 +150,7 @@ class ChainFile:
 
     def __init__(self, home: "Home") -> None:
         self._home = home
-        self.frames = cas.FrameLog(home.chain_file, _CHAIN_FRAME)
+        self.frames = cas.FrameLog(home.chain_file)
 
     def __iter__(self) -> Iterator[bytes]:
         with self.frames.path.open("rb") as fh:
@@ -167,14 +164,13 @@ class ChainFile:
             yield os.pread(fd, length, body)
 
     def append(self, block: bytes) -> None:
-        frame = [_CHAIN_FRAME.pack(len(block)), block]
         writer = self._home._chain_writer
         try:
             if writer is not None:
-                self.frames.append(writer.fileno(), frame)
+                self.frames.append(writer.fileno(), block)
             else:
                 with _open_locked(self.frames.path) as fh:
-                    self.frames.append(fh.fileno(), frame)
+                    self.frames.append(fh.fileno(), block)
         except cas.LogConflict as exc:
             raise ChainConflict(*exc.args) from exc
 

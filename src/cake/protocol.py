@@ -30,12 +30,12 @@ TCP sockets carry ``TCP_NODELAY``: a client writes AUTH and then its first
 request without waiting for a reply in between, and Nagle's algorithm would
 hold that second write back until the server's delayed acknowledgement,
 some 40 ms later; each frame is one write, so no extra small segments go
-out in its place. A ``ServiceServer`` connection has a handshake deadline
-and, once sealed, an idle timeout (:data:`HANDSHAKE_DEADLINE_S`,
-:data:`IDLE_TIMEOUT_S`); a read that runs out of time raises
-:class:`TransportClosed`, and the session ends. A ``ServiceServer`` runs
-at most :data:`MAX_SESSIONS` sessions at once and closes any connection
-past them as it accepts it.
+out in its place. The server end of every connection, a ``ServiceServer``
+one or an in-process one, has a handshake deadline and, once sealed, an
+idle timeout (:data:`HANDSHAKE_DEADLINE_S`, :data:`IDLE_TIMEOUT_S`); a
+read that runs out of time raises :class:`TransportClosed`, and the
+session ends. A ``ServiceServer`` runs at most :data:`MAX_SESSIONS`
+sessions at once and closes any connection past them as it accepts it.
 
 Each service answers one request tag, its ``request_tag``, and replies to
 a request with tag ``request_tag + 1``; a request with any other tag gets a
@@ -79,12 +79,15 @@ and deploys them on an empty chain whose block log is a list; the CLI reads
 them from its home, whose chain file is the block log.
 
 Process layout: in one process, as in ``provision`` and the in-process CLI,
-the three services share one chain object. ``cake serve`` keeps the two
-writers in one process, whose chain appends each block to the chain file
-as it is sealed, and forks the key manager into a process of its own, which
-reads: its chain is a replica, and its ``SkmService.refresh`` hook applies
-the blocks appended to the file since the last key request before it
-answers the next one (see :mod:`cake.cli`).
+the three services share one chain object, and each session runs on a
+thread of its own over a socket pair (:func:`serve_in_background`), with
+the one :class:`SocketTransport`, framing and server deadlines that TCP
+sessions have. ``cake serve`` keeps the two writers in one process,
+whose chain appends each block to the chain file as it is sealed, and
+forks the key manager into a process of its own, which reads: its chain
+is a replica, and its ``SkmService.refresh`` hook applies the blocks
+appended to the file since the last key request before it answers the
+next one (see :mod:`cake.cli`).
 
 Services may serve many sessions concurrently (state per session is local,
 and writes to the chain are serialized by its lock), but a deterministic
@@ -102,7 +105,6 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from queue import Empty, Queue
 from typing import Callable, Iterable, Iterator, Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -292,71 +294,12 @@ def parse_actor_metadata(data: bytes) -> ActorMetadata:
     return ActorMetadata(actor, attrs, certified_at, certifier)
 
 
-# --- transports ----------------------------------------------------------------
+# --- transport ----------------------------------------------------------------
 
-class Transport:
-    """Byte-frame duplex channel: 4-byte big-endian length, then the body."""
-
-    def send_frame(self, body: bytes) -> None:
-        raise NotImplementedError
-
-    def recv_frame(self, limit: int = MAX_FRAME_BYTES) -> bytes:
-        """Next frame body; raises :class:`ProtocolError`, without reading
-        the body, when it is longer than ``limit``."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def sealed(self) -> None:
-        """The handshake on this transport has completed; a service calls
-        this before it reads the first request."""
-
-
-class MemoryTransport(Transport):
-    """One endpoint of an in-process duplex channel."""
-
-    _CLOSE = object()
-
-    def __init__(self, inbox: Queue, outbox: Queue) -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = False
-
-    def send_frame(self, body: bytes) -> None:
-        if self._closed:
-            raise TransportClosed("transport closed")
-        if len(body) > MAX_FRAME_BYTES:
-            raise ProtocolError("frame exceeds size limit")
-        self._outbox.put(body)
-
-    def recv_frame(self, limit: int = MAX_FRAME_BYTES) -> bytes:
-        try:
-            item = self._inbox.get(timeout=30.0)
-        except Empty:
-            raise TransportClosed("peer went silent")
-        if item is MemoryTransport._CLOSE:
-            self._inbox.put(item)  # keep raising for later readers
-            raise TransportClosed("peer closed the channel")
-        if len(item) > limit:
-            raise ProtocolError("incoming frame exceeds size limit")
-        return item
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(MemoryTransport._CLOSE)
-
-
-def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
-    a_to_b: Queue = Queue()
-    b_to_a: Queue = Queue()
-    return MemoryTransport(b_to_a, a_to_b), MemoryTransport(a_to_b, b_to_a)
-
-
-class SocketTransport(Transport):
-    """Stream-socket transport with the same framing; turns Nagle's
-    algorithm off on TCP sockets (see the module docstring).
+class SocketTransport:
+    """Byte-frame duplex channel over a stream socket: a 4-byte big-endian
+    length, then the body. Turns Nagle's algorithm off on TCP sockets (see
+    the module docstring).
 
     With ``deadline_s``, every read until :meth:`sealed` must complete
     within that many seconds of construction; with ``idle_timeout_s``, each
@@ -373,6 +316,8 @@ class SocketTransport(Transport):
         self._idle_timeout_s = idle_timeout_s
 
     def sealed(self) -> None:
+        """The handshake on this transport has completed; a service calls
+        this before it reads the first request."""
         self._deadline = None
         if self._idle_timeout_s is not None:
             self._sock.settimeout(self._idle_timeout_s)
@@ -404,6 +349,8 @@ class SocketTransport(Transport):
         return b"".join(chunks)
 
     def recv_frame(self, limit: int = MAX_FRAME_BYTES) -> bytes:
+        """Next frame body; raises :class:`ProtocolError`, without reading
+        the body, when it is longer than ``limit``."""
         length = int.from_bytes(self._recv_exact(4), "big")
         if length > limit:
             raise ProtocolError("incoming frame exceeds size limit")
@@ -415,6 +362,22 @@ class SocketTransport(Transport):
         except OSError:
             pass
         self._sock.close()
+
+
+# An alias, not a second transport: perfbench/spans.py patches
+# ``MemoryTransport.recv_frame`` by name, so the name stays until that
+# span table goes.
+MemoryTransport = SocketTransport
+
+
+def memory_pair() -> tuple[SocketTransport, SocketTransport]:
+    """An in-process connection over ``socket.socketpair()``: (server end,
+    client end). The server end has the handshake deadline and idle timeout
+    of a ``ServiceServer`` connection, so a silent peer is dropped, not
+    waited for; the client end has none, as :func:`connect_tcp`'s."""
+    server, client = socket.socketpair()
+    return (SocketTransport(server, HANDSHAKE_DEADLINE_S, IDLE_TIMEOUT_S),
+            SocketTransport(client))
 
 
 # --- wire errors ----------------------------------------------------------------
@@ -474,7 +437,7 @@ class Session:
     CHALLENGE and AUTH) and the shared secret give the transcript hash and
     the session key."""
 
-    def __init__(self, transport: Transport, transcript: bytes, shared: bytes,
+    def __init__(self, transport: SocketTransport, transcript: bytes, shared: bytes,
                  peer_address: bytes, is_client: bool) -> None:
         self._transport = transport
         self.transcript_hash = hashlib.sha256(transcript).digest()
@@ -520,7 +483,7 @@ def _client_signing_input(hello: bytes, challenge: bytes) -> bytes:
     return hashlib.sha256(_CLIENT_SIG_CONTEXT + hello + challenge).digest()
 
 
-def client_handshake(identity: Identity, server: PeerIdentity, transport: Transport,
+def client_handshake(identity: Identity, server: PeerIdentity, transport: SocketTransport,
                      rng: Optional[random.Random] = None) -> Session:
     """Run the client side of the handshake and return the sealed session."""
     rng = rng if rng is not None else random.SystemRandom()
@@ -572,7 +535,7 @@ class Service:
     def public(self) -> PeerIdentity:
         return self.identity.public()
 
-    def serve_session(self, transport: Transport) -> None:
+    def serve_session(self, transport: SocketTransport) -> None:
         """Serve one connection until the peer closes it.
 
         The transport is always closed on return. An exception that is not
@@ -588,7 +551,7 @@ class Service:
         finally:
             transport.close()
 
-    def _serve(self, transport: Transport) -> None:
+    def _serve(self, transport: SocketTransport) -> None:
         try:
             session = self._server_handshake(transport)
         except TransportClosed:
@@ -621,7 +584,7 @@ class Service:
                 return
             session.send(self.request_tag + 1, response)
 
-    def _server_handshake(self, transport: Transport) -> Session:
+    def _server_handshake(self, transport: SocketTransport) -> Session:
         hello = transport.recv_frame(HELLO_BYTES)
         if len(hello) != HELLO_BYTES or hello[0] != TAG_HELLO:
             raise AuthFailure("expected client hello")
@@ -788,7 +751,7 @@ class ServiceClient:
     it closes the session on exit. A handshake that fails closes the
     transport before the error propagates."""
 
-    def __init__(self, identity: Identity, server: PeerIdentity, transport: Transport,
+    def __init__(self, identity: Identity, server: PeerIdentity, transport: SocketTransport,
                  rng: Optional[random.Random] = None) -> None:
         self.identity = identity
         try:
@@ -947,8 +910,10 @@ def provision(rng: Optional[random.Random] = None,
     return deploy(master, identities, cas.MemoryBlobStore(), (), clock, rng)
 
 
-def serve_in_background(service: Service) -> Transport:
-    """Spawn a session handler thread; returns the client-side transport."""
+def serve_in_background(service: Service) -> SocketTransport:
+    """Serve one in-process session on a thread of its own; returns the
+    client end of its :func:`memory_pair`. The server end runs with the
+    deadlines of a ``ServiceServer`` connection."""
     server_side, client_side = memory_pair()
     thread = threading.Thread(target=service.serve_session, args=(server_side,),
                               daemon=True)

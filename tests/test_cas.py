@@ -264,7 +264,8 @@ BODIES = [b"", b"first", b"x" * 40, b"last"]
 
 @pytest.fixture(params=FRAME_FIELDS)
 def frames(request):
-    """A header, a function framing a body under it, and the bytes of
+    """The ``fields`` a log is made with (its header past the length), a
+    function framing a body under that header, and the bytes of
     :data:`BODIES` framed in order, each as (fields, body offset, end)."""
     header = struct.Struct(request.param)
 
@@ -276,7 +277,7 @@ def frames(request):
         spans.append((FRAME_FIELDS[request.param](body), len(data) + header.size,
                       len(data) + len(frame(body))))
         data += frame(body)
-    return header, frame, data, spans
+    return request.param[len(">I"):], frame, data, spans
 
 
 def read_all(log: cas.FrameLog, path) -> list[tuple[tuple, int]]:
@@ -284,18 +285,20 @@ def read_all(log: cas.FrameLog, path) -> list[tuple[tuple, int]]:
         return list(log.read_new(fh.fileno()))
 
 
-def append(log: cas.FrameLog, path, data: bytes) -> int:
+def append(log: cas.FrameLog, path, body: bytes) -> int:
+    """Append ``body`` under the header fields :data:`FRAME_FIELDS` gives it."""
+    fields = FRAME_FIELDS[log.header.format](body)[1:]
     with open(path, "r+b") as fh:
-        return log.append(fh.fileno(), [data])
+        return log.append(fh.fileno(), body, *fields)
 
 
 class TestFrameLog:
     def test_read_new_yields_the_whole_frames_at_every_cut(self, tmp_path, frames):
-        header, _, data, spans = frames
+        extra, _, data, spans = frames
         path = tmp_path / "log"
         for cut in range(len(data) + 1):
             path.write_bytes(data[:cut])
-            log = cas.FrameLog(path, header)
+            log = cas.FrameLog(path, extra)
             whole = [span for span in spans if span[2] <= cut]
             assert read_all(log, path) == [(fields, body) for fields, body, _ in whole]
             assert log.end == (whole[-1][2] if whole else 0)
@@ -308,28 +311,28 @@ class TestFrameLog:
             assert log.end == len(data)
 
     def test_an_append_cuts_a_torn_tail_and_logs_once(self, tmp_path, frames, caplog):
-        header, frame, data, spans = frames
+        extra, frame, data, spans = frames
         path = tmp_path / "log"
         last = spans[-2][2]
         for cut in range(last, len(data)):
             path.write_bytes(data[:cut])
-            log = cas.FrameLog(path, header)
+            log = cas.FrameLog(path, extra)
             read_all(log, path)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="cake.cas"):
-                assert append(log, path, frame(b"one")) == last
-                assert append(log, path, frame(b"two")) == last + len(frame(b"one"))
+                assert append(log, path, b"one") == last
+                assert append(log, path, b"two") == last + len(frame(b"one"))
             assert path.read_bytes() == data[:last] + frame(b"one") + frame(b"two")
             assert log.end == path.stat().st_size
             assert [record.getMessage() for record in caplog.records] == \
                 ([f"{path}: truncating a torn {cut - last}-byte tail"] if cut > last else [])
 
     def test_frames_another_writer_changed_make_an_append_raise(self, tmp_path, frames):
-        header, frame, data, spans = frames
+        extra, frame, data, spans = frames
         path = tmp_path / "log"
         end = spans[1][2]
         path.write_bytes(data[:end])
-        log = cas.FrameLog(path, header)
+        log = cas.FrameLog(path, extra)
         read_all(log, path)
         for changed in (data[:spans[2][2]],  # a whole frame past the end
                         data[:spans[2][2] + 3],  # ... and a torn tail after it
@@ -337,7 +340,7 @@ class TestFrameLog:
                         data[:spans[0][2]]):
             path.write_bytes(changed)
             with pytest.raises(cas.LogConflict):
-                append(log, path, frame(b"mine"))
+                append(log, path, b"mine")
             assert path.read_bytes() == changed
             assert log.end == end
 

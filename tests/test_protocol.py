@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import logging
 import random
@@ -40,12 +41,32 @@ def client(deployment):
     return identity
 
 
-def serve(service):
-    server_side, client_side = protocol.memory_pair()
-    thread = threading.Thread(target=service.serve_session, args=(server_side,),
-                              daemon=True)
-    thread.start()
-    return client_side, thread
+@pytest.fixture
+def serve():
+    """A function that starts one in-process session of a service
+    (``serve_in_background``) and returns (client end, server thread);
+    every client end it made is closed at teardown."""
+    opened = []
+
+    def start(service):
+        before = set(threading.enumerate())
+        transport = protocol.serve_in_background(service)
+        opened.append(transport)
+        [thread] = set(threading.enumerate()) - before
+        return transport, thread
+
+    yield start
+    for transport in opened:
+        transport.close()
+
+
+@pytest.fixture
+def pair():
+    """An in-process (server end, client end), both closed at teardown."""
+    ends = protocol.memory_pair()
+    yield ends
+    for end in ends:
+        end.close()
 
 
 def signing_input(context: bytes, *parts: bytes) -> bytes:
@@ -58,7 +79,7 @@ def wire_error_code(frame: bytes) -> str:
 
 
 class TestLowOrderKeys:
-    def test_server_answers_auth_failure_and_closes(self, deployment, client):
+    def test_server_answers_auth_failure_and_closes(self, deployment, client, serve):
         transport, thread = serve(deployment.sdm)
         hello = bytes([TAG_HELLO]) + client.address + LOW_ORDER_KEY + bytes(range(16))
         transport.send_frame(hello)
@@ -74,9 +95,9 @@ class TestLowOrderKeys:
         thread.join(timeout=5)
         assert not thread.is_alive()
 
-    def test_client_raises_auth_failure(self, deployment, client):
+    def test_client_raises_auth_failure(self, deployment, client, pair):
         server = deployment.sdm.identity
-        client_side, server_side = protocol.memory_pair()
+        server_side, client_side = pair
         outcome: list[BaseException] = []
 
         def handshake() -> None:
@@ -100,7 +121,8 @@ class TestLowOrderKeys:
 
 
 class TestReplay:
-    def test_recorded_hello_and_auth_fail_in_a_fresh_session(self, deployment, client):
+    def test_recorded_hello_and_auth_fail_in_a_fresh_session(self, deployment, client,
+                                                             serve):
         transport, thread = serve(deployment.sdm)
         sent: list[bytes] = []
         send = transport.send_frame
@@ -130,6 +152,29 @@ class TestReplay:
             transport.recv_frame()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+class TestInProcessSessions:
+    def test_a_silent_session_is_dropped_at_the_handshake_deadline(
+            self, deployment, serve, monkeypatch):
+        monkeypatch.setattr(protocol, "HANDSHAKE_DEADLINE_S", 0.2)
+        started = time.monotonic()
+        transport, thread = serve(deployment.sdm)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert 0.2 <= time.monotonic() - started < 2
+        with pytest.raises(protocol.TransportClosed):
+            transport.recv_frame()
+
+    def test_a_send_after_the_server_dropped_the_session_raises(self, deployment,
+                                                                 serve):
+        transport, thread = serve(deployment.sdm)
+        transport.send_frame(bytes(protocol.HELLO_BYTES))  # tag 0: no HELLO
+        assert wire_error_code(transport.recv_frame()) == "AuthFailure"
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        with pytest.raises(protocol.TransportClosed):
+            transport.send_frame(bytes([TAG_HELLO]))
 
 
 class TestConcurrentStores:
@@ -191,7 +236,7 @@ def honest_store(deployment, client) -> None:
 
 
 class TestRejections:
-    def test_auth_signed_with_an_unregistered_key(self, deployment, client):
+    def test_auth_signed_with_an_unregistered_key(self, deployment, client, serve):
         # Claims the registered client's address, signs with another key.
         impostor = protocol.Identity.generate(random.Random(7))
         impostor.address = client.address
@@ -205,7 +250,7 @@ class TestRejections:
         assert_dropped(transport, thread)
         honest_store(deployment, client)
 
-    def test_wrong_server_signing_key(self, deployment, client):
+    def test_wrong_server_signing_key(self, deployment, client, serve):
         transport, thread = serve(deployment.sdm)
         with pytest.raises(protocol.AuthFailure, match="server signature"):
             protocol.client_handshake(client, deployment.ud.public(), transport,
@@ -215,7 +260,7 @@ class TestRejections:
         assert not thread.is_alive()
         honest_store(deployment, client)
 
-    def test_swapped_sealed_frames_drop_the_session(self, deployment, client):
+    def test_swapped_sealed_frames_drop_the_session(self, deployment, client, serve):
         transport, thread = serve(deployment.sdm)
         session = protocol.client_handshake(client, deployment.sdm.public(), transport,
                                             random.Random(8))
@@ -226,7 +271,10 @@ class TestRejections:
         session.send(TAG_STORE_REQ, store_request([("two", "a", b"2")]))
         first, second = held
         send(second)
-        send(first)
+        # The server drops the session at ``second``, so this send may meet
+        # a closed peer.
+        with contextlib.suppress(protocol.TransportClosed):
+            send(first)
         assert_dropped(transport, thread)
         assert deployment.chain.height == 0
         honest_store(deployment, client)
@@ -393,7 +441,7 @@ class TestRefusedClient:
 class TestRequestTags:
     @pytest.mark.parametrize("role", ["sdm", "ud", "skm"])
     def test_another_services_tag_is_refused_and_the_session_goes_on(
-            self, deployment, client, role):
+            self, deployment, client, serve, role):
         with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
             ud.certify(client.address, ["a"])
         service = getattr(deployment, role)
@@ -426,24 +474,24 @@ class TestSessionBoundary:
             raise RuntimeError("handler bug")
 
         monkeypatch.setattr(deployment.sdm, "_handle", broken_handler)
-        sdm = deployment.connect_sdm(client, random.Random(4))
-        with caplog.at_level(logging.ERROR, logger="cake.protocol"):
-            with pytest.raises(protocol.InternalError) as caught:
+        with deployment.connect_sdm(client, random.Random(4)) as sdm:
+            with caplog.at_level(logging.ERROR, logger="cake.protocol"):
+                with pytest.raises(protocol.InternalError) as caught:
+                    sdm.store([("doc", "a", b"body")])
+            assert "handler bug" not in str(caught.value)
+            with pytest.raises(protocol.TransportClosed):
                 sdm.store([("doc", "a", b"body")])
-        assert "handler bug" not in str(caught.value)
-        with pytest.raises(protocol.TransportClosed):
-            sdm.store([("doc", "a", b"body")])
         [record] = [r for r in caplog.records if r.name == "cake.protocol"]
         assert record.exc_info is not None
         assert "handler bug" in caplog.text
 
 
 class TestPreAuthFrameLimits:
-    def test_memory_transport_enforces_limit(self):
-        left, right = protocol.memory_pair()
-        left.send_frame(bytes(protocol.HELLO_BYTES + 1))
+    def test_in_process_transport_enforces_limit(self, pair):
+        server_side, client_side = pair
+        client_side.send_frame(bytes(protocol.HELLO_BYTES + 1))
         with pytest.raises(protocol.ProtocolError):
-            right.recv_frame(protocol.HELLO_BYTES)
+            server_side.recv_frame(protocol.HELLO_BYTES)
 
     def test_oversized_hello_prefix_refused_without_reading_body(self, deployment):
         server = protocol.ServiceServer(deployment.sdm, "127.0.0.1", 0)

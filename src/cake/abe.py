@@ -12,14 +12,13 @@ is satisfied, and then opens only the shares of a minimal satisfying leaf
 set; a key that does not satisfy the policy opens none. The per-policy
 header checks (the text parses, is canonical, and compiles to a tree) are
 memoized by the canonical policy text in a fixed-size LRU table
-(:func:`_compiled_header`), with the share layout the tree calls for, the
-skeleton of the policy's canonical header, and a bounded satisfiability
+(:func:`_compiled_header`), with the skeleton of the policy's canonical
+header and where each leaf's share sits in it, and a bounded satisfiability
 memo: the leaf set chosen for each pattern of held policy attributes seen,
-or the denial. The check that a ciphertext's layout is that one runs on
-every read. Attribute wrap keys are memoized likewise, in
-a bounded LRU table keyed by master secret and attribute, since every leaf
-of every slice and every issued key needs one and attributes repeat; so
-are the ciphers that wrap shares at encryption.
+or the denial. Attribute wrap keys are memoized likewise, in a bounded LRU
+table keyed by master secret and attribute, since every leaf of every
+slice and every issued key needs one and attributes repeat; so are the
+ciphers that wrap shares at encryption.
 
 Keys:
 
@@ -35,23 +34,21 @@ A slice is its bytes. :class:`SliceCiphertext` holds the header bytes, the
 payload nonce and the sealed payload, and the header is the only form its
 shares take: nothing builds a per-share object. Two places build a slice.
 :func:`encrypt_slice` walks the tree's leaves once, wrapping each share, and
-one encoder, :func:`_encode_header`, writes the header and records where
-each share's nonce field starts. :func:`_parse_slice` keeps the header bytes
-it read. A header that is its policy's canonical header outside its nonces
-and sealed shares, which one struct unpack and one comparison with the
-memoized skeleton decide (:func:`_match_skeleton`), takes the memoized
-layout. Any other header (a policy text that is not canonical, other bytes,
-other field lengths) is walked (:func:`_walk_header`), which records its
-share layout, each share's (leaf index, attribute), and where each share's
-nonce field starts in the header, and raises what it raises; both give the
-same result for the same bytes. A read hashes the header as it is, a store
-writes it out as it is, and decryption compares the layout with the
-memoized one and reads the nonce and sealed share of a chosen leaf from the
-header bytes at its offset.
+one encoder, :func:`_encode_header`, writes the header. :func:`_parse_slice`
+keeps the header bytes it read, and reads a header in one way only: as its
+policy's canonical header, the one that encoder writes for the policy text,
+outside each share's nonce and sealed share. One struct unpack and one
+comparison with the memoized skeleton of that header decide it. A reader
+fetches a container by the content address the data manager notarized, so
+an honest header is always canonical; any other (a policy text that is not
+canonical, other bytes, other field lengths) fails the parse of its whole
+container. A read hashes the header as it is, a store writes it out as it
+is, and decryption reads the nonce and sealed share of a chosen leaf from
+the header bytes at the offsets the memo entry holds.
 
 Containers are parsed in one pass that reads each length in place and
-checks it before taking its field, and checks that each string field is
-UTF-8.
+checks it before taking its field, and checks that each label and policy
+text is UTF-8.
 
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
@@ -69,7 +66,7 @@ import random
 import struct
 import threading
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
@@ -145,24 +142,18 @@ class UserKey:
         return frozenset(self.attribute_keys)
 
 
-class _Layout(NamedTuple):
-    shares: tuple[tuple[int, str], ...]  # (leaf index, attribute) of each share
-    nonces_at: Sequence[int]  # where each share's nonce field starts in the header
-
-
 @dataclass(frozen=True)
 class SliceCiphertext:
     """One encrypted slice: its header bytes, in the one encoding
     :func:`_encode_header` writes, then its payload nonce and sealed payload.
 
-    ``layout`` is each share's (leaf index, attribute) and where its nonce
-    field starts in ``header``, as the encoder wrote them or the parse read
-    them; it follows from ``header``, so equality and ``repr`` leave it out.
+    :func:`encrypt_slice` and the parse build slices, so ``header`` is its
+    policy's canonical header, with each share's fields where the policy's
+    memo entry (:func:`_compiled_header`) places them.
     """
     header: bytes
     payload_nonce: bytes
     payload: bytes
-    layout: _Layout = field(compare=False, repr=False)
 
     @property
     def policy_text(self) -> str:
@@ -265,9 +256,9 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
 
     The policy is stored in its canonical rendering; the compiled tree's
     leaves determine the wrapped shares. One walk over the leaves wraps
-    each share, and :func:`_encode_header` encodes the header and its layout
-    once. Raises :class:`policy.PolicySyntaxError` /
-    :class:`policy.InvalidAttributeError` for bad policy text.
+    each share, and :func:`_encode_header` encodes the header once. Raises
+    :class:`policy.PolicySyntaxError` / :class:`policy.InvalidAttributeError`
+    for bad policy text.
     """
     rng = _rng_or_system(rng)
     ast = policy_mod.parse_policy(policy)
@@ -291,40 +282,33 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
             _share_aad(index, leaf.attribute))
         shares.append((index, leaf.attribute, nonce, sealed))
 
-    header, layout = _encode_header(canonical, shares)
+    header, _ = _encode_header(canonical, shares)
     payload_nonce = nonces[-NONCE_BYTES:]
     payload = AESGCM(_payload_key(data_key)).encrypt(
         payload_nonce, plaintext, _header_digest(header))
-    return SliceCiphertext(header, payload_nonce, payload, layout)
+    return SliceCiphertext(header, payload_nonce, payload)
 
 
 def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     """Recover the slice plaintext, or explain why not.
 
-    Everything is read from the slice's bytes. Its share layout, each
-    share's (leaf index, attribute) as the encoder wrote or the parse read
-    it, is compared with the one its policy's compiled tree gives, in one
-    comparison. The key's attribute names alone then decide satisfiability:
-    a minimal satisfying leaf set is chosen
+    Everything is read from the slice's bytes, whose header the parse (or
+    the encoder) made its policy's canonical one: a header that does not
+    parse, is not canonical, or does not mirror its tree fails
+    :func:`parse_container`, not here. The key's attribute names alone
+    decide satisfiability: a minimal satisfying leaf set is chosen
     (:func:`policy.min_satisfying_leaves`, memoized per policy by
     :func:`_choose`), and only the nonces and sealed shares of that set are
-    read from :attr:`SliceCiphertext.header`, at the layout's offsets, and
-    opened.
+    read from :attr:`SliceCiphertext.header`, at the offsets of the policy's
+    memo entry (:func:`_compiled_header`), and opened.
 
-    Raises :class:`IntegrityFailure` when the policy header does not parse,
-    is not canonical, or its share layout does not mirror its tree (checked
-    before anything else); :class:`PolicyNotSatisfied` when the key's
-    attributes do not satisfy the policy, without opening any share; and
+    Raises :class:`PolicyNotSatisfied` when the key's attributes do not
+    satisfy the policy, without opening any share; and
     :class:`IntegrityFailure` when a chosen share or the payload fails
     authentication. Tampering with a share that is not opened, held or
     not, fails the payload AEAD, which binds the whole header.
     """
     compiled = _compiled_header(ct.policy_text)
-    layout = ct.layout
-    leaves = compiled.layout.shares
-    if layout.shares != leaves:
-        raise IntegrityFailure("wrapped shares do not match the policy tree")
-
     chosen = _choose(compiled, uk.attribute_keys)
     if not chosen:
         raise PolicyNotSatisfied(f"attributes do not satisfy {ct.policy_text!r}")
@@ -332,8 +316,8 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     header = ct.header
     available: dict[int, int] = {}
     for leaf_index in chosen:
-        attribute = leaves[leaf_index - 1][1]
-        nonce, wrapped = _share_fields(header, layout.nonces_at[leaf_index - 1])
+        attribute = compiled.leaves[leaf_index - 1]
+        nonce, wrapped = _share_fields(header, compiled.nonces_at[leaf_index - 1])
         try:
             raw = AESGCM(uk.attribute_keys[attribute]).decrypt(
                 nonce, wrapped, _share_aad(leaf_index, attribute))
@@ -357,10 +341,10 @@ _SEALED_SHARE_BYTES = sss.FIELD_BYTES + 16
 class _CompiledHeader(NamedTuple):
     """What every slice header of one canonical policy text shares."""
     tree: policy_mod.AccessTree
-    # The share layout the tree calls for, with the nonce offsets of a header
-    # whose nonces and sealed shares have their honest lengths.
-    layout: _Layout
-    # Such a header after its policy text, with each share's nonce and sealed
+    leaves: tuple[str, ...]  # the attribute of each leaf, in leaf-index order
+    # Where each leaf's nonce field starts in the canonical header.
+    nonces_at: Sequence[int]
+    # That header after its policy text, with each share's nonce and sealed
     # share cut out: a struct that reads the runs between those holes and
     # skips the holes, and the bytes of the runs.
     skeleton: struct.Struct
@@ -375,8 +359,8 @@ class _CompiledHeader(NamedTuple):
 # Compiled headers kept by :func:`_compiled_header`. Every reader of a slice
 # checks the same header, so reads of one policy outnumber its writes; the
 # bound caps the memory a stream of distinct policies can pin (measured with
-# tracemalloc, a 32-leaf entry is about 10 KB, half of it the skeleton, and
-# 14 KB with a full satisfiability memo).
+# tracemalloc, a 32-leaf entry is about 9 KB, over half of it the skeleton,
+# and 4 KB more with a full satisfiability memo).
 _POLICY_MEMO_SIZE = 256
 
 # Answers kept per compiled header by :func:`_choose`; a full memo is
@@ -387,19 +371,19 @@ _CHOICE_MEMO_SIZE = 64
 
 @functools.lru_cache(maxsize=_POLICY_MEMO_SIZE)
 def _compiled_header(policy_text: str) -> _CompiledHeader:
-    """The compiled tree of a header's policy text, the share layout it
-    calls for ((position, attribute) of each of its leaves, positions
-    counted from 1 in leaf-index order), the skeleton of the policy's
-    canonical header, and an empty satisfiability memo.
+    """The compiled tree of a header's policy text, the attribute of each
+    of its leaves, the skeleton of the policy's canonical header with the
+    offset of each leaf's nonce field in it, and an empty satisfiability
+    memo.
 
     The skeleton comes from the one encoder: it encodes the header of
     placeholder shares with honest field lengths and gives the nonce
     offsets it wrote, and each nonce and sealed share is a hole.
-    :func:`_match_skeleton` checks a parsed header against it.
+    :func:`_parse_slice` checks every header against it.
 
     Raises :class:`IntegrityFailure` for text that does not parse or is not
     canonical; ``lru_cache`` keeps no entry for a call that raises, so such
-    a header fails on every read.
+    a header fails every parse.
     """
     try:
         ast = policy_mod.parse_policy(policy_text)
@@ -408,9 +392,9 @@ def _compiled_header(policy_text: str) -> _CompiledHeader:
     if policy_mod.render_policy(ast) != policy_text:
         raise IntegrityFailure("policy header is not in canonical form")
     tree = policy_mod.compile_policy(ast)
-    names = [leaf.attribute for leaf in policy_mod.tree_leaves(tree)]
+    names = tuple(leaf.attribute for leaf in policy_mod.tree_leaves(tree))
     nonce, sealed = bytes(NONCE_BYTES), bytes(_SEALED_SHARE_BYTES)
-    header, (shares, nonces_at) = _encode_header(
+    header, nonces_at = _encode_header(
         policy_text, [(index, name, nonce, sealed) for index, name in enumerate(names, start=1)])
     # Each share from its nonce field on: the nonce's length, the nonce (a
     # hole), the sealed share's length, the sealed share (a hole). Before
@@ -421,9 +405,8 @@ def _compiled_header(policy_text: str) -> _CompiledHeader:
     runs = [at + 4 - end for at, end in zip(nonces_at, ends)]
     hole = f"s{NONCE_BYTES}x4s{_SEALED_SHARE_BYTES}x"
     skeleton = struct.Struct(">" + hole.join(map(str, runs)) + hole)
-    # Every slice parsed against this entry shares its layout.
-    layout = _Layout(shares, memoryview(nonces_at).toreadonly())
-    return _CompiledHeader(tree, layout, skeleton, b"".join(skeleton.unpack_from(header, runs_at)),
+    return _CompiledHeader(tree, names, nonces_at, skeleton,
+                           b"".join(skeleton.unpack_from(header, runs_at)),
                            tuple(dict.fromkeys(names)), {})
 
 
@@ -507,11 +490,11 @@ _EMPTY_PAYLOAD_FIELDS = bytes(8)
 
 
 def _encode_header(policy_text: str, shares: Sequence[tuple[int, str, bytes, bytes]]
-                   ) -> tuple[bytes, _Layout]:
+                   ) -> tuple[bytes, array]:
     """The canonical bytes of a slice's policy text and its shares, given as
     (leaf index, attribute, nonce, sealed share), each variable-length field
-    prefixed with its own length; and their layout, with the offset of each
-    nonce field it wrote."""
+    prefixed with its own length; and the offset of each nonce field it
+    wrote."""
     policy_bytes = policy_text.encode()
     fields = [_u32(len(policy_bytes)), policy_bytes, _u32(len(shares))]
     at = len(policy_bytes) + 8
@@ -523,8 +506,7 @@ def _encode_header(policy_text: str, shares: Sequence[tuple[int, str, bytes, byt
         at += 8 + len(nonce) + len(sealed)
         fields += (_u32(leaf_index), _u32(len(name)), name, _u32(len(nonce)), nonce,
                    _u32(len(sealed)), sealed)
-    layout = _Layout(tuple((share[0], share[1]) for share in shares), nonces_at)
-    return b"".join(fields), layout
+    return b"".join(fields), nonces_at
 
 
 def _header_digest(header: bytes) -> bytes:
@@ -547,105 +529,52 @@ def serialize_slice(ct: SliceCiphertext) -> bytes:
 _TRUNCATED = "truncated encoding"
 
 _u32_at = struct.Struct(">I").unpack_from
-_two_u32_at = struct.Struct(">II").unpack_from
-
-
-def _bad_utf8(exc: UnicodeDecodeError) -> CodecError:
-    return CodecError(f"invalid utf-8 in string field: {exc}")
 
 
 def _utf8(raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _bad_utf8(exc) from exc
-
-
-def _walk_header(data: bytes, pos: int, end: int) -> tuple[str, _Layout, int]:
-    """The policy text and share layout of the slice header that starts at
-    ``data[pos]`` and ends at or before ``end``, and where it ends.
-
-    Fields are read in place, in runs: a run reads each length where it
-    stands and adds it to ``pos``, then one check against ``end`` covers the
-    whole run. Lengths are never negative, so ``pos`` only grows and a
-    length read past ``end`` carries ``pos`` past it too; a length that
-    would be read past the end of ``data`` is past ``end`` as well. No
-    field is taken before its run is checked, and each string field is
-    checked to be UTF-8. The nonce offsets of the layout count from the
-    header's start.
-    """
-    start = pos
-    try:
-        policy_end = pos + 4 + _u32_at(data, pos)[0]
-        pos = policy_end + 4
-        if pos > end:
-            raise CodecError(_TRUNCATED)
-        policy_text = data[start + 4:policy_end].decode()
-        shares = []
-        nonces_at = array("Q")
-        for _ in range(_u32_at(data, policy_end)[0]):
-            leaf_index, attribute_len = _two_u32_at(data, pos)
-            attribute_at = pos + 8
-            nonce_field = attribute_at + attribute_len
-            nonce_end = nonce_field + 4 + _u32_at(data, nonce_field)[0]
-            pos = nonce_end + 4 + _u32_at(data, nonce_end)[0]
-            if pos > end:
-                raise CodecError(_TRUNCATED)
-            shares.append((leaf_index, data[attribute_at:nonce_field].decode()))
-            nonces_at.append(nonce_field - start)
-    except struct.error:
-        raise CodecError(_TRUNCATED) from None
-    except UnicodeDecodeError as exc:
-        raise _bad_utf8(exc) from exc
-    return policy_text, _Layout(tuple(shares), nonces_at), pos
+        raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
 
 
 def _share_fields(header: bytes, at: int) -> tuple[bytes, bytes]:
     """The nonce and the sealed share of the share whose nonce field starts
-    at ``header[at]``; the encoder wrote both fields, or the parse checked them."""
-    nonce_end = at + 4 + _u32_at(header, at)[0]
-    wrapped_at = nonce_end + 4
-    wrapped_end = wrapped_at + _u32_at(header, nonce_end)[0]
-    return header[at + 4:nonce_end], header[wrapped_at:wrapped_end]
-
-
-def _match_skeleton(data: bytes, pos: int, end: int) -> Optional[tuple[str, _Layout, int]]:
-    """What :func:`_walk_header` returns for the slice header at
-    ``data[pos]``, taken from the memo entry of its policy text, if the
-    header is that policy's canonical one: its bytes outside the nonce and
-    sealed-share holes are the entry's skeleton, and it ends at or before
-    ``end``. ``None`` in every other case (text that is not UTF-8 or not a
-    canonical policy, other bytes, other field lengths), for the walk to
-    decide.
-    """
-    policy_end = pos + 4 + int.from_bytes(data[pos:pos + 4], "big")
-    if policy_end > end:
-        return None
-    try:
-        policy_text = data[pos + 4:policy_end].decode()
-        compiled = _compiled_header(policy_text)
-    except (UnicodeDecodeError, IntegrityFailure, RecursionError):
-        # RecursionError: a policy nested too deep to render, which the read
-        # of such a slice, not its parse, reports.
-        return None
-    skeleton = compiled.skeleton
-    header_end = policy_end + skeleton.size
-    if header_end > end or \
-            b"".join(skeleton.unpack_from(data, policy_end)) != compiled.skeleton_bytes:
-        return None
-    return policy_text, compiled.layout, header_end
+    at ``header[at]``; the parse takes no header whose fields have other
+    lengths."""
+    nonce_at = at + 4
+    sealed_at = nonce_at + NONCE_BYTES + 4
+    return (header[nonce_at:nonce_at + NONCE_BYTES],
+            header[sealed_at:sealed_at + _SEALED_SHARE_BYTES])
 
 
 def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
     """The slice encoded in exactly ``data[pos:end]``, keeping its header
-    bytes and its layout: the memoized one when the header matches its
-    policy's skeleton (:func:`_match_skeleton`), else the one the walk over
-    the header records. Reads fields as :func:`_walk_header` does."""
+    bytes. The header must be its policy's canonical header outside each
+    share's nonce and sealed share: its bytes outside those holes are the
+    skeleton of the policy text's memo entry (:func:`_compiled_header`), as
+    one struct unpack and one comparison decide.
+
+    Raises :class:`CodecError` when the policy text runs past ``end`` or is
+    not UTF-8, when the canonical header or a payload field runs past
+    ``end``, or for bytes after the last field; :class:`IntegrityFailure`
+    for a policy text that does not parse or is not canonical, and for a
+    header with other bytes or other field lengths. Each length is read in
+    place and checked before its field is taken.
+    """
     start = pos
-    _, layout, pos = _match_skeleton(data, pos, end) or _walk_header(data, pos, end)
-    header_end = pos
-    nonce_at = pos + 4
-    nonce_end = nonce_at + int.from_bytes(data[pos:nonce_at], "big")
+    policy_end = pos + 4 + int.from_bytes(data[pos:pos + 4], "big")
+    if policy_end > end:
+        raise CodecError(_TRUNCATED)
+    compiled = _compiled_header(_utf8(data[pos + 4:policy_end]))
+    skeleton = compiled.skeleton
+    header_end = policy_end + skeleton.size
+    if header_end > end:
+        raise CodecError(_TRUNCATED)
+    if b"".join(skeleton.unpack_from(data, policy_end)) != compiled.skeleton_bytes:
+        raise IntegrityFailure("slice header is not its policy's canonical header")
+    nonce_at = header_end + 4
+    nonce_end = nonce_at + int.from_bytes(data[header_end:nonce_at], "big")
     payload_at = nonce_end + 4
     pos = payload_at + int.from_bytes(data[nonce_end:payload_at], "big")
     if pos > end:
@@ -653,7 +582,7 @@ def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
     if pos != end:
         raise CodecError(f"{end - pos} trailing bytes after last field")
     return SliceCiphertext(data[start:header_end], data[nonce_at:nonce_end],
-                           data[payload_at:pos], layout)
+                           data[payload_at:pos])
 
 
 def serialize_container(container: CiphertextContainer) -> bytes:

@@ -8,9 +8,12 @@ Grammar (keywords case-insensitive, ``and`` binds tighter than ``or``)::
     atom     := ATTRIBUTE | "(" expr ")"
 
 Attributes are lowercase tokens matching ``[a-z0-9_]+`` (input is
-case-normalized while parsing). Associative chains are flattened, so
-``a or b or c`` and ``(a or (b or c))`` both yield a single Or node with
-three children; an And/Or node therefore never has a child of its own kind.
+case-normalized while parsing). Parentheses nest at most
+:data:`MAX_NESTING` deep, and so do the gates of the parsed tree, since its
+canonical rendering parenthesizes each gate. Associative chains are
+flattened, so ``a or b or c`` and ``(a or (b or c))`` both yield a single Or
+node with three children; an And/Or node therefore never has a child of its
+own kind.
 
 Parsing is one pass over the words of the lowercased text, which one
 regular expression splits out: each word is checked once, and each node is
@@ -37,6 +40,13 @@ from .errors import CakeError
 ATTRIBUTE_RE = re.compile(r"[a-z0-9_]{1,64}")
 
 _KEYWORDS = ("and", "or")
+
+# How deep parentheses, and the gates of a parsed tree, may nest. The
+# canonical rendering parenthesizes each gate, so a policy that parses
+# renders to text that parses. Rendering, compiling and choosing leaves
+# recurse over the tree, up to three frames per level, so a tree within the
+# bound stays far below the interpreter's recursion limit.
+MAX_NESTING = 64
 
 
 class PolicyError(CakeError):
@@ -170,7 +180,8 @@ def parse_policy(text: str) -> PolicyAst:
     flattened as their nodes are built.
 
     Raises :class:`PolicySyntaxError` for structural problems (unbalanced
-    parentheses, stray tokens, empty input) and
+    parentheses, parentheses or gates nested past :data:`MAX_NESTING`,
+    stray tokens, empty input) and
     :class:`InvalidAttributeError` for malformed attribute tokens; both carry
     the byte offset of the offending position, computed only then.
     """
@@ -183,6 +194,9 @@ def parse_policy(text: str) -> PolicyAst:
     for index, word in enumerate(words):
         if want_atom:
             if word == "(":
+                if len(stack) == MAX_NESTING:
+                    raise _error(text, index, PolicySyntaxError,
+                                 f"parentheses nested deeper than {MAX_NESTING}")
                 stack.append((ors, ands))
                 ors, ands = [], []
             elif word == ")" or word in _KEYWORDS:
@@ -218,7 +232,16 @@ def parse_policy(text: str) -> PolicyAst:
                      "unexpected end of expression" if words else "empty policy expression")
     if stack:
         raise _error(text, end, PolicySyntaxError, "unbalanced parenthesis, expected ')'")
-    return _disjunction(ors, ands)
+    ast = _disjunction(ors, ands)
+    if _depth(ast) > MAX_NESTING:
+        raise _error(text, end, PolicySyntaxError,
+                     f"gates nested deeper than {MAX_NESTING}")
+    return ast
+
+
+def _depth(ast: PolicyAst) -> int:
+    """How deep the gates of a tree nest; 0 for a leaf."""
+    return 0 if type(ast) is Leaf else 1 + max(map(_depth, ast.children))
 
 
 def render_policy(ast: PolicyAst) -> str:

@@ -821,7 +821,10 @@ def fetch_container(chain: ledger.Chain, store: cas.BlobStore,
 
     Raises :class:`ledger.RecordNotFound` for unknown ids and
     :class:`cas.IntegrityViolation` / :class:`abe.IntegrityFailure` for
-    tampered content.
+    tampered content. The container is parsed whole: a slice header that is
+    not its policy's canonical header, which the data manager never writes,
+    or whose policy nests past :data:`policy.MAX_NESTING`, which it no
+    longer writes, fails the fetch with :class:`abe.IntegrityFailure`.
     """
     record = chain.message_get(message_id)
     blob = store.get(cas.parse_locator(record.locator))

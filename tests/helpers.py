@@ -313,6 +313,15 @@ def reference_parse(text: str) -> PolicyAst:
     return _ReferenceParser(reference_tokenize(text)).parse()
 
 
+def nested_policy(depth: int) -> str:
+    """A canonical policy whose gates, alternately Or and And, nest ``depth``
+    deep, as do its parentheses."""
+    text = "a"
+    for level in range(depth):
+        text = f"(a and {text})" if level % 2 else f"(b or {text})"
+    return text
+
+
 SERVE_ROLES = [f"role_{i:02d}" for i in range(32)]
 
 

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from cryptography.exceptions import InvalidTag
 
 from cake import abe
-from cake.codec import CodecError, Reader
+from cake.codec import CodecError, Reader, Writer
 from cake.policy import (
+    MAX_NESTING,
     PolicyError,
     attributes_of,
     compile_policy,
@@ -32,17 +33,16 @@ from helpers import (
     SliceFields,
     WrappedShare,
     attribute_subsets,
-    build_slice,
     encode_header,
     encode_slice,
     hkdf_sha256,
     min_satisfying_size,
+    nested_policy,
     parse_slice,
     random_policy,
     reslice,
     serve_shaped_policy,
     slice_fields,
-    take_slice_fields,
 )
 from test_policy import asts
 
@@ -62,15 +62,20 @@ KDF_VECTORS = [
 ]
 
 
-# Containers with arbitrary field values: parsing checks the encoding only,
-# never that a policy parses or a share opens. Each slice is encoded by the
-# helpers' encoder and parsed.
+# Arbitrary header fields, for the header encoder.
 texts = st.text(max_size=12)
 wrapped_shares = st.builds(WrappedShare, st.integers(0, 2**32 - 1), texts,
                            st.binary(max_size=16), st.binary(max_size=64))
+
+# Containers of random policies' slices with arbitrary payload fields: the
+# parse takes only a policy's canonical header, and never checks that a
+# share or the payload opens.
+_STRATEGY_SECRET = abe.setup(random.Random(47))
 slice_ciphertexts = st.builds(
-    SliceFields, texts, st.lists(wrapped_shares, max_size=5).map(tuple),
-    st.binary(max_size=16), st.binary(max_size=64)).map(build_slice)
+    lambda ast, seed, payload_nonce, payload: replace(
+        abe.encrypt_slice(_STRATEGY_SECRET, render_policy(ast), b"", random.Random(seed)),
+        payload_nonce=payload_nonce, payload=payload),
+    asts, st.integers(0, 2**32 - 1), st.binary(max_size=16), st.binary(max_size=64))
 containers = st.builds(
     abe.CiphertextContainer, st.binary(min_size=16, max_size=16),
     st.lists(st.tuples(texts, slice_ciphertexts), min_size=1, max_size=4,
@@ -384,28 +389,28 @@ class TestMinimalUnwrap:
 
     def test_bad_header_fails_every_read(self, ms):
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(33))
-        key = make_key(ms, {"a", "b"})
         for text in ("(a or", "a or b", "(a or b))"):
-            bad = reslice(ct, policy_text=text)  # its parse misses the memo too
+            bad = encode_slice(slice_fields(ct)._replace(policy_text=text))
             misses = abe._compiled_header.cache_info().misses
-            for _ in range(3):
+            for _ in range(3):  # no failure is memoized
                 with pytest.raises(abe.IntegrityFailure):
-                    abe.decrypt_slice(key, bad)
+                    parse_slice(bad)
             assert abe._compiled_header.cache_info().misses == misses + 3
 
     def test_share_list_checked_on_memo_hit(self, ms):
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(34))
-        key = make_key(ms, {"a", "b"})
-        assert abe.decrypt_slice(key, ct) == b"m"
-        shares = slice_fields(ct).shares
-        # their parses look the policy up too
-        swapped, cut = reslice(ct, shares=shares[::-1]), reslice(ct, shares=shares[:1])
+        assert abe.decrypt_slice(make_key(ms, {"a", "b"}), ct) == b"m"
+        fields = slice_fields(ct)
+        swapped = encode_slice(fields._replace(shares=fields.shares[::-1]))
+        cut = encode_slice(fields._replace(shares=fields.shares[:1]))
+        abe._compiled_header(ct.policy_text)
         hits = abe._compiled_header.cache_info().hits
-        with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, swapped)
-        with pytest.raises(abe.IntegrityFailure):
-            abe.decrypt_slice(key, cut)
-        assert abe._compiled_header.cache_info().hits == hits + 2
+        for _ in range(2):
+            with pytest.raises(abe.IntegrityFailure):
+                parse_slice(swapped)
+            with pytest.raises(CodecError):  # the canonical header runs past it
+                parse_slice(cut)
+        assert abe._compiled_header.cache_info().hits == hits + 4
 
     def test_memo_is_bounded(self):
         assert 0 < abe._compiled_header.cache_info().maxsize <= 256
@@ -533,30 +538,35 @@ class TestSerialization:
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(asts)
-    def test_encryption_takes_the_layout_the_walk_reads(self, ast):
+    def test_encryption_writes_shares_where_the_memo_entry_reads_them(self, ast):
         ms = abe.setup(random.Random(48))
         ct = abe.encrypt_slice(ms, render_policy(ast), b"", random.Random(49))
-        header = ct.header
-        assert abe._walk_header(header, 0, len(header)) == \
-            (ct.policy_text, ct.layout, len(header))
+        compiled = abe._compiled_header(ct.policy_text)
+        shares = slice_fields(ct).shares
+        assert compiled.leaves == tuple(ws.attribute for ws in shares)
+        assert [abe._share_fields(ct.header, at) for at in compiled.nonces_at] == \
+            [(ws.nonce, ws.wrapped) for ws in shares]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(texts, st.lists(wrapped_shares, max_size=5))
-    def test_header_encoder_agrees_with_the_reference_and_the_walk(self, policy_text, shares):
-        header, layout = abe._encode_header(policy_text, shares)
+    def test_header_encoder_agrees_with_the_reference(self, policy_text, shares):
+        header, nonces_at = abe._encode_header(policy_text, shares)
         assert header == encode_header(policy_text, shares)
-        assert abe._walk_header(header, 0, len(header)) == (policy_text, layout, len(header))
+        assert len(nonces_at) == len(shares)
+        for at, (_, _, nonce, wrapped) in zip(nonces_at, shares):
+            r = Reader(header[at:])
+            assert (r.take_bytes(), r.take_bytes()) == (nonce, wrapped)
 
     def test_a_slice_is_built_from_its_bytes_only(self, ms):
         assert [f.name for f in dataclasses.fields(abe.SliceCiphertext)] == \
-            ["header", "payload_nonce", "payload", "layout"]
+            ["header", "payload_nonce", "payload"]
         assert not hasattr(abe, "WrappedShare")
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(50))
         for name, value in (("policy_text", "(a and b)"),
-                            ("wrapped_shares", slice_fields(ct).shares)):
+                            ("wrapped_shares", slice_fields(ct).shares),
+                            ("layout", abe._compiled_header(ct.policy_text).nonces_at)):
             with pytest.raises(TypeError):
-                abe.SliceCiphertext(ct.header, ct.payload_nonce, ct.payload, ct.layout,
-                                    **{name: value})
+                abe.SliceCiphertext(ct.header, ct.payload_nonce, ct.payload, **{name: value})
             with pytest.raises(TypeError):
                 replace(ct, **{name: value})
         assert ct.policy_text == "(a or b)"
@@ -588,8 +598,12 @@ class TestSerialization:
         at = {"label": blob.find(b"label"), "policy": blob.find(b"(policy"),
               "attribute": blob.rfind(b"attribute")}[field]
         blob[at] = 0xFF
-        with pytest.raises(CodecError, match="utf-8"):
-            abe.parse_container(bytes(blob))
+        if field == "attribute":  # compared, as bytes, with the canonical header
+            with pytest.raises(abe.IntegrityFailure, match="canonical header"):
+                abe.parse_container(bytes(blob))
+        else:
+            with pytest.raises(CodecError, match="utf-8"):
+                abe.parse_container(bytes(blob))
 
     def test_tampering_with_a_parsed_header_detected(self, ms):
         ct = parse_slice(abe.serialize_slice(
@@ -612,9 +626,8 @@ def header_digest(fields: SliceFields) -> bytes:
 
 
 def reference_parse_container(data: bytes) -> abe.CiphertextContainer:
-    """``parse_container`` as it was while parsing built every wrapped share:
-    each field taken with ``codec.Reader``, each check made as it is read.
-    Its slices are :class:`SliceFields`."""
+    """``parse_container`` with each field taken with ``codec.Reader`` and
+    each check made as it is read. Its slices are :class:`SliceFields`."""
     r = Reader(data)
     message_id = r.take_bytes()
     if len(message_id) != abe.MESSAGE_ID_BYTES:
@@ -622,13 +635,42 @@ def reference_parse_container(data: bytes) -> abe.CiphertextContainer:
     slices = []
     for _ in range(r.take_u32()):
         label = r.take_str()
-        slices.append((label, take_slice_fields(Reader(r.take_bytes()))))
+        slices.append((label, reference_parse_slice(Reader(r.take_bytes()))))
     r.expect_end()
     if not slices:
         raise abe.EmptyContainer("container has no slices")
     if len({label for label, _ in slices}) != len(slices):
         raise abe.DuplicateLabel("duplicate slice label in container")
     return abe.CiphertextContainer(message_id, tuple(slices))
+
+
+def reference_parse_slice(r: Reader) -> SliceFields:
+    """The slice that fills the rest of ``r``, whose header must be its
+    policy's canonical header outside its nonces and sealed shares: the
+    policy text is taken and checked, then the bytes of the canonical header
+    that follow it are taken raw, decoded and compared field by field with
+    those the policy's tree calls for."""
+    policy_text = r.take_str()
+    leaves = tree_leaves(reference_compiled_header(policy_text))
+    want = [(leaf.leaf_index, leaf.attribute, abe.NONCE_BYTES, SEALED_SHARE_BYTES)
+            for leaf in leaves]
+    rest = Reader(r.take_raw(4 + sum(4 + 4 + len(attribute.encode()) + 4 + nonce + 4 + sealed
+                                     for _, attribute, nonce, sealed in want)))
+    try:
+        shares = tuple(WrappedShare(rest.take_u32(), rest.take_str(), rest.take_bytes(),
+                                    rest.take_bytes()) for _ in range(rest.take_u32()))
+        rest.expect_end()
+    except CodecError as exc:
+        raise abe.IntegrityFailure("not the canonical header") from exc
+    if [(ws.leaf_index, ws.attribute, len(ws.nonce), len(ws.wrapped)) for ws in shares] != want:
+        raise abe.IntegrityFailure("not the canonical header")
+    fields = SliceFields(policy_text, shares, r.take_bytes(), r.take_bytes())
+    r.expect_end()
+    return fields
+
+
+# An AES-GCM sealed 32-byte share: the share and its 16-byte tag.
+SEALED_SHARE_BYTES = 32 + 16
 
 
 @functools.lru_cache
@@ -644,13 +686,10 @@ def reference_compiled_header(policy_text: str):
 
 
 def reference_decrypt_slice(uk: abe.UserKey, ct: SliceFields) -> bytes:
-    """``decrypt_slice`` as it was while it read the wrapped-share list: the
-    header checks, then the list against the tree, then satisfiability, then
-    the chosen shares' opens and the payload's."""
+    """``decrypt_slice`` as it was while it read the wrapped-share list of a
+    slice the reference parse took: satisfiability, then the chosen shares'
+    opens and the payload's."""
     tree = reference_compiled_header(ct.policy_text)
-    if [(ws.leaf_index, ws.attribute) for ws in ct.shares] \
-            != list(enumerate((leaf.attribute for leaf in tree_leaves(tree)), start=1)):
-        raise abe.IntegrityFailure("wrapped shares do not match the policy tree")
     chosen = min_satisfying_leaves(tree, uk.attribute_keys)
     if chosen is None:
         raise abe.PolicyNotSatisfied("attributes do not satisfy the policy")
@@ -693,8 +732,8 @@ def outcomes(parse, decrypt_slice, blob: bytes, keys) -> list:
     return [results, container.message_id, decoded]
 
 
-# What a slice holds: its bytes and their layout, no share objects.
-SLICE_FIELDS = {"header", "payload_nonce", "payload", "layout"}
+# What a slice holds: its bytes, no share objects.
+SLICE_FIELDS = {"header", "payload_nonce", "payload"}
 
 
 def parse_holding_bytes_only(data: bytes) -> abe.CiphertextContainer:
@@ -707,10 +746,10 @@ def parse_holding_bytes_only(data: bytes) -> abe.CiphertextContainer:
 
 
 class TestParseWithoutShareObjects:
-    """Parsing keeps each slice's header bytes and share layout; decryption
-    opens the chosen shares from those bytes. Both must agree with the
-    parse and decrypt that built every wrapped share, on every input: the
-    outcome for each key, and each slice's decoded fields."""
+    """Parsing keeps each slice's header bytes; decryption opens the chosen
+    shares from those bytes. Both must agree with the parse and decrypt
+    that built every wrapped share, on every input: the outcome for each
+    key, and each slice's decoded fields."""
 
     @pytest.fixture
     def corpus(self, ms):
@@ -769,10 +808,10 @@ class TestParseWithoutShareObjects:
         assert parsed == ct and replace(parsed) == ct
 
 
-def sixteen_byte_nonce(ms, ct: abe.SliceCiphertext, position: int) -> abe.SliceCiphertext:
-    """``ct`` with the share at ``position`` wrapped again under a 16-byte
-    nonce and the payload sealed again under the new header: a valid slice
-    whose field lengths are not the canonical ones."""
+def sixteen_byte_nonce(ms, ct: abe.SliceCiphertext, position: int) -> bytes:
+    """The bytes of ``ct`` with the share at ``position`` wrapped again under
+    a 16-byte nonce and the payload sealed again under the new header: a
+    slice that opens, but whose field lengths are not the canonical ones."""
     fields = slice_fields(ct)
     tree = compile_policy(parse_policy(fields.policy_text))
     shares = list(fields.shares)
@@ -788,14 +827,14 @@ def sixteen_byte_nonce(ms, ct: abe.SliceCiphertext, position: int) -> abe.SliceC
     payload_key = hkdf_sha256(encode_field(reconstruct_tree(tree, values)), b"cake/payload-key")
     plaintext = AESGCM(payload_key).decrypt(ct.payload_nonce, ct.payload, header_digest(fields))
     resealed = fields._replace(shares=tuple(shares))
-    return build_slice(resealed._replace(payload=AESGCM(payload_key).encrypt(
+    return encode_slice(resealed._replace(payload=AESGCM(payload_key).encrypt(
         ct.payload_nonce, plaintext, header_digest(resealed))))
 
 
 class TestHeaderSkeleton:
-    """A header that is its policy's canonical header, outside its nonces and
-    sealed shares, takes its layout from the memo entry; every other header
-    is walked, with the outcomes of the eager reference."""
+    """A header is taken only when it is its policy's canonical header,
+    outside its nonces and sealed shares; every other header fails the
+    parse, with the outcome of the reference parse."""
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(asts)
@@ -803,19 +842,13 @@ class TestHeaderSkeleton:
         ms = abe.setup(random.Random(40))
         rng = random.Random(41)
         ct = abe.encrypt_slice(ms, render_policy(ast), rng.randbytes(8), rng)
-        data = abe.serialize_slice(ct)
-        matched = abe._match_skeleton(data, 0, len(data))
-        assert matched is not None
-        assert matched == abe._walk_header(data, 0, len(data))
-        assert matched[1] is abe._compiled_header(ct.policy_text).layout
+        assert parse_slice(abe.serialize_slice(ct)) == ct
         # inside a container, at an offset
         container = abe.CiphertextContainer(bytes(16), (("first", ct), ("second", ct)))
         parsed = abe.parse_container(abe.serialize_container(container))
-        for _, got in parsed.slices:
-            assert got.layout is matched[1]
-            assert got == ct
+        assert [got for _, got in parsed.slices] == [ct, ct]
 
-    def test_other_field_lengths_fall_back_to_the_walk(self, ms):
+    def test_other_field_lengths_fail_the_parse(self, ms):
         rng = random.Random(42)
         policies = ["tenant_acme", "(a or b)", serve_shaped_policy(random.Random(43), 16)]
         keys = [make_key(ms, {"tenant_acme", "audit", "a"}), make_key(ms, {"b"}),
@@ -827,39 +860,64 @@ class TestHeaderSkeleton:
                 shares = list(slice_fields(ct).shares)
                 shares[position] = shares[position]._replace(
                     wrapped=shares[position].wrapped + b"\0")
+                # a slice that opens, written with a 16-byte nonce
                 valid = sixteen_byte_nonce(ms, ct, position)
-                for odd in (valid, reslice(ct, shares=tuple(shares))):
-                    data = abe.serialize_slice(odd)
-                    assert abe._match_skeleton(data, 0, len(data)) is None
-                    parsed = parse_slice(data)
-                    assert parsed.layout == abe._walk_header(data, 0, len(data))[1]
-                    blob = abe.serialize_container(
-                        abe.CiphertextContainer(bytes(16), (("odd", odd),)))
-                    got = outcomes(abe.parse_container, abe.decrypt_slice, blob, keys)
-                    assert got == outcomes(reference_parse_container,
-                                           reference_decrypt_slice, blob, keys)
-                    if odd is valid:
-                        assert ("odd", b"sixteen") in got[0]
+                for odd in (valid, encode_slice(slice_fields(ct)._replace(shares=tuple(shares)))):
+                    with pytest.raises(abe.IntegrityFailure):
+                        parse_slice(odd)
+                    blob = container_of(odd)
+                    assert outcomes(abe.parse_container, abe.decrypt_slice, blob, keys) == \
+                        outcomes(reference_parse_container, reference_decrypt_slice,
+                                 blob, keys) == [abe.IntegrityFailure]
+
+    @pytest.mark.parametrize("length", [4, 7, 129])
+    def test_a_chosen_share_with_another_nonce_length_fails_the_parse(self, ms, length):
+        ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(37))
+        fields = slice_fields(ct)
+        first, second = fields.shares
+        odd = encode_slice(fields._replace(shares=(first._replace(nonce=bytes(length)), second)))
+        with pytest.raises(abe.IntegrityFailure):
+            parse_slice(odd)
+        assert outcomes(abe.parse_container, abe.decrypt_slice, container_of(odd),
+                        [make_key(ms, {"a"})]) == [abe.IntegrityFailure]
+
+    # One level past the bound is a header an encoder without the bound
+    # wrote and read; 1,200 levels is one it could not write.
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+    def test_a_header_nested_past_the_bound_fails_the_parse(self, ms, depth):
+        ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(38))
+        deep = encode_slice(slice_fields(ct)._replace(policy_text=nested_policy(depth)))
+        with pytest.raises(abe.IntegrityFailure, match="nested deeper"):
+            parse_slice(deep)
+        assert outcomes(abe.parse_container, abe.decrypt_slice, container_of(deep),
+                        [make_key(ms, {"a", "b"})]) == [abe.IntegrityFailure]
 
     def test_a_header_past_the_end_is_not_matched(self, ms):
         ct = abe.encrypt_slice(ms, "(a or (b and c))", b"m", random.Random(44))
         data = abe.serialize_slice(ct) + bytes(64)
+        assert abe._parse_slice(data, 0, len(data) - 64) == ct
         header_end = len(ct.header)
-        assert abe._match_skeleton(data, 0, header_end) is not None
         for end in (header_end - 1, header_end - abe.NONCE_BYTES):
-            assert abe._match_skeleton(data, 0, end) is None
             with pytest.raises(CodecError):
                 abe._parse_slice(data, 0, end)
 
-    def test_a_bad_policy_header_is_walked_and_fails_its_reads(self, ms):
+    def test_a_bad_policy_header_fails_the_parse(self, ms):
         ct = abe.encrypt_slice(ms, "(a or b)", b"m", random.Random(45))
+        # does not parse; is not canonical; is canonical, with other leaves
         for text in ("(a or", "a or b", "(b or a)"):
             data = encode_slice(slice_fields(ct)._replace(policy_text=text))
-            assert abe._match_skeleton(data, 0, len(data)) is None
-            parsed = parse_slice(data)
-            assert parsed.layout == abe._walk_header(data, 0, len(data))[1]
             with pytest.raises(abe.IntegrityFailure):
-                abe.decrypt_slice(make_key(ms, {"a", "b"}), parsed)
+                parse_slice(data)
+
+
+def container_of(slice_bytes: bytes) -> bytes:
+    """A one-slice container holding these slice bytes, labelled ``odd``."""
+    w = Writer()
+    w.put_bytes(bytes(16))
+    w.put_u32(1)
+    w.put_str("odd")
+    w.put_bytes(slice_bytes)
+    return w.getvalue()
 
 
 class TestSatisfiabilityMemo:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cake.policy import (
+    MAX_NESTING,
     And,
     InvalidAttributeError,
     Leaf,
@@ -27,6 +28,7 @@ from helpers import (
     and_of,
     attribute_subsets,
     min_satisfying_size,
+    nested_policy,
     or_of,
     random_policy,
     reference_parse,
@@ -188,6 +190,38 @@ class TestParseOracle:
     @example("\u0130 or a")
     def test_matches_reference_parser(self, text):
         assert parsed(parse_policy, text) == parsed(reference_parse, text)
+
+
+class TestNesting:
+    def test_a_policy_nested_to_the_bound_parses_renders_and_compiles(self):
+        text = nested_policy(MAX_NESTING)
+        ast = parse_policy(text)
+        assert render_policy(ast) == text
+        tree = compile_policy(ast)
+        assert len(tree_leaves(tree)) == MAX_NESTING + 1
+        assert min_satisfying_leaves(tree, {"a"}) is not None
+
+    def test_one_level_more_is_refused_at_its_parenthesis(self):
+        text = nested_policy(MAX_NESTING + 1)
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy(text)
+        assert exc.value.offset == [i for i, c in enumerate(text) if c == "("][MAX_NESTING]
+
+    def test_gates_nested_past_the_bound_are_refused(self):
+        # Each level of parentheses holds an Or of Ands: two levels of gates,
+        # each parenthesized in the canonical rendering.
+        def or_of_ands(levels):
+            text = "a"
+            for _ in range(levels):
+                text = f"({text} and c or d)"
+            return text
+
+        ast = parse_policy(or_of_ands(MAX_NESTING // 2))
+        assert parse_policy(render_policy(ast)) == ast
+        text = or_of_ands(MAX_NESTING // 2 + 1)
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy(text)
+        assert exc.value.offset == len(text)
 
 
 class TestRender:

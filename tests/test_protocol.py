@@ -23,6 +23,7 @@ from cake.protocol import (
     TAG_KEY_REQ,
     TAG_STORE_REQ,
 )
+from helpers import nested_policy
 
 # u = 0 is a low-order X25519 point: any exchange with it gives the all-zero
 # secret, which the key-agreement primitive refuses.
@@ -465,6 +466,19 @@ class TestRequestTags:
                 assert session.request_key().attributes == {"a"}
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+class TestPolicyNesting:
+    def test_a_policy_nested_too_deep_is_refused_and_the_session_goes_on(
+            self, deployment, client):
+        deep = nested_policy(1200)
+        with deployment.connect_sdm(client, random.Random(4)) as sdm:
+            with pytest.raises(policy_mod.PolicySyntaxError) as caught:
+                sdm.store([("doc", deep, b"body")])
+            assert caught.value.offset == \
+                [i for i, c in enumerate(deep) if c == "("][policy_mod.MAX_NESTING]
+            message_id, _ = sdm.store([("doc", "a", b"body")])
+        assert deployment.chain.message_get(message_id)
 
 
 class TestSessionBoundary:

@@ -1,20 +1,22 @@
 """Ciphertext-policy encryption of document slices.
 
 Hybrid scheme: each slice's plaintext is sealed with AES-256-GCM under a
-fresh data key, the data key is secret-shared along the compiled access tree
-of the slice's policy, and every leaf share is wrapped (again AES-GCM) under
-a symmetric key derived per attribute from the authority's master secret.
-A reader holding wrap keys for a satisfying attribute set unwraps enough
-shares to rebuild the data key; anyone else learns nothing but the policy.
+fresh data key, the data key is secret-shared along the access tree of the
+slice's policy (its parsed tree: an And is an n-of-n gate, an Or a 1-of-n
+gate, and leaves are numbered 1..L depth first), and every leaf share is
+wrapped (again AES-GCM) under a symmetric key derived per attribute from
+the authority's master secret. A reader holding wrap keys for a satisfying
+attribute set unwraps enough shares to rebuild the data key; anyone else
+learns nothing but the policy.
 
 Decryption decides from the key's attribute names alone whether the policy
 is satisfied, and then opens only the shares of a minimal satisfying leaf
 set; a key that does not satisfy the policy opens none. The per-policy
-header checks (the text parses, is canonical, and compiles to a tree) are
-memoized by the canonical policy text in a fixed-size LRU table
-(:func:`_compiled_header`), with the skeleton of the policy's canonical
-header and where each leaf's share sits in it, and a bounded satisfiability
-memo: the leaf set chosen for each pattern of held policy attributes seen,
+header checks (the text parses and is canonical) are memoized by the
+canonical policy text in a fixed-size LRU table
+(:func:`_compiled_header`), with the parsed tree, the skeleton of the
+policy's canonical header and where each leaf's share sits in it, and a
+bounded satisfiability memo: the leaf set chosen for each pattern of held policy attributes seen,
 or the denial. Attribute wrap keys are memoized likewise, in a bounded LRU
 table keyed by master secret and attribute, since every leaf of every
 slice and every issued key needs one and attributes repeat; so are the
@@ -254,7 +256,7 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
                   rng: Optional[random.Random] = None) -> SliceCiphertext:
     """Encrypt one slice under an access policy.
 
-    The policy is stored in its canonical rendering; the compiled tree's
+    The policy is stored in its canonical rendering; the parsed tree's
     leaves determine the wrapped shares. One walk over the leaves wraps
     each share, and :func:`_encode_header` encodes the header once. Raises
     :class:`policy.PolicySyntaxError` / :class:`policy.InvalidAttributeError`
@@ -263,10 +265,9 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     rng = _rng_or_system(rng)
     ast = policy_mod.parse_policy(policy)
     canonical = policy_mod.render_policy(ast)
-    tree = policy_mod.compile_policy(ast)
 
     data_key = sss.random_element(rng)
-    leaf_values = sss.share_tree(tree, data_key, rng)
+    leaf_values = sss.share_tree(ast, data_key, rng)
 
     # Every nonce (one per leaf, then the payload's) comes from one draw: a
     # draw from the system source is a system call, and each one lets other
@@ -274,8 +275,7 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     # generator gives the same bytes as one draw per nonce in this order.
     nonces = _random_bytes(rng, NONCE_BYTES * (len(leaf_values) + 1))
     shares = []
-    for leaf in policy_mod.tree_leaves(tree):
-        index = leaf.leaf_index
+    for index, leaf in enumerate(policy_mod.tree_leaves(ast), start=1):
         nonce = nonces[NONCE_BYTES * (index - 1):NONCE_BYTES * index]
         sealed = _wrap_cipher(ms, leaf.attribute).encrypt(
             nonce, leaf_values[index].to_bytes(sss.FIELD_BYTES, "little"),
@@ -340,8 +340,8 @@ _SEALED_SHARE_BYTES = sss.FIELD_BYTES + 16
 
 class _CompiledHeader(NamedTuple):
     """What every slice header of one canonical policy text shares."""
-    tree: policy_mod.AccessTree
-    leaves: tuple[str, ...]  # the attribute of each leaf, in leaf-index order
+    tree: policy_mod.PolicyAst  # the parsed policy, its access tree
+    leaves: tuple[str, ...]  # the attribute of each leaf, in leaf-number order
     # Where each leaf's nonce field starts in the canonical header.
     nonces_at: Sequence[int]
     # That header after its policy text, with each share's nonce and sealed
@@ -359,8 +359,9 @@ class _CompiledHeader(NamedTuple):
 # Compiled headers kept by :func:`_compiled_header`. Every reader of a slice
 # checks the same header, so reads of one policy outnumber its writes; the
 # bound caps the memory a stream of distinct policies can pin (measured with
-# tracemalloc, a 32-leaf entry is about 9 KB, over half of it the skeleton,
-# and 4 KB more with a full satisfiability memo).
+# tracemalloc over serve-shaped policies, a 32-leaf entry with its key text
+# is about 8.9 KB, of which the parsed tree is 4.0 KB and the skeleton
+# 3.4 KB; filling its satisfiability memo added 7 KB more).
 _POLICY_MEMO_SIZE = 256
 
 # Answers kept per compiled header by :func:`_choose`; a full memo is
@@ -371,7 +372,7 @@ _CHOICE_MEMO_SIZE = 64
 
 @functools.lru_cache(maxsize=_POLICY_MEMO_SIZE)
 def _compiled_header(policy_text: str) -> _CompiledHeader:
-    """The compiled tree of a header's policy text, the attribute of each
+    """The parsed tree of a header's policy text, the attribute of each
     of its leaves, the skeleton of the policy's canonical header with the
     offset of each leaf's nonce field in it, and an empty satisfiability
     memo.
@@ -391,8 +392,7 @@ def _compiled_header(policy_text: str) -> _CompiledHeader:
         raise IntegrityFailure(f"unparseable policy header: {exc}") from exc
     if policy_mod.render_policy(ast) != policy_text:
         raise IntegrityFailure("policy header is not in canonical form")
-    tree = policy_mod.compile_policy(ast)
-    names = tuple(leaf.attribute for leaf in policy_mod.tree_leaves(tree))
+    names = tuple(leaf.attribute for leaf in policy_mod.tree_leaves(ast))
     nonce, sealed = bytes(NONCE_BYTES), bytes(_SEALED_SHARE_BYTES)
     header, nonces_at = _encode_header(
         policy_text, [(index, name, nonce, sealed) for index, name in enumerate(names, start=1)])
@@ -405,7 +405,7 @@ def _compiled_header(policy_text: str) -> _CompiledHeader:
     runs = [at + 4 - end for at, end in zip(nonces_at, ends)]
     hole = f"s{NONCE_BYTES}x4s{_SEALED_SHARE_BYTES}x"
     skeleton = struct.Struct(">" + hole.join(map(str, runs)) + hole)
-    return _CompiledHeader(tree, names, nonces_at, skeleton,
+    return _CompiledHeader(ast, names, nonces_at, skeleton,
                            b"".join(skeleton.unpack_from(header, runs_at)),
                            tuple(dict.fromkeys(names)), {})
 
@@ -416,7 +416,7 @@ _choices_lock = threading.Lock()  # held to add an answer to a memo
 
 def _choose(compiled: _CompiledHeader, attrs: dict[str, bytes]) -> tuple[int, ...]:
     """The leaves :func:`policy.min_satisfying_leaves` chooses from the
-    compiled tree for a key holding ``attrs``, or ``()`` when they do not
+    policy's tree for a key holding ``attrs``, or ``()`` when they do not
     satisfy it.
 
     Memoized in ``compiled.choices`` by which of the policy's attributes

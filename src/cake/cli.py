@@ -17,6 +17,18 @@ A home holds:
 * ``blobs.pack``: every blob, an append-only run of frames (see
   :class:`cas.DirectoryBlobStore`), created by the first put.
 
+Every file of the home but the two append-only ones (and ``chain.bin``
+is created empty the same way) is written whole (:func:`_write_file`): a
+new file, readable by its owner alone from creation, is written beside it
+and renamed over it, so a reader sees the old file or the new one, never a
+part. There is no ``fsync`` yet: a crash of the machine may lose a write.
+``cake identity new`` reads, changes and writes ``directory.json`` under an
+exclusive ``flock`` on the home directory itself, which no rename replaces,
+and provisioning runs under the same lock and writes ``master.key``, the
+mark of a provisioned home, last. A home file that does not parse, or lacks
+what a command reads from it, fails with :class:`cas.StorageFailure` (exit
+72).
+
 A home that still has the ``blobs/`` directory of earlier versions, one
 file per blob, is refused with :class:`cas.StorageFailure` (exit 72). A
 command that reads no blob, such as ``cake ledger verify``, never opens the
@@ -66,6 +78,7 @@ Exit codes: 0 success, 64 usage, 65-75 one code per error class.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import io
 import json
@@ -73,10 +86,11 @@ import logging
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from . import abe, cas, ledger, protocol, scenario
 from . import policy as policy_mod
@@ -130,6 +144,37 @@ def exit_code_for(exc: Exception) -> int:
 
 class UsageError(Exception):
     pass
+
+
+T = TypeVar("T")
+
+
+def _read_home_file(path: Path, parse: Callable[[str], T]) -> T:
+    """``parse`` of the text of the home file ``path``. Raises
+    :class:`cas.StorageFailure` when the text is not UTF-8, or ``parse``
+    finds it malformed or without a field it reads."""
+    try:
+        return parse(path.read_text())
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise cas.StorageFailure(f"{path} is not a file this version reads: {exc!r}") from exc
+
+
+def _write_file(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` whole. A new file is made in the same
+    directory (``tempfile.mkstemp``: ``O_CREAT | O_EXCL``, mode 0600),
+    written, and renamed over ``path``; if any step fails, it is removed."""
+    fd, temporary = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def _json_bytes(value: object) -> bytes:
+    return json.dumps(value, indent=2).encode()
 
 
 # --- the deployment directory ------------------------------------------------
@@ -201,16 +246,35 @@ class Home:
         if self.master_file.exists():
             return
         self.path.mkdir(parents=True, exist_ok=True)
-        self.identities_dir.mkdir(exist_ok=True)
-        self.keys_dir.mkdir(exist_ok=True)
-        master = abe.setup()
-        services = {name: protocol.Identity.generate().to_dict()
-                    for name in protocol.SERVICE_ROLES}
-        self.services_file.write_text(json.dumps(services, indent=2))
-        self.master_file.write_text(master.root_key.hex())
-        self.chain_file.write_bytes(b"")
-        self.directory_file.write_text(json.dumps({"peers": {}}, indent=2))
+        with self._locked():
+            if self.master_file.exists():  # another process provisioned it
+                return
+            self.identities_dir.mkdir(exist_ok=True)
+            self.keys_dir.mkdir(exist_ok=True)
+            services = {name: protocol.Identity.generate().to_dict()
+                        for name in protocol.SERVICE_ROLES}
+            _write_file(self.services_file, _json_bytes(services))
+            _write_file(self.chain_file, b"")
+            _write_file(self.directory_file, _json_bytes({"peers": {}}))
+            _write_file(self.master_file, abe.setup().root_key.hex().encode())
         print(f"provisioned new deployment in {self.path}", file=sys.stderr)
+
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold an exclusive ``flock`` on the home directory, for a
+        read-modify-write of its files; waits for another holder."""
+        fd = os.open(self.path, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
+
+    def _peers(self) -> dict[str, protocol.PeerIdentity]:
+        """The registered peers, by name."""
+        return _read_home_file(self.directory_file, lambda text: {
+            name: protocol.PeerIdentity.from_dict(peer)
+            for name, peer in json.loads(text)["peers"].items()})
 
     def open(self) -> protocol.Deployment:
         """The deployment on this home; its chain's block log is the chain
@@ -221,10 +285,15 @@ class Home:
             raise cas.StorageFailure(
                 f"{old_blobs} holds one file per blob, a home layout "
                 f"this version does not read; it keeps blobs in {cas.PACK_NAME}")
-        master = abe.MasterSecret(bytes.fromhex(self.master_file.read_text().strip()))
-        services = json.loads(self.services_file.read_text())
-        identities = {name: protocol.Identity.from_dict(blob)
-                      for name, blob in services.items()}
+        master = _read_home_file(
+            self.master_file, lambda text: abe.MasterSecret(bytes.fromhex(text.strip())))
+
+        def service_identities(text: str) -> dict[str, protocol.Identity]:
+            services = json.loads(text)
+            return {role: protocol.Identity.from_dict(services[role])
+                    for role in protocol.SERVICE_ROLES}
+
+        identities = _read_home_file(self.services_file, service_identities)
         log = ChainFile(self)
         with self.chain_file.open("rb") as fh:
             deployment = protocol.deploy(master, identities,
@@ -235,8 +304,8 @@ class Home:
             _log.warning("%s: dropped a torn %d-byte tail after %d whole blocks; "
                          "the next append truncates it", self.chain_file, torn,
                          deployment.chain.height)
-        for peer in json.loads(self.directory_file.read_text())["peers"].values():
-            deployment.register(protocol.PeerIdentity.from_dict(peer))
+        for peer in self._peers().values():
+            deployment.register(peer)
         return deployment
 
     def save_chain(self, chain: ledger.Chain) -> None:
@@ -270,31 +339,32 @@ class Home:
 
     # named identities and keys
     def save_identity(self, name: str, identity: protocol.Identity) -> None:
+        """Write the named identity, then register it in the directory; the
+        directory is read, changed and written under the home's lock."""
         self.identities_dir.mkdir(parents=True, exist_ok=True)
-        path = self.identities_dir / f"{name}.json"
-        path.write_text(json.dumps(identity.to_dict(), indent=2))
-        path.chmod(0o600)
-        registry = json.loads(self.directory_file.read_text())
-        registry["peers"][name] = identity.public().to_dict()
-        self.directory_file.write_text(json.dumps(registry, indent=2))
+        with self._locked():
+            peers = self._peers()
+            _write_file(self.identities_dir / f"{name}.json", _json_bytes(identity.to_dict()))
+            peers[name] = identity.public()
+            _write_file(self.directory_file, _json_bytes(
+                {"peers": {peer: public.to_dict() for peer, public in peers.items()}}))
 
     def identity(self, name: str) -> protocol.Identity:
         path = self.identities_dir / f"{name}.json"
         if not path.exists():
             raise UsageError(f"unknown identity {name!r}; run: cake identity new {name}")
-        return protocol.Identity.from_dict(json.loads(path.read_text()))
+        return _read_home_file(path, lambda text: protocol.Identity.from_dict(json.loads(text)))
 
     def address_of(self, name: str) -> bytes:
-        peers = json.loads(self.directory_file.read_text())["peers"]
-        if name not in peers:
+        peer = self._peers().get(name)
+        if peer is None:
             raise UsageError(f"unknown identity {name!r}; run: cake identity new {name}")
-        return bytes.fromhex(peers[name]["address"])
+        return peer.address
 
     def save_user_key(self, name: str, key: abe.UserKey) -> Path:
         self.keys_dir.mkdir(parents=True, exist_ok=True)
         path = self.keys_dir / f"{name}.key"
-        path.write_bytes(abe.serialize_user_key(key))
-        path.chmod(0o600)
+        _write_file(path, abe.serialize_user_key(key))
         return path
 
     def user_key(self, name: str) -> abe.UserKey:

@@ -23,9 +23,12 @@ build). That expression is the only scanner. Byte offsets are computed only
 on the error path, when the text is rejected: the same expression scans the
 text again, and an offset is the UTF-8 length of the text before the word.
 
-Policies compile to threshold access trees for secret sharing: an And node
-becomes an n-of-n gate, an Or node a 1-of-n gate, and leaves are numbered
-1..L in depth-first order. Duplicate attribute names keep distinct leaves.
+The parsed tree is the threshold access tree that secret sharing walks: an
+And node is an n-of-n gate and an Or node a 1-of-n gate (their
+``threshold``). No node stores a leaf number. The walks that share,
+choose and reconstruct number the leaves 1..L in depth-first order as they
+go, the order of :func:`tree_leaves`, so duplicate attribute names keep
+distinct leaves.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ _KEYWORDS = ("and", "or")
 
 # How deep parentheses, and the gates of a parsed tree, may nest. The
 # canonical rendering parenthesizes each gate, so a policy that parses
-# renders to text that parses. Rendering, compiling and choosing leaves
-# recurse over the tree, up to three frames per level, so a tree within the
-# bound stays far below the interpreter's recursion limit.
+# renders to text that parses. Rendering, choosing leaves and reconstructing
+# a secret recurse over the tree, up to three frames per level, so a tree
+# within the bound stays far below the interpreter's recursion limit.
 MAX_NESTING = 64
 
 
@@ -68,26 +71,34 @@ class InvalidAttributeError(PolicyError):
     """A token in attribute position does not match ``[a-z0-9_]{1,64}``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
-    name: str
+    attribute: str
 
     def __post_init__(self) -> None:
-        if not ATTRIBUTE_RE.fullmatch(self.name):
-            raise ValueError(f"invalid attribute name: {self.name!r}")
+        if not ATTRIBUTE_RE.fullmatch(self.attribute):
+            raise ValueError(f"invalid attribute name: {self.attribute!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
+    """An n-of-n gate: every child must be satisfied."""
     children: tuple["PolicyAst", ...]
 
     def __post_init__(self) -> None:
         _check_children(self.children, And)
 
+    @property
+    def threshold(self) -> int:
+        return len(self.children)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Or:
+    """A 1-of-n gate: one child must be satisfied."""
     children: tuple["PolicyAst", ...]
+
+    threshold = 1
 
     def __post_init__(self) -> None:
         _check_children(self.children, Or)
@@ -202,7 +213,7 @@ def parse_policy(text: str) -> PolicyAst:
             elif word == ")" or word in _KEYWORDS:
                 raise _error(text, index, PolicySyntaxError, f"unexpected token {word!r}")
             elif _attribute_match(word):
-                ands.append(_node(Leaf, "name", word))
+                ands.append(_node(Leaf, "attribute", word))
                 want_atom = False
             else:
                 raise _error(text, index, InvalidAttributeError,
@@ -247,7 +258,7 @@ def _depth(ast: PolicyAst) -> int:
 def render_policy(ast: PolicyAst) -> str:
     """Canonical fully parenthesized lowercase form; inverse of parse_policy."""
     if isinstance(ast, Leaf):
-        return ast.name
+        return ast.attribute
     keyword = " and " if isinstance(ast, And) else " or "
     return "(" + keyword.join(render_policy(c) for c in ast.children) + ")"
 
@@ -255,7 +266,7 @@ def render_policy(ast: PolicyAst) -> str:
 def evaluate(ast: PolicyAst, attrs: frozenset[str] | set[str]) -> bool:
     """Propositional semantics: a leaf is true iff its attribute is held."""
     if isinstance(ast, Leaf):
-        return ast.name in attrs
+        return ast.attribute in attrs
     if isinstance(ast, And):
         return all(evaluate(c, attrs) for c in ast.children)
     return any(evaluate(c, attrs) for c in ast.children)
@@ -264,76 +275,56 @@ def evaluate(ast: PolicyAst, attrs: frozenset[str] | set[str]) -> bool:
 def attributes_of(ast: PolicyAst) -> frozenset[str]:
     """Set of distinct attributes mentioned by the policy."""
     if isinstance(ast, Leaf):
-        return frozenset((ast.name,))
+        return frozenset((ast.attribute,))
     return frozenset().union(*(attributes_of(c) for c in ast.children))
 
 
-# --- threshold access trees ------------------------------------------------
+# --- the access tree ----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TreeLeaf:
-    attribute: str
-    leaf_index: int
-
-
-@dataclass(frozen=True, slots=True)
-class TreeGate:
-    threshold: int
-    children: tuple["AccessTree", ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.threshold <= len(self.children):
-            raise ValueError(f"threshold {self.threshold} out of range for "
-                             f"{len(self.children)} children")
+# The benchmark's span table patches ``compile_policy`` and reads
+# ``TreeLeaf`` by name; both go when the benchmark reads spans that the
+# package records instead of patching it.
+TreeLeaf = Leaf
 
 
-AccessTree = Union[TreeLeaf, TreeGate]
+def compile_policy(ast: PolicyAst) -> PolicyAst:
+    """The access tree of a parsed policy, which is the parsed tree."""
+    return ast
 
 
-def compile_policy(ast: PolicyAst) -> AccessTree:
-    """Compile to a threshold tree: And -> n-of-n, Or -> 1-of-n.
-
-    Leaves are numbered 1..L in depth-first order; duplicate attribute names
-    in the policy produce distinct leaves. Each node is visited once.
-    """
-    counter = itertools.count(1)
-
-    def build(node: PolicyAst) -> AccessTree:
-        if type(node) is Leaf:
-            return TreeLeaf(node.name, next(counter))
-        threshold = len(node.children) if type(node) is And else 1
-        return TreeGate(threshold, tuple([build(c) for c in node.children]))
-
-    return build(ast)
-
-
-def tree_leaves(tree: AccessTree) -> list[TreeLeaf]:
-    """Leaves in depth-first (= index) order."""
-    leaves: list[TreeLeaf] = []
+def tree_leaves(tree: PolicyAst) -> list[Leaf]:
+    """Leaves in depth-first order: leaf i (1-based) is leaf number i."""
+    leaves: list[Leaf] = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if type(node) is TreeLeaf:
+        if type(node) is Leaf:
             leaves.append(node)
         else:
             stack.extend(reversed(node.children))
     return leaves
 
 
-def min_satisfying_leaves(tree: AccessTree,
+def min_satisfying_leaves(tree: PolicyAst,
                           attrs: Container[str]) -> Optional[list[int]]:
-    """Indices of a smallest leaf set that satisfies the tree using only
+    """Numbers of a smallest leaf set that satisfies the tree using only
     the given attributes, or ``None`` when they do not satisfy it.
 
     Each gate takes its ``threshold`` children with the fewest leaves, ties
     going to the lowest position. Subtrees share no leaves, so this sum of
-    per-gate minima is a global minimum.
+    per-gate minima is a global minimum. Every leaf is visited, in
+    depth-first order, which numbers it.
     """
-    if isinstance(tree, TreeLeaf):
-        return [tree.leaf_index] if tree.attribute in attrs else None
-    picks = [p for p in (min_satisfying_leaves(c, attrs) for c in tree.children)
-             if p is not None]
-    if len(picks) < tree.threshold:
-        return None
-    picks.sort(key=len)  # stable: equal sizes keep their tree order
-    return [index for pick in picks[:tree.threshold] for index in pick]
+    numbers = itertools.count(1)
+
+    def pick(node: PolicyAst) -> Optional[list[int]]:
+        if type(node) is Leaf:
+            number = next(numbers)
+            return [number] if node.attribute in attrs else None
+        picks = [p for p in map(pick, node.children) if p is not None]
+        if len(picks) < node.threshold:
+            return None
+        picks.sort(key=len)  # stable: equal sizes keep their tree order
+        return [number for chosen in picks[:node.threshold] for number in chosen]
+
+    return pick(tree)

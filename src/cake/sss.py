@@ -3,11 +3,13 @@
 A t-of-n sharing evaluates a random degree-(t-1) polynomial f with
 f(0) = secret at the points 1..n; any t shares recover the secret by
 Lagrange interpolation at 0. The tree extension applies this recursively
-down a threshold access tree so that exactly the leaf subsets satisfying the
-tree can rebuild the root secret: each gate splits its incoming value with
-its own threshold, child j receiving the share at point j. The tree is
-walked once, depth first, and each child's value is computed in place,
-without a :class:`Share` per node.
+down the access tree of a parsed policy (an And is an n-of-n gate, an Or a
+1-of-n gate) so that exactly the leaf subsets satisfying the tree can
+rebuild the root secret: each gate splits its incoming value with its own
+threshold, child j receiving the share at point j. Leaves are numbered
+1..L in depth-first order as each walk reaches them. Sharing walks the tree
+once, depth first, and computes each child's value in place, without a
+:class:`Share` per node.
 
 The modulus is a well-known prime comfortably above 2^255, so 256-bit data
 keys embed injectively as field elements. Entropy is always an injected
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CakeError
-from .policy import AccessTree, TreeGate, TreeLeaf
+from .policy import Leaf, PolicyAst
 
 PRIME = 2**255 - 19
 
@@ -109,22 +111,22 @@ def reconstruct(shares: list[Share]) -> int:
     return total
 
 
-def share_tree(tree: AccessTree, secret: int, rng: random.Random) -> dict[int, int]:
+def share_tree(tree: PolicyAst, secret: int, rng: random.Random) -> dict[int, int]:
     """Split ``secret`` down the access tree.
 
-    Returns the map leaf_index -> field element, in leaf-index order. Each
-    gate shares its incoming value with its own threshold among its
+    Returns the map leaf number -> field element, in leaf-number order.
+    Each gate shares its incoming value with its own threshold among its
     children, child j taking the share at point j (1-based position), as
     :func:`share` would; the tree is walked once, depth first, and each
     gate draws its coefficients when it is reached. A 1-of-n gate draws
     none: each child takes the value itself.
     """
     leaf_values: dict[int, int] = {}
-    stack: list[tuple[AccessTree, int]] = [(tree, secret % PRIME)]
+    stack: list[tuple[PolicyAst, int]] = [(tree, secret % PRIME)]
     while stack:
         node, value = stack.pop()
-        if type(node) is TreeLeaf:
-            leaf_values[node.leaf_index] = value
+        if type(node) is Leaf:
+            leaf_values[len(leaf_values) + 1] = value
             continue
         coeffs = [value] + [rng.randrange(PRIME) for _ in range(node.threshold - 1)]
         children = node.children
@@ -133,24 +135,39 @@ def share_tree(tree: AccessTree, secret: int, rng: random.Random) -> dict[int, i
     return leaf_values
 
 
-def reconstruct_tree(tree: AccessTree, available: dict[int, int]) -> Optional[int]:
-    """Rebuild the root secret from the available leaf values.
+def reconstruct_tree(tree: PolicyAst, available: dict[int, int]) -> Optional[int]:
+    """Rebuild the root secret from the available values, keyed by leaf
+    number.
 
     A leaf is recoverable iff its value is present; a gate is recoverable iff
     at least ``threshold`` children are, interpolating over the recovered
     children with the lowest positions so decryption is deterministic.
     Returns ``None`` when the available set does not satisfy the tree.
+
+    The walk numbers the leaves as it reaches them, so it cannot leave a
+    gate at its ``threshold``-th recovered child: the leaves of the
+    children after it would go unnumbered. It stops once it has reached the
+    highest available leaf number, when every available value is found and
+    no later leaf can add one; a minimal satisfying set is walked up to its
+    last leaf.
     """
-    def ascend(node: AccessTree) -> Optional[int]:
-        if isinstance(node, TreeLeaf):
-            return available.get(node.leaf_index)
+    last = max(available, default=0)
+    seen = 0  # leaves numbered so far
+
+    def ascend(node: PolicyAst) -> Optional[int]:
+        nonlocal seen
+        if type(node) is Leaf:
+            seen += 1
+            return available.get(seen)
         recovered: list[Share] = []
         for position, child in enumerate(node.children, start=1):
+            if seen >= last:
+                break
             value = ascend(child)
             if value is not None:
                 recovered.append(Share(position, value))
-            if len(recovered) == node.threshold:
-                return reconstruct(recovered)
-        return None
+        if len(recovered) < node.threshold:
+            return None
+        return reconstruct(recovered[:node.threshold])
 
     return ascend(tree)

@@ -6,7 +6,7 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import NamedTuple
 
 import sympy
@@ -15,16 +15,12 @@ from cake import abe
 from cake.codec import Reader, Writer
 from cake.policy import (
     ATTRIBUTE_RE,
-    AccessTree,
     And,
     InvalidAttributeError,
     Leaf,
     Or,
     PolicyAst,
     PolicySyntaxError,
-    TreeGate,
-    TreeLeaf,
-    tree_leaves,
 )
 
 ATTRIBUTE_POOL = ["a1", "b2", "c3", "d4", "e5", "f6"]
@@ -129,7 +125,7 @@ def sympy_eval(ast: PolicyAst, attrs: frozenset[str] | set[str]) -> bool:
     """Truth-table oracle: evaluate via sympy's logic engine."""
     def to_expr(node: PolicyAst):
         if isinstance(node, Leaf):
-            return sympy.Symbol(node.name)
+            return sympy.Symbol(node.attribute)
         op = sympy.And if isinstance(node, And) else sympy.Or
         return op(*(to_expr(c) for c in node.children))
 
@@ -138,18 +134,38 @@ def sympy_eval(ast: PolicyAst, attrs: frozenset[str] | set[str]) -> bool:
     return bool(expr.subs(assignment))
 
 
-def tree_satisfied(tree: AccessTree, leaf_indices: set[int]) -> bool:
-    """Recursive threshold check, the dual of share reconstruction."""
-    if isinstance(tree, TreeLeaf):
-        return tree.leaf_index in leaf_indices
-    hits = sum(tree_satisfied(c, leaf_indices) for c in tree.children)
-    return hits >= tree.threshold
+def gate_threshold(gate: PolicyAst) -> int:
+    """An And gate needs all of its children, an Or gate one."""
+    return len(gate.children) if isinstance(gate, And) else 1
 
 
-def min_satisfying_size(tree: AccessTree, attrs: frozenset[str] | set[str]):
+def leaf_attributes(tree: PolicyAst) -> list[str]:
+    """The attribute of each leaf, leaf number i at position i - 1: the
+    leaves in depth-first order, collected recursively."""
+    if isinstance(tree, Leaf):
+        return [tree.attribute]
+    return [attribute for child in tree.children for attribute in leaf_attributes(child)]
+
+
+def tree_satisfied(tree: PolicyAst, leaf_numbers: set[int]) -> bool:
+    """Recursive threshold check, the dual of share reconstruction, over
+    leaves numbered 1..L in depth-first order."""
+    numbers = count(1)
+
+    def satisfied(node: PolicyAst) -> bool:
+        if isinstance(node, Leaf):
+            return next(numbers) in leaf_numbers
+        hits = sum([satisfied(c) for c in node.children])  # numbers every leaf
+        return hits >= gate_threshold(node)
+
+    return satisfied(tree)
+
+
+def min_satisfying_size(tree: PolicyAst, attrs: frozenset[str] | set[str]):
     """Size of the smallest set of held leaves satisfying the tree, by
     exhaustive search; ``None`` when the held leaves do not satisfy it."""
-    held = [leaf.leaf_index for leaf in tree_leaves(tree) if leaf.attribute in attrs]
+    held = [number for number, attribute in enumerate(leaf_attributes(tree), start=1)
+            if attribute in attrs]
     for size in range(len(held) + 1):
         if any(tree_satisfied(tree, set(combo)) for combo in combinations(held, size)):
             return size
@@ -343,18 +359,20 @@ def serve_shaped_policy(rng: random.Random, leaves: int) -> str:
     return f"(tenant_acme and ({' or '.join(parts)}))"
 
 
-def reference_share_tree(tree: AccessTree, secret: int, rng: random.Random) -> dict[int, int]:
+def reference_share_tree(tree: PolicyAst, secret: int, rng: random.Random) -> dict[int, int]:
     """``share_tree`` as it was before it walked the tree without building
-    shares: each gate calls ``share`` for its children, depth first."""
+    shares: each gate calls ``share`` for its children, depth first, and
+    leaves are numbered 1..L in that order."""
     from cake.sss import PRIME, share
 
     leaf_values: dict[int, int] = {}
+    numbers = count(1)
 
-    def descend(node: AccessTree, value: int) -> None:
-        if isinstance(node, TreeLeaf):
-            leaf_values[node.leaf_index] = value
+    def descend(node: PolicyAst, value: int) -> None:
+        if isinstance(node, Leaf):
+            leaf_values[next(numbers)] = value
             return
-        child_shares = share(value, node.threshold, len(node.children), rng)
+        child_shares = share(value, gate_threshold(node), len(node.children), rng)
         for child, child_share in zip(node.children, child_shares):
             descend(child, child_share.value)
 

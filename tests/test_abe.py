@@ -19,7 +19,6 @@ from cake.policy import (
     MAX_NESTING,
     PolicyError,
     attributes_of,
-    compile_policy,
     evaluate,
     min_satisfying_leaves,
     parse_policy,
@@ -350,8 +349,7 @@ class TestMinimalUnwrap:
         policies = 0
         while policies < 25:
             ast = random_policy(rng, ATTRIBUTE_POOL, depth=3)
-            tree = compile_policy(ast)
-            if len(list(tree_leaves(tree))) > 10:
+            if len(tree_leaves(ast)) > 10:
                 continue  # keep the exhaustive oracle cheap
             policies += 1
             ct = abe.encrypt_slice(ms, render_policy(ast), b"payload", rng)
@@ -359,7 +357,7 @@ class TestMinimalUnwrap:
                 if not subset:
                     continue
                 key = make_key(ms, subset)
-                need = min_satisfying_size(tree, subset)
+                need = min_satisfying_size(ast, subset)
                 aead_opens.clear()
                 if evaluate(ast, subset):
                     assert abe.decrypt_slice(key, ct) == b"payload"
@@ -652,8 +650,8 @@ def reference_parse_slice(r: Reader) -> SliceFields:
     those the policy's tree calls for."""
     policy_text = r.take_str()
     leaves = tree_leaves(reference_compiled_header(policy_text))
-    want = [(leaf.leaf_index, leaf.attribute, abe.NONCE_BYTES, SEALED_SHARE_BYTES)
-            for leaf in leaves]
+    want = [(number, leaf.attribute, abe.NONCE_BYTES, SEALED_SHARE_BYTES)
+            for number, leaf in enumerate(leaves, start=1)]
     rest = Reader(r.take_raw(4 + sum(4 + 4 + len(attribute.encode()) + 4 + nonce + 4 + sealed
                                      for _, attribute, nonce, sealed in want)))
     try:
@@ -682,7 +680,7 @@ def reference_compiled_header(policy_text: str):
         raise abe.IntegrityFailure("unparseable policy header") from exc
     if render_policy(ast) != policy_text:
         raise abe.IntegrityFailure("policy header is not in canonical form")
-    return compile_policy(ast)
+    return ast
 
 
 def reference_decrypt_slice(uk: abe.UserKey, ct: SliceFields) -> bytes:
@@ -790,7 +788,7 @@ class TestParseWithoutShareObjects:
         policy = serve_shaped_policy(random.Random("opens"), 64)
         ct = abe.encrypt_slice(ms, policy, b"payload", random.Random(36))
         parsed = parse_slice(abe.serialize_slice(ct))
-        tree = compile_policy(parse_policy(policy))
+        tree = parse_policy(policy)
         attributes = [leaf.attribute for leaf in tree_leaves(tree)]
         for attrs in ({"tenant_acme", "audit"}, {"tenant_acme", *SERVE_ROLES}):
             key = make_key(ms, attrs)
@@ -813,7 +811,7 @@ def sixteen_byte_nonce(ms, ct: abe.SliceCiphertext, position: int) -> bytes:
     a 16-byte nonce and the payload sealed again under the new header: a
     slice that opens, but whose field lengths are not the canonical ones."""
     fields = slice_fields(ct)
-    tree = compile_policy(parse_policy(fields.policy_text))
+    tree = parse_policy(fields.policy_text)
     shares = list(fields.shares)
     values = {}
     for i, ws in enumerate(shares):
@@ -924,9 +922,8 @@ class TestSatisfiabilityMemo:
     def test_memoized_choice_is_min_satisfying_leaves(self):
         rng = random.Random(46)
         for _ in range(40):
-            ast = random_policy(rng, ATTRIBUTE_POOL, depth=3)
-            tree = compile_policy(ast)
-            compiled = abe._compiled_header(render_policy(ast))
+            tree = random_policy(rng, ATTRIBUTE_POOL, depth=3)
+            compiled = abe._compiled_header(render_policy(tree))
             compiled.choices.clear()
             for _ in range(12):
                 attrs = set(rng.sample(ATTRIBUTE_POOL + ["x7", "y8"], rng.randint(0, 8)))
@@ -959,7 +956,7 @@ class TestSatisfiabilityMemo:
     POLICY = "(" + " or ".join(f"(r0 and {name})" for name in NAMES[1:]) + ")"
 
     def answers(self):
-        tree = compile_policy(parse_policy(self.POLICY))
+        tree = parse_policy(self.POLICY)
         return {subset: tuple(min_satisfying_leaves(tree, subset) or ())
                 for subset in attribute_subsets(frozenset(self.NAMES))}
 

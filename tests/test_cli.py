@@ -528,3 +528,83 @@ class TestExitCodes:
 
         monkeypatch.setattr(protocol.SkmService, "_handle", broken)
         assert cake("key", "request", "--as", "owner")[0] == cli.EXIT_OTHER == 75
+
+    @pytest.mark.parametrize("text", [None, '{"peers": []}'], ids=["cut-in-half", "peers-not-a-map"])
+    def test_a_directory_that_does_not_parse_is_a_storage_failure(self, cake, stored,
+                                                                  tmp_path, text):
+        directory = tmp_path / "home" / "directory.json"
+        whole = directory.read_text()
+        directory.write_text(whole[:len(whole) // 2] if text is None else text)
+        assert cake("ledger", "verify")[0] == cli.EXIT_STORAGE == 72
+        assert cake("identity", "new", "late")[0] == cli.EXIT_STORAGE
+        assert cake("certify", "clerk", "audit")[0] == cli.EXIT_STORAGE
+        assert not (tmp_path / "home" / "identities" / "late.json").exists()
+
+    @pytest.mark.parametrize("text", ["zz", "00" * 31], ids=["not-hex", "short"])
+    def test_a_master_key_that_does_not_parse_is_a_storage_failure(self, cake, stored,
+                                                                   tmp_path, text):
+        (tmp_path / "home" / "master.key").write_text(text)
+        assert cake("ledger", "verify")[0] == cli.EXIT_STORAGE == 72
+
+    def test_services_without_a_role_are_a_storage_failure(self, cake, stored, tmp_path):
+        services = tmp_path / "home" / "services.json"
+        roles = json.loads(services.read_text())
+        del roles[protocol.SERVICE_ROLES[-1]]
+        services.write_text(json.dumps(roles))
+        assert cake("ledger", "verify")[0] == cli.EXIT_STORAGE == 72
+
+
+class TestHomeFiles:
+    def test_every_home_file_is_private(self, cake, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            assert cake("identity", "new", "owner")[0] == 0
+            assert cake("certify", "owner", "finance")[0] == 0
+            assert cake("key", "request", "--as", "owner")[0] == 0
+        finally:
+            os.umask(umask)
+        home = tmp_path / "home"
+        files = [home / "master.key", home / "services.json", home / "directory.json",
+                 home / "chain.bin", home / "identities" / "owner.json",
+                 home / "keys" / "owner.key"]
+        assert {path.name: oct(path.stat().st_mode & 0o777) for path in files} == \
+            {path.name: oct(0o600) for path in files}
+
+    def test_concurrent_identities_are_all_registered(self, tmp_path):
+        home_dir = tmp_path / "home"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        names = [f"actor{i}" for i in range(8)]
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "cake.cli", "--home", str(home_dir), "identity", "new", name],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env=env) for name in names]
+        try:
+            outcomes = [(proc.wait(timeout=60), proc.stderr.read()) for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stderr.close()
+        assert [code for code, _ in outcomes] == [0] * len(names), outcomes
+        assert sum(b"provisioned" in err for _, err in outcomes) == 1
+        peers = json.loads((home_dir / "directory.json").read_text())["peers"]
+        assert sorted(peers) == names
+        home = cli.Home(home_dir)
+        for name in names:
+            assert home.address_of(name) == home.identity(name).address
+
+    def test_a_failed_replace_leaves_no_temporary_file(self, cake, tmp_path, monkeypatch):
+        assert cake("identity", "new", "owner")[0] == 0
+        home = tmp_path / "home"
+        before = sorted(home.rglob("*"))
+        directory = (home / "directory.json").read_bytes()
+
+        def failing(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", failing)
+        assert cake("identity", "new", "late")[0] == cli.EXIT_STORAGE == 72
+        assert sorted(home.rglob("*")) == before
+        assert (home / "directory.json").read_bytes() == directory

@@ -12,10 +12,7 @@ from cake.policy import (
     Leaf,
     Or,
     PolicySyntaxError,
-    TreeGate,
-    TreeLeaf,
     attributes_of,
-    compile_policy,
     evaluate,
     min_satisfying_leaves,
     normalize_attribute,
@@ -23,10 +20,12 @@ from cake.policy import (
     render_policy,
     tree_leaves,
 )
+from cake.sss import PRIME, reconstruct_tree, share_tree
 from helpers import (
     ATTRIBUTE_POOL,
     and_of,
     attribute_subsets,
+    leaf_attributes,
     min_satisfying_size,
     nested_policy,
     or_of,
@@ -197,9 +196,10 @@ class TestNesting:
         text = nested_policy(MAX_NESTING)
         ast = parse_policy(text)
         assert render_policy(ast) == text
-        tree = compile_policy(ast)
-        assert len(tree_leaves(tree)) == MAX_NESTING + 1
-        assert min_satisfying_leaves(tree, {"a"}) is not None
+        assert len(tree_leaves(ast)) == MAX_NESTING + 1
+        chosen = min_satisfying_leaves(ast, {"a"})
+        values = share_tree(ast, 5, random.Random(0))
+        assert reconstruct_tree(ast, {n: values[n] for n in chosen}) == 5
 
     def test_one_level_more_is_refused_at_its_parenthesis(self):
         text = nested_policy(MAX_NESTING + 1)
@@ -268,51 +268,69 @@ class TestEvaluate:
 
 
 class TestCompile:
+    """The parsed tree is the access tree: an And is an n-of-n gate, an Or
+    a 1-of-n gate, and leaves are numbered 1..L depth first."""
+
     def test_single_leaf(self):
-        assert compile_policy(Leaf("a")) == TreeLeaf("a", 1)
+        tree = parse_policy("a")
+        assert tree_leaves(tree) == [Leaf("a")]
+        assert share_tree(tree, 7, random.Random(0)) == {1: 7}
+        assert min_satisfying_leaves(tree, {"a"}) == [1]
 
     def test_transport_document_tree(self):
-        tree = compile_policy(parse_policy(TRANSPORT_DOCUMENT))
-        assert tree == TreeGate(2, (
-            TreeLeaf("29837", 1),
-            TreeGate(1, (TreeLeaf("economic_operator", 2),
-                         TreeLeaf("customs", 3),
-                         TreeLeaf("courier", 4))),
+        tree = parse_policy(TRANSPORT_DOCUMENT)
+        assert tree == And((
+            Leaf("29837"),
+            Or((Leaf("economic_operator"), Leaf("customs"), Leaf("courier"))),
         ))
+        assert (tree.threshold, tree.children[1].threshold) == (2, 1)
+        assert [leaf.attribute for leaf in tree_leaves(tree)] == [
+            "29837", "economic_operator", "customs", "courier"]
+        assert list(share_tree(tree, 7, random.Random(0))) == [1, 2, 3, 4]
 
     def test_duplicate_attribute_distinct_leaves(self):
-        tree = compile_policy(parse_policy("(a or a)"))
-        assert tree == TreeGate(1, (TreeLeaf("a", 1), TreeLeaf("a", 2)))
+        tree = parse_policy("(a or a)")
+        assert tree == Or((Leaf("a"), Leaf("a")))
+        assert tree.threshold == 1
+        assert share_tree(tree, 7, random.Random(0)) == {1: 7, 2: 7}
+        assert min_satisfying_leaves(tree, {"a"}) == [1]
 
     @given(asts)
     def test_leaf_indices_are_depth_first(self, ast):
-        indices = [leaf.leaf_index for leaf in tree_leaves(compile_policy(ast))]
-        assert indices == list(range(1, len(indices) + 1))
+        assert [leaf.attribute for leaf in tree_leaves(ast)] == leaf_attributes(ast)
 
     def test_threshold_satisfaction_matches_evaluation(self):
         rng = random.Random(21)
         for _ in range(60):
             ast = random_policy(rng, ATTRIBUTE_POOL[:4], depth=3)
-            tree = compile_policy(ast)
             for subset in attribute_subsets(attributes_of(ast)):
-                indices = {leaf.leaf_index for leaf in tree_leaves(tree)
-                           if leaf.attribute in subset}
-                assert tree_satisfied(tree, indices) == evaluate(ast, subset)
+                numbers = {number for number, attribute in enumerate(leaf_attributes(ast), 1)
+                           if attribute in subset}
+                assert tree_satisfied(ast, numbers) == evaluate(ast, subset)
 
-    def test_gate_threshold_validation(self):
-        with pytest.raises(ValueError):
-            TreeGate(3, (TreeLeaf("a", 1), TreeLeaf("b", 2)))
-        with pytest.raises(ValueError):
-            TreeGate(0, (TreeLeaf("a", 1), TreeLeaf("b", 2)))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(asts, st.sets(st.sampled_from(ATTRIBUTE_POOL)),
+           st.integers(min_value=0, max_value=PRIME - 1), st.integers(min_value=0))
+    def test_share_choose_and_reconstruct_number_leaves_alike(self, ast, held, secret, seed):
+        leaves = tree_leaves(ast)
+        values = share_tree(ast, secret, random.Random(seed))
+        assert list(values) == list(range(1, len(leaves) + 1))
+        chosen = min_satisfying_leaves(ast, held)
+        if chosen is None:
+            assert not evaluate(ast, held)
+            return
+        assert all(leaves[number - 1].attribute in held for number in chosen)
+        assert tree_satisfied(ast, set(chosen))
+        assert reconstruct_tree(ast, {number: values[number] for number in chosen}) == secret
 
 
 class TestMinSatisfyingLeaves:
     def test_examples(self):
-        tree = compile_policy(parse_policy(TRANSPORT_DOCUMENT))
+        tree = parse_policy(TRANSPORT_DOCUMENT)
         # customs (leaf 3) and courier (leaf 4) tie: the lower position wins
         assert min_satisfying_leaves(tree, {"29837", "customs", "courier"}) == [1, 3]
         assert min_satisfying_leaves(tree, {"customs", "courier"}) is None
-        cheap_last = compile_policy(parse_policy("(a and b) or c"))
+        cheap_last = parse_policy("(a and b) or c")
         assert min_satisfying_leaves(cheap_last, {"a", "b", "c"}) == [3]
         assert min_satisfying_leaves(cheap_last, {"a", "b"}) == [1, 2]
 
@@ -320,16 +338,15 @@ class TestMinSatisfyingLeaves:
         rng = random.Random(22)
         for _ in range(60):
             ast = random_policy(rng, ATTRIBUTE_POOL[:4], depth=3)
-            tree = compile_policy(ast)
-            held_by_index = {leaf.leaf_index: leaf.attribute for leaf in tree_leaves(tree)}
+            attributes = leaf_attributes(ast)
             for subset in attribute_subsets(attributes_of(ast)):
-                chosen = min_satisfying_leaves(tree, subset)
+                chosen = min_satisfying_leaves(ast, subset)
                 if not evaluate(ast, subset):
                     assert chosen is None
                     continue
-                assert all(held_by_index[i] in subset for i in chosen)
-                assert tree_satisfied(tree, set(chosen))
-                assert len(set(chosen)) == len(chosen) == min_satisfying_size(tree, subset)
+                assert all(attributes[i - 1] in subset for i in chosen)
+                assert tree_satisfied(ast, set(chosen))
+                assert len(set(chosen)) == len(chosen) == min_satisfying_size(ast, subset)
 
 
 class TestAttributesOf:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cake.policy import attributes_of, compile_policy, evaluate, parse_policy, tree_leaves
+from cake.policy import (
+    attributes_of,
+    evaluate,
+    min_satisfying_leaves,
+    parse_policy,
+    tree_leaves,
+)
 from cake.sss import (
     PRIME,
     DuplicateIndex,
@@ -110,18 +116,18 @@ class TestReconstruct:
 
 class TestShareTree:
     def test_leaf_only_tree(self):
-        tree = compile_policy(parse_policy("a"))
+        tree = parse_policy("a")
         assert share_tree(tree, 77, random.Random(0)) == {1: 77}
 
     def test_one_of_two_duplicates_secret(self):
-        tree = compile_policy(parse_policy("a or b"))
+        tree = parse_policy("a or b")
         values = share_tree(tree, 99, random.Random(0))
         assert values == {1: 99, 2: 99}
 
     def test_transport_document_subsets(self):
         # enumerated against the tree-threshold rule: leaf 1 is mandatory
         # (2-of-2 root), any one of leaves 2..4 completes it
-        tree = compile_policy(parse_policy(TRANSPORT_DOCUMENT))
+        tree = parse_policy(TRANSPORT_DOCUMENT)
         rng = random.Random(8)
         secret = rng.randrange(PRIME)
         values = share_tree(tree, secret, rng)
@@ -130,7 +136,7 @@ class TestShareTree:
         assert reconstruct_tree(tree, {4: values[4], 3: values[3]}) is None
 
     def test_seeded_determinism(self):
-        tree = compile_policy(parse_policy("(a and b) or (c and d)"))
+        tree = parse_policy("(a and b) or (c and d)")
         a = share_tree(tree, 123, random.Random(11))
         b = share_tree(tree, 123, random.Random(11))
         assert a == b
@@ -140,7 +146,7 @@ class TestShareTree:
         # Gates up to 5-of-5, so the order of several coefficients shows.
         rng = random.Random(14)
         for _ in range(60):
-            tree = compile_policy(random_policy(rng, ATTRIBUTE_POOL, depth=3, max_fanout=5))
+            tree = random_policy(rng, ATTRIBUTE_POOL, depth=3, max_fanout=5)
             secret = rng.randrange(PRIME)
             seed = rng.getrandbits(64)
             ours, theirs = random.Random(seed), random.Random(seed)
@@ -154,14 +160,13 @@ class TestReconstructTree:
     def test_full_map_recovers_everywhere(self):
         rng = random.Random(12)
         for _ in range(40):
-            ast = random_policy(rng, ATTRIBUTE_POOL, depth=3)
-            tree = compile_policy(ast)
+            tree = random_policy(rng, ATTRIBUTE_POOL, depth=3)
             secret = rng.randrange(PRIME)
             values = share_tree(tree, secret, rng)
             assert reconstruct_tree(tree, values) == secret
 
     def test_empty_map_is_unsatisfied(self):
-        tree = compile_policy(parse_policy("a and b"))
+        tree = parse_policy("a and b")
         assert reconstruct_tree(tree, {}) is None
 
     def test_access_structure_equivalence(self):
@@ -169,18 +174,41 @@ class TestReconstructTree:
         # the policy's truth table on that subset
         rng = random.Random(13)
         for _ in range(50):
-            ast = random_policy(rng, ATTRIBUTE_POOL, depth=4)
-            tree = compile_policy(ast)
+            tree = random_policy(rng, ATTRIBUTE_POOL, depth=4)
             secret = rng.randrange(1, PRIME)
             values = share_tree(tree, secret, rng)
-            for subset in attribute_subsets(attributes_of(ast)):
-                held = {leaf.leaf_index: values[leaf.leaf_index]
-                        for leaf in tree_leaves(tree) if leaf.attribute in subset}
+            for subset in attribute_subsets(attributes_of(tree)):
+                held = {number: values[number]
+                        for number, leaf in enumerate(tree_leaves(tree), start=1)
+                        if leaf.attribute in subset}
                 got = reconstruct_tree(tree, held)
-                if evaluate(ast, subset):
+                if evaluate(tree, subset):
                     assert got == secret
                 else:
                     assert got is None
+
+
+class TestLeafNumbering:
+    """Leaves after an Or gate that its first child satisfied keep their
+    numbers: sharing, choosing and reconstructing count every leaf."""
+
+    @pytest.mark.parametrize("policy, held, chosen", [
+        ("((a or (b and c)) and d)", {"a", "d"}, [1, 4]),
+        ("((a or b) and (c or d))", {"b", "c"}, [2, 3]),
+    ])
+    def test_chosen_leaves_reconstruct(self, policy, held, chosen):
+        tree = parse_policy(policy)
+        assert min_satisfying_leaves(tree, held) == chosen
+        values = share_tree(tree, 1234, random.Random(3))
+        assert reconstruct_tree(tree, {n: values[n] for n in chosen}) == 1234
+        assert reconstruct_tree(tree, {n: values[n] for n in chosen[:-1]}) is None
+
+    def test_a_held_set_past_the_minimum_uses_the_lowest_positions(self):
+        tree = parse_policy("((a or b) and (c or d))")
+        values = share_tree(tree, 1234, random.Random(4))
+        # Leaves 2 and 4 are spoiled; the Or gates take positions 1 and 3.
+        assert reconstruct_tree(tree, {1: values[1], 2: 0, 3: values[3], 4: 0}) == 1234
+        assert reconstruct_tree(tree, {1: 0, 2: values[2], 3: values[3], 4: values[4]}) != 1234
 
 
 class TestFieldCodec:

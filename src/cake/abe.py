@@ -16,8 +16,11 @@ header checks (the text parses and is canonical) are memoized by the
 canonical policy text in a fixed-size LRU table
 (:func:`_compiled_header`), with the parsed tree, the skeleton of the
 policy's canonical header and where each leaf's share sits in it, and a
-bounded satisfiability memo: the leaf set chosen for each pattern of held policy attributes seen,
-or the denial. Attribute wrap keys are memoized likewise, in a bounded LRU
+bounded satisfiability memo: for each pattern of held policy attributes
+seen, the leaf set chosen and each chosen leaf's reconstruction weight
+(:func:`sss.leaf_weights`), or the denial. An allowed read therefore
+rebuilds the data key as one weighted sum of the shares it opens, without
+walking the tree. Attribute wrap keys are memoized likewise, in a bounded LRU
 table keyed by master secret and attribute, since every leaf of every
 slice and every issued key needs one and attributes repeat; so are the
 ciphers that wrap shares at encryption.
@@ -298,9 +301,11 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
     :func:`parse_container`, not here. The key's attribute names alone
     decide satisfiability: a minimal satisfying leaf set is chosen
     (:func:`policy.min_satisfying_leaves`, memoized per policy by
-    :func:`_choose`), and only the nonces and sealed shares of that set are
-    read from :attr:`SliceCiphertext.header`, at the offsets of the policy's
-    memo entry (:func:`_compiled_header`), and opened.
+    :func:`_choose` with each leaf's weight), and only the nonces and sealed
+    shares of that set are read from :attr:`SliceCiphertext.header`, at the
+    offsets of the policy's memo entry (:func:`_compiled_header`), and
+    opened. The data key is the sum of the opened shares times their
+    weights.
 
     Raises :class:`PolicyNotSatisfied` when the key's attributes do not
     satisfy the policy, without opening any share; and
@@ -314,21 +319,20 @@ def decrypt_slice(uk: UserKey, ct: SliceCiphertext) -> bytes:
         raise PolicyNotSatisfied(f"attributes do not satisfy {ct.policy_text!r}")
 
     header = ct.header
-    available: dict[int, int] = {}
-    for leaf_index in chosen:
+    data_key = 0
+    for leaf_index, weight in chosen:
         attribute = compiled.leaves[leaf_index - 1]
         nonce, wrapped = _share_fields(header, compiled.nonces_at[leaf_index - 1])
         try:
             raw = AESGCM(uk.attribute_keys[attribute]).decrypt(
                 nonce, wrapped, _share_aad(leaf_index, attribute))
-            available[leaf_index] = sss.decode_field(raw)
+            data_key += weight * sss.decode_field(raw)
         except (InvalidTag, sss.FieldDecodeError) as exc:
             # A wrap key this user legitimately holds must open an honest share.
             raise IntegrityFailure("wrapped share failed authentication") from exc
 
-    data_key = sss.reconstruct_tree(compiled.tree, available)
     try:
-        return AESGCM(_payload_key(data_key)).decrypt(
+        return AESGCM(_payload_key(data_key % sss.PRIME)).decrypt(
             ct.payload_nonce, ct.payload, header_hash(ct))
     except InvalidTag as exc:
         raise IntegrityFailure("payload or header authentication failed") from exc
@@ -351,17 +355,19 @@ class _CompiledHeader(NamedTuple):
     skeleton_bytes: bytes
     attributes: tuple[str, ...]  # the policy's distinct attributes
     # Satisfiability memo of :func:`_choose`: for each pattern of held
-    # attributes seen (bit i set if attribute i is held), the chosen leaves,
-    # or () for a denial.
-    choices: dict[int, tuple[int, ...]]
+    # attributes seen (bit i set if attribute i is held), each chosen leaf's
+    # number and reconstruction weight, or () for a denial.
+    choices: dict[int, tuple[tuple[int, int], ...]]
 
 
 # Compiled headers kept by :func:`_compiled_header`. Every reader of a slice
 # checks the same header, so reads of one policy outnumber its writes; the
 # bound caps the memory a stream of distinct policies can pin (measured with
 # tracemalloc over serve-shaped policies, a 32-leaf entry with its key text
-# is about 8.9 KB, of which the parsed tree is 4.0 KB and the skeleton
-# 3.4 KB; filling its satisfiability memo added 7 KB more).
+# is about 8.4 KB, of which the parsed tree is 4.0 KB and the skeleton
+# 3.4 KB; a full satisfiability memo, 64 answers with their leaves'
+# weights, adds 12 KB more, where the leaf numbers alone took 6 KB; so a
+# full table holds about 5 MB).
 _POLICY_MEMO_SIZE = 256
 
 # Answers kept per compiled header by :func:`_choose`; a full memo is
@@ -414,10 +420,12 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags to base-2 digits
 _choices_lock = threading.Lock()  # held to add an answer to a memo
 
 
-def _choose(compiled: _CompiledHeader, attrs: dict[str, bytes]) -> tuple[int, ...]:
+def _choose(compiled: _CompiledHeader,
+            attrs: dict[str, bytes]) -> tuple[tuple[int, int], ...]:
     """The leaves :func:`policy.min_satisfying_leaves` chooses from the
-    policy's tree for a key holding ``attrs``, or ``()`` when they do not
-    satisfy it.
+    policy's tree for a key holding ``attrs``, in its order, each as (leaf
+    number, weight) with the weight :func:`sss.leaf_weights` gives it for
+    that set; or ``()`` when they do not satisfy it.
 
     Memoized in ``compiled.choices`` by which of the policy's attributes
     the key holds, which is all the answer depends on; denials are kept too.
@@ -425,7 +433,11 @@ def _choose(compiled: _CompiledHeader, attrs: dict[str, bytes]) -> tuple[int, ..
     held = int(bytes(map(attrs.__contains__, compiled.attributes)).translate(_BINARY_DIGITS), 2)
     chosen = compiled.choices.get(held)
     if chosen is None:
-        chosen = tuple(policy_mod.min_satisfying_leaves(compiled.tree, attrs) or ())
+        leaves = policy_mod.min_satisfying_leaves(compiled.tree, attrs)
+        chosen = ()
+        if leaves is not None:
+            weights = sss.leaf_weights(compiled.tree, set(leaves))
+            chosen = tuple((number, weights[number]) for number in leaves)
         with _choices_lock:
             if len(compiled.choices) >= _CHOICE_MEMO_SIZE:
                 compiled.choices.clear()

@@ -12,7 +12,10 @@ A home holds:
 * ``master.key`` and ``services.json``: the master secret and the service
   identities;
 * ``directory.json``, ``identities/`` and ``keys/``: registered peers,
-  named identities and issued user keys;
+  named identities and issued user keys. A name is one path component
+  (the rule :func:`abe.check_label` applies to slice labels); any other
+  fails with :class:`UsageError` (exit 64) before a file named by it is
+  read or written;
 * ``chain.bin``: the chain, an append-only run of length-prefixed blocks;
 * ``blobs.pack``: every blob, an append-only run of frames (see
   :class:`cas.DirectoryBlobStore`), created by the first put.
@@ -68,9 +71,12 @@ it last looked (``Chain.extend`` of the frames past its chain file's end).
 Its copy of the pack index is the parent's at the fork; a metadata blob the
 parent appended since is not in it, so the lookup misses and rescans the
 pack from the end of the indexed frames. Key handshakes then no longer hold
-the parent's interpreter lock while stores run. The child ignores SIGINT,
-exits on SIGTERM and exits once its parent is gone; the parent stops it
-with SIGTERM and reaps it on every way out.
+the parent's interpreter lock while stores run. Each process reads
+``directory.json`` again when a handshake claims an address it does not
+know, before refusing it, so an identity made after the server started is
+served. The child ignores SIGINT, exits on SIGTERM and exits once its
+parent is gone; the parent stops it with SIGTERM and reaps it on every way
+out.
 
 Exit codes: 0 success, 64 usage, 65-75 one code per error class.
 """
@@ -171,6 +177,15 @@ def _write_file(path: Path, data: bytes) -> None:
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def _check_name(name: str) -> str:
+    """Return the identity name ``name`` if it is one path component, else
+    raise :class:`UsageError`: the home names identity and key files by it."""
+    try:
+        return abe.check_label(name)
+    except abe.InvalidLabel:
+        raise UsageError(f"name {name!r} is not a single path component") from None
 
 
 def _json_bytes(value: object) -> bytes:
@@ -304,9 +319,13 @@ class Home:
             _log.warning("%s: dropped a torn %d-byte tail after %d whole blocks; "
                          "the next append truncates it", self.chain_file, torn,
                          deployment.chain.height)
+        self.register_peers(deployment)
+        return deployment
+
+    def register_peers(self, deployment: protocol.Deployment) -> None:
+        """Register in ``deployment`` every peer ``directory.json`` names."""
         for peer in self._peers().values():
             deployment.register(peer)
-        return deployment
 
     def save_chain(self, chain: ledger.Chain) -> None:
         """Make sure that every block ``chain`` sealed is in the chain file.
@@ -341,6 +360,7 @@ class Home:
     def save_identity(self, name: str, identity: protocol.Identity) -> None:
         """Write the named identity, then register it in the directory; the
         directory is read, changed and written under the home's lock."""
+        _check_name(name)
         self.identities_dir.mkdir(parents=True, exist_ok=True)
         with self._locked():
             peers = self._peers()
@@ -350,7 +370,7 @@ class Home:
                 {"peers": {peer: public.to_dict() for peer, public in peers.items()}}))
 
     def identity(self, name: str) -> protocol.Identity:
-        path = self.identities_dir / f"{name}.json"
+        path = self.identities_dir / f"{_check_name(name)}.json"
         if not path.exists():
             raise UsageError(f"unknown identity {name!r}; run: cake identity new {name}")
         return _read_home_file(path, lambda text: protocol.Identity.from_dict(json.loads(text)))
@@ -362,13 +382,13 @@ class Home:
         return peer.address
 
     def save_user_key(self, name: str, key: abe.UserKey) -> Path:
+        path = self.keys_dir / f"{_check_name(name)}.key"
         self.keys_dir.mkdir(parents=True, exist_ok=True)
-        path = self.keys_dir / f"{name}.key"
         _write_file(path, abe.serialize_user_key(key))
         return path
 
     def user_key(self, name: str) -> abe.UserKey:
-        path = self.keys_dir / f"{name}.key"
+        path = self.keys_dir / f"{_check_name(name)}.key"
         if not path.exists():
             raise UsageError(f"no key for {name!r}; run: cake key request --as {name}")
         return abe.parse_user_key(path.read_bytes())
@@ -594,6 +614,8 @@ def cmd_serve(args: argparse.Namespace, home: Home) -> int:
     try:
         home.lock_chain()
         deployment = home.open()
+        for service in (deployment.sdm, deployment.ud, deployment.skm):
+            service.reload_directory = lambda: home.register_peers(deployment)
         for service, port in ((deployment.sdm, args.sdm_port),
                               (deployment.ud, args.ud_port),
                               (deployment.skm, args.skm_port)):

@@ -87,7 +87,9 @@ whose chain appends each block to the chain file as it is sealed, and
 forks the key manager into a process of its own, which reads: its chain
 is a replica, and its ``SkmService.refresh`` hook applies the blocks
 appended to the file since the last key request before it answers the
-next one (see :mod:`cake.cli`).
+next one (see :mod:`cake.cli`). Each service's ``reload_directory`` hook,
+run only when a handshake claims an unknown address, lets ``cake serve``
+read its identity directory from the home again before refusing it.
 
 Services may serve many sessions concurrently (state per session is local,
 and writes to the chain are serialized by its lock), but a deterministic
@@ -531,6 +533,12 @@ class Service:
         self.chain = chain
         self.store = store
         self._rng = rng
+        # Run once when a handshake claims an address the directory lacks,
+        # before the handshake is refused. A server whose directory is read
+        # from a file sets it to read the file again, so identities
+        # registered since it started are served; a known address never
+        # runs it.
+        self.reload_directory: Callable[[], None] = lambda: None
 
     def public(self) -> PeerIdentity:
         return self.identity.public()
@@ -591,6 +599,9 @@ class Service:
         client_address = hello[1:21]
         client_ephemeral = hello[21:53]
         client_signing = self.directory.get(client_address)
+        if client_signing is None:
+            self.reload_directory()
+            client_signing = self.directory.get(client_address)
         if client_signing is None:
             raise UnknownClient(f"no identity registered for {client_address.hex()}")
 
@@ -913,13 +924,17 @@ def provision(rng: Optional[random.Random] = None,
     return deploy(master, identities, cas.MemoryBlobStore(), (), clock, rng)
 
 
+# The name of each session thread :func:`serve_in_background` starts.
+SESSION_THREAD_NAME = "cake-session"
+
+
 def serve_in_background(service: Service) -> SocketTransport:
     """Serve one in-process session on a thread of its own; returns the
     client end of its :func:`memory_pair`. The server end runs with the
     deadlines of a ``ServiceServer`` connection."""
     server_side, client_side = memory_pair()
     thread = threading.Thread(target=service.serve_session, args=(server_side,),
-                              daemon=True)
+                              name=SESSION_THREAD_NAME, daemon=True)
     thread.start()
     return client_side
 

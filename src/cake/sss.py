@@ -11,6 +11,13 @@ threshold, child j receiving the share at point j. Leaves are numbered
 once, depth first, and computes each child's value in place, without a
 :class:`Share` per node.
 
+Interpolation is linear, so the root secret is a weighted sum of the leaf
+values a satisfying set recovers: each leaf's weight is the product of the
+gates' Lagrange coefficients (at 0) along its path. Reconstruction is those
+per-leaf weights (:func:`leaf_weights`, which depend only on the tree and
+the set of leaf numbers, not on the values) and one sum; a reader that
+meets one set of leaves again can keep the weights and skip the walk.
+
 The modulus is a well-known prime comfortably above 2^255, so 256-bit data
 keys embed injectively as field elements. Entropy is always an injected
 ``random.Random`` instance (``random.SystemRandom`` in production, a seeded
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional, Sequence
 
 from .errors import CakeError
 from .policy import Leaf, PolicyAst
@@ -88,6 +95,21 @@ def _poly_eval(coeffs: list[int], x: int) -> int:
     return acc
 
 
+def lagrange_basis(points: Sequence[int]) -> list[int]:
+    """The Lagrange basis at x=0 over distinct evaluation points: the
+    coefficients c_i with f(0) = sum(c_i * f(points[i])) for every
+    polynomial f of degree below ``len(points)``."""
+    basis = []
+    for i, x_i in enumerate(points):
+        num, den = 1, 1
+        for j, x_j in enumerate(points):
+            if i != j:
+                num = num * x_j % PRIME
+                den = den * (x_j - x_i) % PRIME
+        basis.append(num * pow(den, -1, PRIME) % PRIME)
+    return basis
+
+
 def reconstruct(shares: list[Share]) -> int:
     """Lagrange interpolation at x=0 over the given shares.
 
@@ -99,16 +121,8 @@ def reconstruct(shares: list[Share]) -> int:
         if s.index in seen:
             raise DuplicateIndex(f"share index {s.index} supplied twice")
         seen.add(s.index)
-    total = 0
-    for i, s_i in enumerate(shares):
-        num, den = 1, 1
-        for j, s_j in enumerate(shares):
-            if i == j:
-                continue
-            num = num * s_j.index % PRIME
-            den = den * (s_j.index - s_i.index) % PRIME
-        total = (total + s_i.value * num * pow(den, -1, PRIME)) % PRIME
-    return total
+    basis = lagrange_basis([s.index for s in shares])
+    return sum(s.value * c for s, c in zip(shares, basis)) % PRIME
 
 
 def share_tree(tree: PolicyAst, secret: int, rng: random.Random) -> dict[int, int]:
@@ -135,39 +149,58 @@ def share_tree(tree: PolicyAst, secret: int, rng: random.Random) -> dict[int, in
     return leaf_values
 
 
-def reconstruct_tree(tree: PolicyAst, available: dict[int, int]) -> Optional[int]:
-    """Rebuild the root secret from the available values, keyed by leaf
-    number.
+def leaf_weights(tree: PolicyAst, leaves: Collection[int]) -> Optional[dict[int, int]]:
+    """The weight of each leaf that rebuilds the root secret from the
+    values of the given leaf numbers, or ``None`` when they do not satisfy
+    the tree: for every sharing of the tree, the secret is
+    ``sum(weight * values[number])`` over the map, mod :data:`PRIME`.
 
-    A leaf is recoverable iff its value is present; a gate is recoverable iff
-    at least ``threshold`` children are, interpolating over the recovered
-    children with the lowest positions so decryption is deterministic.
-    Returns ``None`` when the available set does not satisfy the tree.
+    A leaf is recoverable iff its number is given; a gate is recoverable iff
+    at least ``threshold`` children are, and it interpolates over the
+    recovered children with the lowest positions, so the weights are
+    deterministic. A leaf's weight is the product of those gates' Lagrange
+    coefficients (:func:`lagrange_basis`) at its position along its path: 1
+    under an Or gate, and for child j of an n-child And gate the product of
+    m / (m - j) over the other positions m. The map holds only the leaves
+    used, in leaf-number order.
 
     The walk numbers the leaves as it reaches them, so it cannot leave a
     gate at its ``threshold``-th recovered child: the leaves of the
     children after it would go unnumbered. It stops once it has reached the
-    highest available leaf number, when every available value is found and
-    no later leaf can add one; a minimal satisfying set is walked up to its
-    last leaf.
+    highest given leaf number, when every given leaf is found and no later
+    leaf can add one; a minimal satisfying set is walked up to its last
+    leaf.
     """
-    last = max(available, default=0)
+    last = max(leaves, default=0)
     seen = 0  # leaves numbered so far
 
-    def ascend(node: PolicyAst) -> Optional[int]:
+    def ascend(node: PolicyAst) -> Optional[dict[int, int]]:
         nonlocal seen
         if type(node) is Leaf:
             seen += 1
-            return available.get(seen)
-        recovered: list[Share] = []
+            return {seen: 1} if seen in leaves else None
+        recovered: list[tuple[int, dict[int, int]]] = []
         for position, child in enumerate(node.children, start=1):
             if seen >= last:
                 break
-            value = ascend(child)
-            if value is not None:
-                recovered.append(Share(position, value))
+            weights = ascend(child)
+            if weights is not None:
+                recovered.append((position, weights))
         if len(recovered) < node.threshold:
             return None
-        return reconstruct(recovered[:node.threshold])
+        used = recovered[:node.threshold]
+        basis = lagrange_basis([position for position, _ in used])
+        return {number: weight * c % PRIME
+                for (_, weights), c in zip(used, basis) for number, weight in weights.items()}
 
     return ascend(tree)
+
+
+def reconstruct_tree(tree: PolicyAst, available: dict[int, int]) -> Optional[int]:
+    """Rebuild the root secret from the available values, keyed by leaf
+    number, as the sum of the values weighted by :func:`leaf_weights`.
+    Returns ``None`` when the available set does not satisfy the tree."""
+    weights = leaf_weights(tree, available)
+    if weights is None:
+        return None
+    return sum(weight * available[number] for number, weight in weights.items()) % PRIME

@@ -378,3 +378,24 @@ def reference_share_tree(tree: PolicyAst, secret: int, rng: random.Random) -> di
 
     descend(tree, secret % PRIME)
     return leaf_values
+
+
+def reference_reconstruct_tree(tree: PolicyAst, available: dict[int, int]):
+    """``reconstruct_tree`` as it was before it summed weighted leaves: each
+    gate calls ``reconstruct`` over its recovered children with the lowest
+    positions, a ``Share`` per child, and every leaf is numbered."""
+    from cake.sss import Share, reconstruct
+
+    numbers = count(1)
+
+    def ascend(node: PolicyAst):
+        if isinstance(node, Leaf):
+            return available.get(next(numbers))
+        values = [ascend(child) for child in node.children]  # numbers every leaf
+        recovered = [Share(position, value)
+                     for position, value in enumerate(values, start=1) if value is not None]
+        if len(recovered) < gate_threshold(node):
+            return None
+        return reconstruct(recovered[:gate_threshold(node)])
+
+    return ascend(tree)

@@ -25,7 +25,14 @@ from cake.policy import (
     render_policy,
     tree_leaves,
 )
-from cake.sss import FieldDecodeError, decode_field, encode_field, reconstruct_tree
+from cake.sss import (
+    PRIME,
+    FieldDecodeError,
+    decode_field,
+    encode_field,
+    leaf_weights,
+    reconstruct_tree,
+)
 from helpers import (
     ATTRIBUTE_POOL,
     SERVE_ROLES,
@@ -918,6 +925,18 @@ def container_of(slice_bytes: bytes) -> bytes:
     return w.getvalue()
 
 
+def chosen_leaves(compiled, attrs) -> tuple[int, ...]:
+    """The leaf numbers of :func:`abe._choose`'s answer, in its order."""
+    return tuple(number for number, _ in abe._choose(compiled, attrs))
+
+
+def weighted(tree, numbers) -> tuple[tuple[int, int], ...]:
+    """The memo value :func:`abe._choose` keeps for the chosen ``numbers``:
+    each with its :func:`leaf_weights` weight, in the given order."""
+    weights = leaf_weights(tree, set(numbers)) or {}
+    return tuple((number, weights[number]) for number in numbers)
+
+
 class TestSatisfiabilityMemo:
     def test_memoized_choice_is_min_satisfying_leaves(self):
         rng = random.Random(46)
@@ -929,19 +948,24 @@ class TestSatisfiabilityMemo:
                 attrs = set(rng.sample(ATTRIBUTE_POOL + ["x7", "y8"], rng.randint(0, 8)))
                 want = tuple(min_satisfying_leaves(tree, attrs) or ())
                 for _ in range(2):  # computed, then read from the memo
-                    assert abe._choose(compiled, dict.fromkeys(attrs)) == want
+                    assert abe._choose(compiled, dict.fromkeys(attrs)) == \
+                        weighted(tree, want)
 
     def test_keys_with_different_policy_attributes_get_different_answers(self, ms):
         ct = abe.encrypt_slice(ms, "(a or (b and c))", b"m", random.Random(47))
         compiled = abe._compiled_header(ct.policy_text)
         compiled.choices.clear()
-        assert abe._choose(compiled, {"z": b""}) == ()
-        assert abe._choose(compiled, {"a": b""}) == (1,)
-        assert abe._choose(compiled, {"b": b"", "c": b""}) == (2, 3)
-        assert abe._choose(compiled, {"b": b""}) == ()
+        assert chosen_leaves(compiled, {"z": b""}) == ()
+        assert chosen_leaves(compiled, {"a": b""}) == (1,)
+        assert chosen_leaves(compiled, {"b": b"", "c": b""}) == (2, 3)
+        assert chosen_leaves(compiled, {"b": b""}) == ()
         # attributes outside the policy do not make a new pattern
-        assert abe._choose(compiled, {"a": b"", "z": b""}) == (1,)
+        assert chosen_leaves(compiled, {"a": b"", "z": b""}) == (1,)
         assert len(compiled.choices) == 4
+        # an Or passes its weight through; a 2-of-2 And weighs its children
+        # 2/(2-1) = 2 and 1/(1-2) = -1
+        assert abe._choose(compiled, {"a": b""}) == ((1, 1),)
+        assert abe._choose(compiled, {"b": b"", "c": b""}) == ((2, 2), (3, PRIME - 1))
         for attrs, outcome in (({"z"}, None), ({"b", "c"}, b"m"), ({"a"}, b"m"),
                                ({"b"}, None)):
             key = make_key(ms, attrs)
@@ -957,7 +981,7 @@ class TestSatisfiabilityMemo:
 
     def answers(self):
         tree = parse_policy(self.POLICY)
-        return {subset: tuple(min_satisfying_leaves(tree, subset) or ())
+        return {subset: weighted(tree, min_satisfying_leaves(tree, subset) or ())
                 for subset in attribute_subsets(frozenset(self.NAMES))}
 
     def test_memo_per_entry_is_bounded(self):

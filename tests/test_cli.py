@@ -8,6 +8,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -200,6 +201,34 @@ class TestServeProcesses:
         monkeypatch.setenv("CAKE_SDM_ADDR", "no-port")
         assert cli.main([*cake, "store", "--as", "owner", "--policy", "finance",
                          str(tmp_path / "doc.txt")]) == cli.EXIT_USAGE == 64
+
+    def test_an_identity_made_after_start_is_served(self, tmp_path):
+        home_dir, deployment, _ = home_with(tmp_path, "owner")
+        with serving(tmp_path, home_dir) as (proc, ports):
+            assert cli.main(["--home", str(home_dir), "identity", "new", "late"]) == 0
+            late = cli.Home(home_dir).identity("late")
+            sdm = tcp_client(late, deployment.sdm, ports["sdm"])
+            try:
+                message_id, _ = sdm.store([("doc", "a", b"late body")])
+            finally:
+                sdm.close()
+            ud = tcp_client(deployment.certifier, deployment.ud, ports["ud"])
+            try:
+                ud.certify(late.address, ["a"])
+            finally:
+                ud.close()
+            # the key manager's process reads the directory file too
+            skm = tcp_client(late, deployment.skm, ports["skm"])
+            try:
+                assert skm.request_key().attributes == frozenset({"a"})
+            finally:
+                skm.close()
+            # an address the file does not hold is still refused
+            for service in ("sdm", "skm"):
+                with pytest.raises(protocol.UnknownClient):
+                    tcp_client(protocol.Identity.generate(), getattr(deployment, service),
+                               ports[service])
+        assert cli.main(["--home", str(home_dir), "ledger", "show", message_id.hex()]) == 0
 
     def test_second_writer_is_refused(self, tmp_path, monkeypatch, capsys):
         for var in ("CAKE_SDM_ADDR", "CAKE_UD_ADDR", "CAKE_SKM_ADDR"):
@@ -470,9 +499,20 @@ class TestChainFile:
         assert cake("ledger", "verify")[0] == 0
 
 
+def wait_for_sessions(within: float = 10.0) -> None:
+    """Wait until every in-process session thread has ended, as each closes
+    its end of the session's socket pair last."""
+    deadline = time.monotonic() + within
+    for thread in threading.enumerate():
+        if thread.name == protocol.SESSION_THREAD_NAME:
+            thread.join(max(0.0, deadline - time.monotonic()))
+            assert not thread.is_alive(), "a session thread did not end"
+
+
 class TestBlobPack:
     def test_reads_leave_no_descriptor_open(self, cake, stored):
         assert cake("read", stored, "--as", "owner")[0] == 0
+        wait_for_sessions()
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(200):
             assert cake("read", stored, "--as", "owner")[0] == 0
@@ -594,6 +634,22 @@ class TestHomeFiles:
         home = cli.Home(home_dir)
         for name in names:
             assert home.address_of(name) == home.identity(name).address
+
+    @pytest.mark.parametrize("args", [
+        ("identity", "new", "../x"),
+        ("identity", "new", "."),
+        ("key", "request", "--as", "../x"),
+        # names the file of the identity ``owner``, and at keys/../identities
+        ("key", "request", "--as", "../identities/owner"),
+    ], ids=["identity-parent", "identity-dot", "key-parent", "key-through-identities"])
+    def test_a_name_that_is_not_one_path_component_writes_nothing(self, cake, stored,
+                                                                  tmp_path, args):
+        def files():
+            return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+        before = files()
+        assert cake(*args)[0] == cli.EXIT_USAGE == 64
+        assert files() == before
 
     def test_a_failed_replace_leaves_no_temporary_file(self, cake, tmp_path, monkeypatch):
         assert cake("identity", "new", "owner")[0] == 0

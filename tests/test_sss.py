@@ -20,12 +20,21 @@ from cake.sss import (
     Share,
     decode_field,
     encode_field,
+    lagrange_basis,
+    leaf_weights,
     reconstruct,
     reconstruct_tree,
     share,
     share_tree,
 )
-from helpers import ATTRIBUTE_POOL, attribute_subsets, random_policy, reference_share_tree
+from helpers import (
+    ATTRIBUTE_POOL,
+    attribute_subsets,
+    random_policy,
+    reference_reconstruct_tree,
+    reference_share_tree,
+)
+from test_policy import asts
 
 TRANSPORT_DOCUMENT = "(29837 and ((economic_operator) or (customs) or (courier)))"
 
@@ -209,6 +218,50 @@ class TestLeafNumbering:
         # Leaves 2 and 4 are spoiled; the Or gates take positions 1 and 3.
         assert reconstruct_tree(tree, {1: values[1], 2: 0, 3: values[3], 4: 0}) == 1234
         assert reconstruct_tree(tree, {1: 0, 2: values[2], 3: values[3], 4: values[4]}) != 1234
+
+
+class TestLeafWeights:
+    """Reconstruction is a sum of leaf values, each times the product of
+    its path's Lagrange coefficients at 0."""
+
+    def test_and_gate_weights_are_its_lagrange_basis(self):
+        # child j of an n-child And: the product of m / (m - j), m != j
+        tree = parse_policy("a and b and c")
+        assert leaf_weights(tree, {1, 2, 3}) == {1: 3, 2: PRIME - 3, 3: 1}
+        assert lagrange_basis([1, 2, 3]) == [3, PRIME - 3, 1]
+        assert leaf_weights(tree, {1, 3}) is None
+
+    def test_or_gate_weights_are_one_and_only_the_lowest_position_is_used(self):
+        tree = parse_policy("(a or b) and c")
+        assert leaf_weights(tree, {1, 2, 3}) == {1: 2, 3: PRIME - 1}
+        assert leaf_weights(tree, {2, 3}) == {2: 2, 3: PRIME - 1}
+        assert leaf_weights(parse_policy("a or b or c"), {2, 3}) == {2: 1}
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(asts, st.sets(st.sampled_from(ATTRIBUTE_POOL)),
+           st.integers(min_value=0, max_value=PRIME - 1), st.integers(min_value=0))
+    def test_weighted_chosen_leaves_sum_to_the_secret(self, ast, held, secret, seed):
+        values = share_tree(ast, secret, random.Random(seed))
+        chosen = min_satisfying_leaves(ast, held)
+        if chosen is None:
+            return
+        weights = leaf_weights(ast, set(chosen))
+        assert list(weights) == sorted(chosen)
+        total = sum(weight * values[number] for number, weight in weights.items()) % PRIME
+        assert total == secret
+        assert reconstruct_tree(ast, {number: values[number] for number in chosen}) == total
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(asts, st.sets(st.sampled_from(ATTRIBUTE_POOL)), st.integers(min_value=0))
+    def test_any_held_values_rebuild_as_gate_by_gate_interpolation(self, ast, held, seed):
+        # Values that are no sharing, from every held leaf: the gates must
+        # take the same children and the same coefficients as the reference.
+        rng = random.Random(seed)
+        available = {number: rng.randrange(PRIME)
+                     for number, leaf in enumerate(tree_leaves(ast), start=1)
+                     if leaf.attribute in held}
+        assert reconstruct_tree(ast, available) == reference_reconstruct_tree(ast, available)
+        assert (leaf_weights(ast, available) is None) == (not evaluate(ast, held))
 
 
 class TestFieldCodec:

@@ -71,7 +71,7 @@ import random
 import struct
 import threading
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from cryptography.exceptions import InvalidTag
@@ -81,7 +81,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from . import policy as policy_mod
 from . import sss
-from .codec import CodecError, Reader, Writer
+from .codec import CodecError, Reader, Writer, decode_str
 from .errors import CakeError
 
 KEY_BYTES = 32
@@ -127,8 +127,9 @@ class EntropyFailure(AbeError):
 
 @dataclass(frozen=True)
 class MasterSecret:
-    """Authority root key. Never serialized into ciphertexts."""
-    root_key: bytes
+    """Authority root key. Never serialized into ciphertexts, nor shown in
+    a repr."""
+    root_key: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.root_key) != KEY_BYTES:
@@ -137,9 +138,10 @@ class MasterSecret:
 
 @dataclass(frozen=True)
 class UserKey:
-    """Attribute-bound decryption key issued to one actor."""
+    """Attribute-bound decryption key issued to one actor. Its repr shows
+    no wrap key."""
     holder: bytes  # 20-byte actor address
-    attribute_keys: dict[str, bytes]
+    attribute_keys: dict[str, bytes] = field(repr=False)
     issued_at: int
 
     @property
@@ -543,13 +545,6 @@ _TRUNCATED = "truncated encoding"
 _u32_at = struct.Struct(">I").unpack_from
 
 
-def _utf8(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
-
-
 def _share_fields(header: bytes, at: int) -> tuple[bytes, bytes]:
     """The nonce and the sealed share of the share whose nonce field starts
     at ``header[at]``; the parse takes no header whose fields have other
@@ -578,7 +573,7 @@ def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
     policy_end = pos + 4 + int.from_bytes(data[pos:pos + 4], "big")
     if policy_end > end:
         raise CodecError(_TRUNCATED)
-    compiled = _compiled_header(_utf8(data[pos + 4:policy_end]))
+    compiled = _compiled_header(decode_str(data[pos + 4:policy_end]))
     skeleton = compiled.skeleton
     header_end = policy_end + skeleton.size
     if header_end > end:
@@ -625,7 +620,7 @@ def parse_container(data: bytes) -> CiphertextContainer:
         pos = slice_at + int.from_bytes(data[label_end:slice_at], "big")
         if pos > end:
             raise CodecError(_TRUNCATED)
-        slices.append((_utf8(data[label_at:label_end]), _parse_slice(data, slice_at, pos)))
+        slices.append((decode_str(data[label_at:label_end]), _parse_slice(data, slice_at, pos)))
     if pos != end:
         raise CodecError(f"{end - pos} trailing bytes after last field")
     if not slices:

@@ -78,7 +78,11 @@ served. The child ignores SIGINT, exits on SIGTERM and exits once its
 parent is gone; the parent stops it with SIGTERM and reaps it on every way
 out.
 
-Exit codes: 0 success, 64 usage, 65-75 one code per error class.
+Exit codes: 0 success, 64 usage, 65-75 one code per error class. A
+scenario run whose realized access matrix does not match the script's
+expectations prints its report, then fails with
+:class:`scenario.ScenarioError` at step ``matrix`` (exit 74), naming each
+mismatched cell.
 """
 
 from __future__ import annotations
@@ -503,11 +507,15 @@ def cmd_key_request(args: argparse.Namespace, home: Home) -> int:
     return EXIT_OK
 
 
-def cmd_read(args: argparse.Namespace, home: Home) -> int:
+def _message_id(text: str) -> bytes:
     try:
-        message_id = bytes.fromhex(args.message_id)
+        return bytes.fromhex(text)
     except ValueError:
-        raise UsageError("message id must be hex")
+        raise UsageError("message id must be hex") from None
+
+
+def cmd_read(args: argparse.Namespace, home: Home) -> int:
+    message_id = _message_id(args.message_id)
     deployment = home.open()
     key = home.user_key(args.as_name)
     results = protocol.client_read(deployment.chain, deployment.store,
@@ -556,10 +564,7 @@ def cmd_ledger_verify(args: argparse.Namespace, home: Home) -> int:
 
 
 def cmd_ledger_show(args: argparse.Namespace, home: Home) -> int:
-    try:
-        message_id = bytes.fromhex(args.message_id)
-    except ValueError:
-        raise UsageError("message id must be hex")
+    message_id = _message_id(args.message_id)
     deployment = home.open()
     record = deployment.chain.message_get(message_id)
     _emit(args,
@@ -583,8 +588,7 @@ def _run_scenario(args: argparse.Namespace, script: scenario.ScenarioScript) -> 
     if not report.chain_ok:
         return EXIT_CHAIN_INVALID
     if not report.matrix_ok:
-        print(f"access matrix mismatch: {report.mismatches()}", file=sys.stderr)
-        return 1
+        raise scenario.ScenarioError("matrix", f"access matrix mismatch: {report.mismatches()}")
     return EXIT_OK
 
 

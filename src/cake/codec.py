@@ -15,6 +15,15 @@ class CodecError(CakeError):
     """Malformed or truncated canonical encoding."""
 
 
+def decode_str(raw: bytes) -> str:
+    """A string field's bytes as text; raises :class:`CodecError` unless
+    they are UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
+
+
 class Writer:
     """Accumulates canonically encoded fields."""
 
@@ -67,10 +76,7 @@ class Reader:
         return self._take(self.take_u32())
 
     def take_str(self) -> str:
-        try:
-            return self.take_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8 in string field: {exc}") from exc
+        return decode_str(self.take_bytes())
 
     def take_raw(self, n: int) -> bytes:
         return self._take(n)

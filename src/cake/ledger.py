@@ -21,7 +21,9 @@ data owners or readers — only the transaction senders (the data-manager and
 certifier services), message ids, and locators appear in clear.
 
 Queries (``message_get``, ``actor_get``) read sealed state only; pending
-transactions are invisible until the next seal.
+transactions are invisible until the next seal. Both registries keep one
+:class:`Record` per entry: the locator its transaction recorded, the
+transaction's sender and the height of its block.
 
 A chain keeps its registry state and its tip; the sealed blocks, each
 serialized, live in its block log: a ``list[bytes]`` in memory, or the
@@ -244,16 +246,11 @@ class TxReceipt:
 
 
 @dataclass(frozen=True)
-class MessageRecord:
+class Record:
+    """A registry entry: the locator a transaction recorded, its sender (the
+    data manager or the certifier) and the height of its block."""
     locator: str
     sender: bytes
-    height: int
-
-
-@dataclass(frozen=True)
-class ActorRecord:
-    metadata_locator: str
-    certifier: bytes
     height: int
 
 
@@ -297,8 +294,8 @@ class Chain:
         self._checkpoint = (0, GENESIS_PREV_HASH)
         self._pending: list[tuple[Transaction, TxReceipt]] = []
         self._next_nonce: dict[bytes, int] = {}
-        self._messages: dict[bytes, MessageRecord] = {}
-        self._actors: dict[bytes, ActorRecord] = {}
+        self._messages: dict[bytes, Record] = {}
+        self._actors: dict[bytes, Record] = {}
         self.lock = threading.Lock()
 
     # -- submission and sealing ------------------------------------------
@@ -362,24 +359,24 @@ class Chain:
             message_id, locator = _decode_store_args(tx.args)
             if message_id in self._messages:
                 raise AlreadyRecorded(f"message id {message_id.hex()} already recorded")
-            self._messages[message_id] = MessageRecord(locator, tx.sender, height)
+            self._messages[message_id] = Record(locator, tx.sender, height)
         elif tx.contract == CONTRACT_ACTOR_REGISTRY and tx.method == "certify":
             if tx.sender not in self.certifiers:
                 raise NotCertifier(f"{tx.sender.hex()} is not a certifier")
             actor_key, locator = _decode_certify_args(tx.args)
-            self._actors[actor_key] = ActorRecord(locator, tx.sender, height)
+            self._actors[actor_key] = Record(locator, tx.sender, height)
         else:
             raise UnknownContract(f"no method {tx.method!r} on {tx.contract!r}")
 
     # -- queries over sealed state ----------------------------------------
 
-    def message_get(self, message_id: bytes) -> MessageRecord:
+    def message_get(self, message_id: bytes) -> Record:
         try:
             return self._messages[message_id]
         except KeyError:
             raise RecordNotFound(f"no record for message id {message_id.hex()}")
 
-    def actor_get(self, actor: bytes) -> ActorRecord:
+    def actor_get(self, actor: bytes) -> Record:
         try:
             return self._actors[actor_registry_key(actor)]
         except KeyError:

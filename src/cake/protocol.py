@@ -12,11 +12,14 @@ server's key is known to clients ahead of time, the client's is resolved
 from the shared identity directory by the address claimed in HELLO. The
 session key is derived (HKDF-SHA256, salted with the transcript hash) from
 the ephemeral-ephemeral exchange plus an exchange against the server's
-static key-agreement key. Signing with any key other than the one
-registered for the claimed address fails the handshake, as does replaying
-a recorded HELLO and AUTH in a fresh session: the client signs a transcript
-that holds the server's fresh challenge, so the recorded AUTH no longer
-verifies.
+static key-agreement key. Both sides check a signature with
+``ledger.verify_signature``, the check the chain uses. Signing with any key
+other than the one registered for the claimed address fails the handshake
+with :class:`AuthFailure`, and so does a directory entry whose key is not
+an Ed25519 public key: the server reports it in an error frame, as for any
+other refused handshake. Replaying a recorded HELLO and AUTH in a fresh
+session fails too: the client signs a transcript that holds the server's
+fresh challenge, so the recorded AUTH no longer verifies.
 
 After the handshake, every frame is AES-GCM sealed under the session key
 with a per-direction counter as the nonce and the transcript hash as
@@ -53,10 +56,10 @@ Services:
 * ``SdmService`` — encrypts submitted slices under their policies, puts the
   container on the content store, and notarizes message id -> locator on
   the chain under its own address (the submitting owner never appears).
-* ``UdService``  — serves attribute certifiers: uploads signed actor
-  metadata to the content store and records its locator on the chain. The
-  service holds the ledger signers of the certifiers it fronts; a session
-  from any other identity is refused.
+* ``UdService``  — fronts the deployment's one attribute certifier:
+  uploads signed actor metadata to the content store and records its
+  locator on the chain. The service holds the certifier's ledger signer; a
+  session from any other identity is refused with ``NotCertifier``.
 * ``SkmService`` — issues attribute-bound user keys: resolves the caller's
   latest certified metadata through chain + store, re-derives wrap keys,
   and returns the bundle over the sealed channel only.
@@ -73,7 +76,12 @@ put, then submit and seal under the chain's one lock, and
 :class:`LedgerRejected` unless applied); the seal appends the block to the
 chain's block log before it applies the block. ``deploy`` is the one place
 that wires a deployment: the chain, the identity directory (address ->
-signing key, seeded with the certifier) and the three services.
+signing key, seeded with the certifier) and the three services. A service
+is a dataclass that declares the fields its handler reads: every service
+has its identity, the directory, the chain, the store and the entropy
+source, and each adds its own (the master secret, the certifier's signer,
+the clock); ``deploy`` alone builds them. The repr of a service, of a
+deployment or of its master secret shows no secret.
 ``provision`` draws a fresh master secret and ``SERVICE_ROLES`` identities
 and deploys them on an empty chain whose block log is a list; the CLI reads
 them from its home, whose chain file is the block log.
@@ -107,13 +115,12 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -303,19 +310,18 @@ class SocketTransport:
     length, then the body. Turns Nagle's algorithm off on TCP sockets (see
     the module docstring).
 
-    With ``deadline_s``, every read until :meth:`sealed` must complete
-    within that many seconds of construction; with ``idle_timeout_s``, each
-    read after it may wait that long for data. A read that runs out of time
-    raises :class:`TransportClosed`.
+    The ``server`` end of a connection has the server deadlines: every read
+    until :meth:`sealed` must complete within :data:`HANDSHAKE_DEADLINE_S`
+    of construction, and each read after it may wait :data:`IDLE_TIMEOUT_S`
+    for data. A read that runs out of time raises :class:`TransportClosed`.
     """
 
-    def __init__(self, sock: socket.socket, deadline_s: Optional[float] = None,
-                 idle_timeout_s: Optional[float] = None) -> None:
+    def __init__(self, sock: socket.socket, server: bool = False) -> None:
         self._sock = sock
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        self._idle_timeout_s = idle_timeout_s
+        self._deadline = time.monotonic() + HANDSHAKE_DEADLINE_S if server else None
+        self._idle_timeout_s = IDLE_TIMEOUT_S if server else None
 
     def sealed(self) -> None:
         """The handshake on this transport has completed; a service calls
@@ -378,8 +384,7 @@ def memory_pair() -> tuple[SocketTransport, SocketTransport]:
     of a ``ServiceServer`` connection, so a silent peer is dropped, not
     waited for; the client end has none, as :func:`connect_tcp`'s."""
     server, client = socket.socketpair()
-    return (SocketTransport(server, HANDSHAKE_DEADLINE_S, IDLE_TIMEOUT_S),
-            SocketTransport(client))
+    return SocketTransport(server, server=True), SocketTransport(client)
 
 
 # --- wire errors ----------------------------------------------------------------
@@ -477,12 +482,8 @@ class Session:
         self._transport.close()
 
 
-def _server_signing_input(hello: bytes, challenge_core: bytes) -> bytes:
-    return hashlib.sha256(_SERVER_SIG_CONTEXT + hello + challenge_core).digest()
-
-
-def _client_signing_input(hello: bytes, challenge: bytes) -> bytes:
-    return hashlib.sha256(_CLIENT_SIG_CONTEXT + hello + challenge).digest()
+def _signing_input(context: bytes, *transcript: bytes) -> bytes:
+    return hashlib.sha256(context + b"".join(transcript)).digest()
 
 
 def client_handshake(identity: Identity, server: PeerIdentity, transport: SocketTransport,
@@ -502,13 +503,11 @@ def client_handshake(identity: Identity, server: PeerIdentity, transport: Socket
     server_ephemeral = challenge[1:33]
     challenge_core = challenge[1:1 + 32 + NONCE_LEN]
     server_sig = challenge[1 + 32 + NONCE_LEN:]
-    try:
-        Ed25519PublicKey.from_public_bytes(server.signing_public).verify(
-            server_sig, _server_signing_input(hello, challenge_core))
-    except InvalidSignature as exc:
-        raise AuthFailure("server signature does not verify") from exc
+    if not ledger.verify_signature(server.signing_public, server_sig,
+                                   _signing_input(_SERVER_SIG_CONTEXT, hello, challenge_core)):
+        raise AuthFailure("server signature does not verify")
 
-    client_sig = identity.signer.sign(_client_signing_input(hello, challenge))
+    client_sig = identity.signer.sign(_signing_input(_CLIENT_SIG_CONTEXT, hello, challenge))
     auth = bytes([TAG_AUTH]) + client_sig
     transport.send_frame(auth)
 
@@ -520,25 +519,24 @@ def client_handshake(identity: Identity, server: PeerIdentity, transport: Socket
 
 # --- services ----------------------------------------------------------------
 
+@dataclass(eq=False, repr=False, kw_only=True)
 class Service:
-    """Base: handshake, request loop, and the deployment's chain and store."""
+    """Base: handshake, request loop, and the deployment's chain and store.
+    Each service declares the fields its handler reads; :func:`deploy`
+    builds them."""
 
     # The one request tag the service answers; it replies with this plus one.
-    request_tag: int
-
-    def __init__(self, identity: Identity, directory: IdentityDirectory,
-                 chain: ledger.Chain, store: cas.BlobStore, rng: random.Random) -> None:
-        self.identity = identity
-        self.directory = directory
-        self.chain = chain
-        self.store = store
-        self._rng = rng
-        # Run once when a handshake claims an address the directory lacks,
-        # before the handshake is refused. A server whose directory is read
-        # from a file sets it to read the file again, so identities
-        # registered since it started are served; a known address never
-        # runs it.
-        self.reload_directory: Callable[[], None] = lambda: None
+    request_tag: ClassVar[int]
+    identity: Identity
+    directory: IdentityDirectory
+    chain: ledger.Chain
+    store: cas.BlobStore
+    rng: random.Random
+    # Run once when a handshake claims an address the directory lacks,
+    # before the handshake is refused. A server whose directory is read
+    # from a file sets it to read the file again, so identities registered
+    # since it started are served; a known address never runs it.
+    reload_directory: Callable[[], None] = lambda: None
 
     def public(self) -> PeerIdentity:
         return self.identity.public()
@@ -605,21 +603,19 @@ class Service:
         if client_signing is None:
             raise UnknownClient(f"no identity registered for {client_address.hex()}")
 
-        ephemeral = X25519PrivateKey.from_private_bytes(self._rng.randbytes(32))
-        challenge_core = _x25519_public(ephemeral) + self._rng.randbytes(NONCE_LEN)
+        ephemeral = X25519PrivateKey.from_private_bytes(self.rng.randbytes(32))
+        challenge_core = _x25519_public(ephemeral) + self.rng.randbytes(NONCE_LEN)
         server_sig = self.identity.signer.sign(
-            _server_signing_input(hello, challenge_core))
+            _signing_input(_SERVER_SIG_CONTEXT, hello, challenge_core))
         challenge = bytes([TAG_CHALLENGE]) + challenge_core + server_sig
         transport.send_frame(challenge)
 
         auth = transport.recv_frame(AUTH_BYTES)
         if len(auth) != AUTH_BYTES or auth[0] != TAG_AUTH:
             raise AuthFailure("expected client auth")
-        try:
-            Ed25519PublicKey.from_public_bytes(client_signing).verify(
-                auth[1:], _client_signing_input(hello, challenge))
-        except InvalidSignature as exc:
-            raise AuthFailure("client signature does not verify") from exc
+        if not ledger.verify_signature(client_signing, auth[1:],
+                                       _signing_input(_CLIENT_SIG_CONTEXT, hello, challenge)):
+            raise AuthFailure("client signature does not verify")
 
         shared = (_exchange(ephemeral, client_ephemeral)
                   + _exchange(self.identity.kx_private, client_ephemeral))
@@ -650,16 +646,12 @@ class Service:
         return locator
 
 
+@dataclass(eq=False, repr=False, kw_only=True)
 class SdmService(Service):
     """Secure data manager: encrypt, store, notarize."""
 
     request_tag = TAG_STORE_REQ
-
-    def __init__(self, identity: Identity, directory: IdentityDirectory,
-                 master: abe.MasterSecret, chain: ledger.Chain, store: cas.BlobStore,
-                 rng: random.Random) -> None:
-        super().__init__(identity, directory, chain, store, rng)
-        self.master = master
+    master: abe.MasterSecret
 
     def _handle(self, session: Session, payload: bytes) -> bytes:
         r = Reader(payload)
@@ -667,8 +659,8 @@ class SdmService(Service):
                   for _ in range(r.take_u32())]
         r.expect_end()
 
-        message_id = abe.new_message_id(self._rng)
-        container = abe.encrypt_container(self.master, message_id, slices, self._rng)
+        message_id = abe.new_message_id(self.rng)
+        container = abe.encrypt_container(self.master, message_id, slices, self.rng)
         locator = self._notarize(
             abe.serialize_container(container),
             lambda loc: ledger.message_store(self.chain, self.identity.signer,
@@ -680,26 +672,21 @@ class SdmService(Service):
         return w.getvalue()
 
 
+@dataclass(eq=False, repr=False, kw_only=True)
 class UdService(Service):
     """User directory: actor metadata upload plus on-chain certification.
 
-    Runs on behalf of the attribute certifiers: it holds their ledger
-    signers, and only a session authenticated as one of them may certify.
+    Runs on behalf of the deployment's one attribute certifier: it holds
+    the certifier's ledger signer, and a session authenticated as anyone
+    else is refused.
     """
 
     request_tag = TAG_CERTIFY_REQ
-
-    def __init__(self, identity: Identity, directory: IdentityDirectory,
-                 chain: ledger.Chain, store: cas.BlobStore,
-                 certifier_signers: dict[bytes, ledger.Signer], clock: Clock,
-                 rng: random.Random) -> None:
-        super().__init__(identity, directory, chain, store, rng)
-        self.certifier_signers = dict(certifier_signers)
-        self.clock = clock
+    certifier: ledger.Signer
+    clock: Clock
 
     def _handle(self, session: Session, payload: bytes) -> bytes:
-        signer = self.certifier_signers.get(session.peer_address)
-        if signer is None:
+        if session.peer_address != self.certifier.address:
             raise ledger.NotCertifier(
                 f"{session.peer_address.hex()} is not a registered certifier")
         r = Reader(payload)
@@ -710,32 +697,28 @@ class UdService(Service):
         if not attrs:
             raise abe.EmptyAttributeSet("cannot certify an empty attribute set")
 
-        metadata = ActorMetadata(actor, attrs, self.clock(), signer.address)
+        metadata = ActorMetadata(actor, attrs, self.clock(), self.certifier.address)
         locator = self._notarize(
             serialize_actor_metadata(metadata),
-            lambda loc: ledger.actor_certify(self.chain, signer, actor, loc))
+            lambda loc: ledger.actor_certify(self.chain, self.certifier, actor, loc))
 
         w = Writer()
         w.put_str(locator)
         return w.getvalue()
 
 
+@dataclass(eq=False, repr=False, kw_only=True)
 class SkmService(Service):
     """Secure key manager: derive and return attribute-bound user keys."""
 
     request_tag = TAG_KEY_REQ
-
-    def __init__(self, identity: Identity, directory: IdentityDirectory,
-                 master: abe.MasterSecret, chain: ledger.Chain, store: cas.BlobStore,
-                 clock: Clock, rng: random.Random) -> None:
-        super().__init__(identity, directory, chain, store, rng)
-        self.master = master
-        self.clock = clock
-        # Run before every key request. A key manager whose chain is a
-        # replica of another process's sets it to catch up with the writer:
-        # re-certification is last-write-wins, so a stale replica would
-        # issue attributes that were since taken away.
-        self.refresh: Callable[[], None] = lambda: None
+    master: abe.MasterSecret
+    clock: Clock
+    # Run before every key request. A key manager whose chain is a replica
+    # of another process's sets it to catch up with the writer:
+    # re-certification is last-write-wins, so a stale replica would issue
+    # attributes that were since taken away.
+    refresh: Callable[[], None] = lambda: None
 
     def _handle(self, session: Session, payload: bytes) -> bytes:
         self.refresh()
@@ -744,7 +727,7 @@ class SkmService(Service):
             record = self.chain.actor_get(caller)
         except ledger.RecordNotFound as exc:
             raise NotCertified(f"no certification for {caller.hex()}") from exc
-        blob = self.store.get(cas.parse_locator(record.metadata_locator))
+        blob = self.store.get(cas.parse_locator(record.locator))
         metadata = parse_actor_metadata(blob)
         if metadata.actor != caller:
             raise cas.IntegrityViolation("metadata does not belong to the caller")
@@ -905,12 +888,12 @@ def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
                               certifiers=[certifier.address], blocks=chain_blocks,
                               log=log)
     directory: IdentityDirectory = {certifier.address: certifier.signing_public}
+    shared = dict(directory=directory, chain=chain, store=store, rng=rng)
     return Deployment(
         master, chain, store, directory,
-        SdmService(sdm, directory, master, chain, store, rng),
-        UdService(ud, directory, chain, store, {certifier.address: certifier.signer},
-                  clock, rng),
-        SkmService(skm, directory, master, chain, store, clock, rng),
+        SdmService(identity=sdm, master=master, **shared),
+        UdService(identity=ud, certifier=certifier.signer, clock=clock, **shared),
+        SkmService(identity=skm, master=master, clock=clock, **shared),
         certifier)
 
 
@@ -942,7 +925,7 @@ def serve_in_background(service: Service) -> SocketTransport:
 class _SessionHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         self.server.cake_service.serve_session(
-            SocketTransport(self.request, HANDSHAKE_DEADLINE_S, IDLE_TIMEOUT_S))
+            SocketTransport(self.request, server=True))
 
 
 class ServiceServer(socketserver.ThreadingTCPServer):

@@ -17,6 +17,11 @@ The built-in ``brie_script()`` models the import-export exchange the
 project was driven by: an Economic Operator, a Courier, and Customs trading
 four documents under per-document policies bound to process instance 29837.
 
+The same exchange is written out in the script file format in
+``scenarios/brie.scenario`` at the root of the repository: it parses to
+``brie_script()``, so with the same seed ``cake scenario run`` of it writes
+the same ledger as ``cake scenario brie``.
+
 Script file format (see ``parse_script``)::
 
     [scenario]

@@ -121,6 +121,20 @@ def aead_opens(monkeypatch):
     return opens
 
 
+class BrokenEntropy(random.Random):
+    """An entropy source whose draws raise ``OSError`` or come back one byte
+    short."""
+
+    def __init__(self, raises: bool) -> None:
+        super().__init__(0)
+        self.raises = raises
+
+    def randbytes(self, n: int) -> bytes:
+        if self.raises:
+            raise OSError("no entropy")
+        return bytes(n - 1)
+
+
 class TestSetup:
     def test_root_key_length(self, ms):
         assert len(ms.root_key) == 32
@@ -128,6 +142,11 @@ class TestSetup:
     def test_seed_determinism(self):
         assert abe.setup(random.Random(5)) == abe.setup(random.Random(5))
         assert abe.setup(random.Random(5)) != abe.setup(random.Random(6))
+
+    @pytest.mark.parametrize("raises", [True, False], ids=["raises", "short"])
+    def test_a_failing_entropy_source_is_an_entropy_failure(self, raises):
+        with pytest.raises(abe.EntropyFailure):
+            abe.setup(BrokenEntropy(raises))
 
 
 class TestAttributeWrapKey:
@@ -465,6 +484,18 @@ class TestContainers:
         with pytest.raises(abe.EmptyContainer):
             abe.encrypt_container(ms, bytes(16), [], random.Random(20))
 
+    def test_a_parsed_container_with_no_slices_is_refused(self):
+        empty = abe.serialize_container(abe.CiphertextContainer(bytes(16), ()))
+        with pytest.raises(abe.EmptyContainer):
+            abe.parse_container(empty)
+
+    def test_a_parsed_container_with_a_repeated_label_is_refused(self, ms):
+        ct = abe.encrypt_slice(ms, "a", b"body", random.Random(24))
+        twice = abe.serialize_container(
+            abe.CiphertextContainer(bytes(16), (("doc", ct), ("doc", ct))))
+        with pytest.raises(abe.DuplicateLabel):
+            abe.parse_container(twice)
+
     def test_message_id_length_checked(self, ms):
         with pytest.raises(ValueError):
             abe.encrypt_container(ms, b"short", [("x", "a", b"")],
@@ -498,6 +529,11 @@ class TestSerialization:
     def test_slice_roundtrip(self, ms):
         ct = abe.encrypt_slice(ms, "(a and b)", b"zzz", random.Random(23))
         assert parse_slice(abe.serialize_slice(ct)) == ct
+
+    def test_a_parsed_user_key_with_no_attributes_is_refused(self):
+        blob = abe.serialize_user_key(abe.UserKey(HOLDER, {}, 0))
+        with pytest.raises(abe.EmptyAttributeSet):
+            abe.parse_user_key(blob)
 
     def test_user_key_roundtrip(self, ms):
         key = make_key(ms, {"courier", "29837"})

@@ -381,6 +381,10 @@ class TestLocatorCodec:
         with pytest.raises(MalformedLocator):
             parse_locator(wrong_prefix)
 
+    def test_base58_text_past_the_locator_size_is_malformed(self):
+        with pytest.raises(MalformedLocator, match="out of range"):
+            parse_locator("z" * 60)  # about 44 bytes
+
     def test_malformed_text_raises_on_every_call_and_is_not_cached(self):
         good = render_locator(Locator(bytes(range(32))))
         for text in (good[:-1], "0OIl" + good[4:], "1" + good):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cake import abe, cas, cli, ledger, protocol
+from cake import abe, cas, cli, ledger, protocol, scenario
 
 SRC = Path(cli.__file__).resolve().parents[1]
 HOST = "127.0.0.1"
@@ -320,8 +320,12 @@ class TestInProcessCommands:
         ("store", "--as", "nobody", "--policy", "finance", "{terms}"),
         ("key", "request", "--as", "nobody"),
         ("read", "00", "--as", "nobody"),
+        ("store", "--as", "owner", "--policy", "finance", "--policy", "audit", "{terms}"),
+        ("store", "--as", "owner", "--policy", "finance", "--slice", "{terms}"),
+        ("certify", "nobody", "sales"),
     ], ids=["read-non-hex", "show-non-hex", "store-unknown-as",
-            "key-unknown-as", "read-unknown-as"])
+            "key-unknown-as", "read-unknown-as", "store-policy-count",
+            "slice-without-equals", "certify-unknown-name"])
     def test_usage_errors(self, cake, stored, tmp_path, args):
         args = [arg.format(terms=tmp_path / "terms.txt") for arg in args]
         assert cake(*args)[0] == cli.EXIT_USAGE == 64
@@ -332,6 +336,16 @@ class TestInProcessCommands:
     ], ids=["show", "read"])
     def test_unknown_message_id(self, cake, stored, args):
         assert cake(*args)[0] == cli.EXIT_NOT_FOUND == 66
+
+    def test_a_slice_that_is_not_utf8_prints_as_hex(self, cake, stored, tmp_path, capsys):
+        (tmp_path / "raw.bin").write_bytes(b"\xff\xfe\x00")
+        code, out = cake("store", "--as", "owner", "--policy", "finance", "--label", "raw",
+                         str(tmp_path / "raw.bin"))
+        assert code == 0
+        capsys.readouterr()
+        assert cli.main(["--home", str(tmp_path / "home"), "read", out["message_id"],
+                         "--as", "owner"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "raw: fffe00\n"
 
     def test_policy_syntax_error(self, cake, stored, tmp_path):
         code, _ = cake("store", "--as", "owner", "--policy", "(a or",
@@ -664,3 +678,48 @@ class TestHomeFiles:
         assert cake("identity", "new", "late")[0] == cli.EXIT_STORAGE == 72
         assert sorted(home.rglob("*")) == before
         assert (home / "directory.json").read_bytes() == directory
+
+
+BRIE_SCRIPT = Path(__file__).resolve().parents[1] / "scenarios" / "brie.scenario"
+# Customs cannot read the transport order, but this script expects it to.
+MISMATCHED_BRIE = BRIE_SCRIPT.read_text().replace(
+    "courier:allow customs:deny", "courier:allow customs:allow", 1)
+
+
+class TestScenarioCommand:
+    def test_brie_prints_the_matrix_as_a_table(self, cake, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.main(["--home", str(tmp_path / "home"), "scenario", "brie",
+                         "--seed", "7"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["document", "economic_operator", "courier", "customs"]
+        assert lines[1].split() == ["transport_order", "allow", "allow", "deny"]
+        assert lines[-1] == "ledger height=7 verified=ok"
+
+    def test_brie_as_json_and_its_ledger(self, cake, tmp_path):
+        ledger_out = tmp_path / "brie.ledger"
+        code, out = cake("scenario", "brie", "--seed", "7", "--ledger-out", str(ledger_out))
+        assert code == cli.EXIT_OK
+        assert out["matrix_ok"] and out["chain_ok"] and out["ledger_height"] == 7
+        assert out["matrix"] == out["expected"]
+        assert ledger_out.read_bytes() == \
+            scenario.run_scenario(scenario.brie_script(), 7).ledger_bytes
+
+    def test_a_mismatched_matrix_exits_74_and_names_the_cell(self, cake, tmp_path, capsys):
+        script = tmp_path / "mismatched.scenario"
+        script.write_text(MISMATCHED_BRIE)
+        capsys.readouterr()
+        code = cli.main(["--home", str(tmp_path / "home"), "scenario", "run", str(script),
+                         "--seed", "7"])
+        assert code == cli.EXIT_BAD_REQUEST == 74
+        out, err = capsys.readouterr()
+        assert "ledger height=7 verified=ok" in out
+        assert "[matrix]" in err and "('transport_order', 'customs')" in err
+
+    def test_a_malformed_script_exits_74_at_parse(self, cake, tmp_path, capsys):
+        script = tmp_path / "malformed.scenario"
+        script.write_text("[ledger]\n")
+        capsys.readouterr()
+        assert cli.main(["--home", str(tmp_path / "home"), "scenario", "run",
+                         str(script)]) == cli.EXIT_BAD_REQUEST
+        assert "[parse]" in capsys.readouterr().err

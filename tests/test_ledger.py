@@ -226,6 +226,31 @@ class TestContracts:
         assert loaded.next_nonce(sender.address) == chain.next_nonce(sender.address)
         assert loaded.verify().ok
 
+    @pytest.mark.parametrize("contract,nonce,error", [
+        (ledger.CONTRACT_MESSAGE_REGISTRY, 1, ledger.BadNonce),
+        ("no_such_registry", 2, ledger.UnknownContract),
+    ], ids=["stale-nonce", "unknown-contract"])
+    def test_submit_refuses_before_the_pool(self, contract, nonce, error):
+        chain = fresh_chain()
+        ledger.message_store(chain, SDM, b"id-0", "loc-0")
+        tx = ledger.make_transaction(SDM, contract, "store",
+                                     ledger._encode_store_args(b"id-1", "loc-1"), nonce)
+        with pytest.raises(error):
+            chain.submit(tx)
+        assert chain.next_nonce(SDM.address) == 2
+        assert len(chain.seal_block().transactions) == 1
+
+    def test_an_unknown_method_is_rejected_at_the_seal(self):
+        chain = fresh_chain()
+        receipt = chain.submit(ledger.make_transaction(
+            SDM, ledger.CONTRACT_MESSAGE_REGISTRY, "erase",
+            ledger._encode_store_args(b"id", "loc"), 1))
+        chain.seal_block()
+        assert (receipt.status, receipt.error) == (ledger.STATUS_REJECTED, "UnknownContract")
+        with pytest.raises(ledger.RecordNotFound):
+            chain.message_get(b"id")
+        assert chain.verify().ok
+
     def test_unknown_sender_is_refused_at_submit(self):
         chain = fresh_chain()
         with pytest.raises(ledger.BadSignature):
@@ -331,6 +356,21 @@ class TestTamper:
         replica.extend(source.log[5:])
         forge_signature_and_reseal(replica)
         assert replica.verify() == ledger.ChainVerification(False, 1)
+
+    def test_a_resealed_block_that_no_longer_parses_fails_at_its_height(self):
+        # A byte after block 2's last transaction, with the hashes of that
+        # block and every later one redone to match. Such a log does not
+        # load, so this is not one of TAMPERS.
+        chain = built_chain()
+        assert chain.verify().ok
+        block = chain.log[2]
+        chain.log[2] = reseal(block[:-ledger.HASH_BYTES] + b"\x00" + block[-ledger.HASH_BYTES:])
+        for height in range(3, chain.height):
+            chain.log[height] = relink(chain.log[height],
+                                       chain.log[height - 1][-ledger.HASH_BYTES:])
+        with pytest.raises(CodecError):
+            ledger.parse_block(chain.log[2])
+        assert chain.verify() == ledger.ChainVerification(False, 2)
 
     def test_a_log_that_lost_its_last_block_fails_there(self):
         chain = built_chain()

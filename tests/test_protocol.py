@@ -10,7 +10,7 @@ import time
 import pytest
 
 import cake.cli  # noqa: F401  (loads every module that defines an error class)
-from cake import cas, protocol
+from cake import abe, cas, ledger, protocol
 from cake import policy as policy_mod
 from cake.codec import Reader, Writer
 from cake.errors import CakeError
@@ -638,3 +638,159 @@ class TestWireErrors:
 
 def raise_(exc: Exception):
     raise exc
+
+
+class TestHandshakeRefusals:
+    @pytest.mark.parametrize("key", [bytes(31), b""], ids=["short", "empty"])
+    def test_a_directory_key_that_is_not_ed25519_fails_with_auth_failure(
+            self, deployment, client, serve, key):
+        deployment.directory[client.address] = key
+        transport, thread = serve(deployment.sdm)
+        protocol.client_handshake(client, deployment.sdm.public(), transport,
+                                  random.Random(8))
+        assert wire_error_code(transport.recv_frame()) == "AuthFailure"
+        assert_dropped(transport, thread)
+
+    def test_a_challenge_of_the_wrong_length_fails_at_the_client(self, deployment,
+                                                                 client, pair):
+        server_side, client_side = pair
+        outcome: list[BaseException] = []
+
+        def handshake() -> None:
+            try:
+                protocol.client_handshake(client, deployment.sdm.public(), client_side,
+                                          random.Random(3))
+            except BaseException as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=handshake, daemon=True)
+        thread.start()
+        server_side.recv_frame()
+        server_side.send_frame(bytes([TAG_CHALLENGE]) + bytes(32 + protocol.NONCE_LEN))
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        [error] = outcome
+        assert isinstance(error, protocol.AuthFailure)
+        assert "malformed handshake challenge" in str(error)
+
+    def test_an_auth_with_the_wrong_tag_gets_an_auth_failure_frame(
+            self, deployment, client, serve, monkeypatch):
+        # A short idle timeout ends the session if the server took the AUTH.
+        monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 1.0)
+        transport, thread = serve(deployment.sdm)
+        # u = 9, the X25519 base point: a key the exchange accepts.
+        hello = (bytes([TAG_HELLO]) + client.address + bytes([9]) + bytes(31)
+                 + bytes(protocol.NONCE_LEN))
+        transport.send_frame(hello)
+        challenge = transport.recv_frame()
+        signature = client.signer.sign(
+            signing_input(b"cake/handshake/client/v1", hello, challenge))
+        transport.send_frame(bytes([TAG_HELLO]) + signature)
+        assert wire_error_code(transport.recv_frame()) == "AuthFailure"
+        assert_dropped(transport, thread)
+
+
+class TestSessionRefusals:
+    def test_an_empty_sealed_frame_drops_the_session(self, deployment, client, serve,
+                                                     caplog):
+        transport, thread = serve(deployment.sdm)
+        sdm = protocol.ServiceClient(client, deployment.sdm.public(), transport,
+                                     random.Random(4))
+        session = sdm.session
+        nonce = session._nonce(session._send_dir, session._send_counter)
+        with caplog.at_level(logging.ERROR, logger="cake.protocol"):
+            transport.send_frame(session._aead.encrypt(nonce, b"", session.transcript_hash))
+            assert_dropped(transport, thread)
+        assert [r for r in caplog.records if r.name == "cake.protocol"] == []
+        honest_store(deployment, client)
+
+    def test_a_reply_with_an_unexpected_tag_is_a_protocol_error(self, deployment,
+                                                                client, pair):
+        server_side, client_side = pair
+
+        def answer() -> None:
+            session = deployment.sdm._server_handshake(server_side)
+            session.receive()
+            session.send(TAG_KEY_REQ + 1, b"")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        sdm = protocol.ServiceClient(client, deployment.sdm.public(), client_side,
+                                     random.Random(4))
+        with pytest.raises(protocol.ProtocolError, match="unexpected response tag"):
+            sdm.store([("doc", "a", b"body")])
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_a_frame_over_the_limit_is_refused_before_it_is_sent(self, pair,
+                                                                 monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+        server_side, client_side = pair
+        with pytest.raises(protocol.ProtocolError, match="exceeds size limit"):
+            client_side.send_frame(bytes(65))
+        client_side.send_frame(b"within")
+        assert server_side.recv_frame() == b"within"
+
+
+class TestServiceRefusals:
+    def test_a_certify_from_anyone_but_the_certifier_is_refused(self, deployment,
+                                                                client):
+        with deployment.connect_ud(client, random.Random(3)) as ud:
+            with pytest.raises(ledger.NotCertifier):
+                ud.certify(client.address, ["a"])
+        assert deployment.chain.height == 0
+
+    def test_a_certify_with_no_attributes_is_refused(self, deployment, client):
+        with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
+            with pytest.raises(abe.EmptyAttributeSet):
+                ud.certify(client.address, [])
+            ud.certify(client.address, ["a"])
+        assert deployment.chain.height == 1
+
+    def test_metadata_that_names_another_actor_is_refused(self, deployment, client):
+        other = protocol.Identity.generate(random.Random(11))
+        metadata = protocol.ActorMetadata(other.address, frozenset({"a"}), 0,
+                                          deployment.certifier.address)
+        deployment.ud._notarize(
+            protocol.serialize_actor_metadata(metadata),
+            lambda loc: ledger.actor_certify(deployment.chain, deployment.certifier.signer,
+                                             client.address, loc))
+        with deployment.connect_skm(client, random.Random(4)) as skm:
+            with pytest.raises(cas.IntegrityViolation):
+                skm.request_key()
+
+    def test_a_container_that_carries_another_id_fails_the_fetch(self, deployment):
+        rng = random.Random(12)
+        carried, notarized = abe.new_message_id(rng), abe.new_message_id(rng)
+        container = abe.encrypt_container(deployment.master, carried,
+                                          [("doc", "a", b"body")], rng)
+        sdm = deployment.sdm
+        sdm._notarize(abe.serialize_container(container), lambda loc: ledger.message_store(
+            deployment.chain, sdm.identity.signer, notarized, loc))
+        with pytest.raises(abe.IntegrityFailure, match="notarized id"):
+            protocol.fetch_container(deployment.chain, deployment.store, notarized)
+
+    def test_a_store_the_seal_rejects_is_ledger_rejected(self, deployment, client,
+                                                         monkeypatch):
+        reused = bytes(abe.MESSAGE_ID_BYTES)
+        monkeypatch.setattr(abe, "new_message_id", lambda rng=None: reused)
+        with deployment.connect_sdm(client, random.Random(4)) as sdm:
+            assert sdm.store([("doc", "a", b"first")])[0] == reused
+            with pytest.raises(protocol.LedgerRejected, match="AlreadyRecorded"):
+                sdm.store([("doc", "a", b"second")])
+        assert deployment.chain.height == 2
+        assert deployment.chain.message_get(reused).height == 0
+
+
+class TestSecretsOutOfReprs:
+    def test_no_repr_shows_the_master_key_or_a_wrap_key(self, deployment, client):
+        with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
+            ud.certify(client.address, ["a", "b"])
+        with deployment.connect_skm(client, random.Random(4)) as skm:
+            key = skm.request_key()
+        secrets = [deployment.master.root_key, *key.attribute_keys.values()]
+        shown = [repr(deployment), repr(deployment.master), repr(key),
+                 repr(deployment.sdm), repr(deployment.ud), repr(deployment.skm)]
+        for text in shown:
+            for secret in secrets:
+                assert repr(secret) not in text and secret.hex() not in text

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +201,10 @@ class TestScriptErrors:
         assert script.actors == (("a", frozenset({"x"})),)
         assert script.documents == (ScenarioDocument("d", "a", "x", b"p"),)
         assert script.expected_access == {("d", "a"): True}
+
+    def test_the_brie_script_file_is_the_built_in_scenario(self):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "brie.scenario"
+        assert scenario.parse_script(path.read_text()) == scenario.brie_script()
 
     def test_validate_rejects_unknown_sender(self):
         script = ScenarioScript((("a", frozenset({"x"})),),

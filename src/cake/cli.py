@@ -30,7 +30,7 @@ exclusive ``flock`` on the home directory itself, which no rename replaces,
 and provisioning runs under the same lock and writes ``master.key``, the
 mark of a provisioned home, last. A home file that does not parse, or lacks
 what a command reads from it, fails with :class:`cas.StorageFailure` (exit
-72).
+72); so does a user key file in ``keys/`` that does not parse.
 
 A home that still has the ``blobs/`` directory of earlier versions, one
 file per blob, is refused with :class:`cas.StorageFailure` (exit 72). A
@@ -159,13 +159,14 @@ class UsageError(Exception):
 T = TypeVar("T")
 
 
-def _read_home_file(path: Path, parse: Callable[[str], T]) -> T:
-    """``parse`` of the text of the home file ``path``. Raises
-    :class:`cas.StorageFailure` when the text is not UTF-8, or ``parse``
-    finds it malformed or without a field it reads."""
+def _read_home_file(path: Path, parse: Callable[[bytes], T]) -> T:
+    """``parse`` of the bytes of the home file ``path``. Raises
+    :class:`cas.StorageFailure` when ``parse`` finds them malformed (text
+    that is not UTF-8 included) or without a field it reads."""
     try:
-        return parse(path.read_text())
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        return parse(path.read_bytes())
+    except (AttributeError, LookupError, TypeError, ValueError, CodecError,
+            abe.EmptyAttributeSet) as exc:
         raise cas.StorageFailure(f"{path} is not a file this version reads: {exc!r}") from exc
 
 
@@ -291,9 +292,9 @@ class Home:
 
     def _peers(self) -> dict[str, protocol.PeerIdentity]:
         """The registered peers, by name."""
-        return _read_home_file(self.directory_file, lambda text: {
+        return _read_home_file(self.directory_file, lambda data: {
             name: protocol.PeerIdentity.from_dict(peer)
-            for name, peer in json.loads(text)["peers"].items()})
+            for name, peer in json.loads(data)["peers"].items()})
 
     def open(self) -> protocol.Deployment:
         """The deployment on this home; its chain's block log is the chain
@@ -305,10 +306,10 @@ class Home:
                 f"{old_blobs} holds one file per blob, a home layout "
                 f"this version does not read; it keeps blobs in {cas.PACK_NAME}")
         master = _read_home_file(
-            self.master_file, lambda text: abe.MasterSecret(bytes.fromhex(text.strip())))
+            self.master_file, lambda data: abe.MasterSecret(bytes.fromhex(data.decode().strip())))
 
-        def service_identities(text: str) -> dict[str, protocol.Identity]:
-            services = json.loads(text)
+        def service_identities(data: bytes) -> dict[str, protocol.Identity]:
+            services = json.loads(data)
             return {role: protocol.Identity.from_dict(services[role])
                     for role in protocol.SERVICE_ROLES}
 
@@ -377,7 +378,7 @@ class Home:
         path = self.identities_dir / f"{_check_name(name)}.json"
         if not path.exists():
             raise UsageError(f"unknown identity {name!r}; run: cake identity new {name}")
-        return _read_home_file(path, lambda text: protocol.Identity.from_dict(json.loads(text)))
+        return _read_home_file(path, lambda data: protocol.Identity.from_dict(json.loads(data)))
 
     def address_of(self, name: str) -> bytes:
         peer = self._peers().get(name)
@@ -395,7 +396,7 @@ class Home:
         path = self.keys_dir / f"{_check_name(name)}.key"
         if not path.exists():
             raise UsageError(f"no key for {name!r}; run: cake key request --as {name}")
-        return abe.parse_user_key(path.read_bytes())
+        return _read_home_file(path, abe.parse_user_key)
 
 
 def _open_locked(path: Path) -> io.FileIO:

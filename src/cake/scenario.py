@@ -17,10 +17,10 @@ The built-in ``brie_script()`` models the import-export exchange the
 project was driven by: an Economic Operator, a Courier, and Customs trading
 four documents under per-document policies bound to process instance 29837.
 
-The same exchange is written out in the script file format in
-``scenarios/brie.scenario`` at the root of the repository: it parses to
-``brie_script()``, so with the same seed ``cake scenario run`` of it writes
-the same ledger as ``cake scenario brie``.
+That exchange is defined in one place, the script file ``brie.scenario``
+shipped inside this package: ``brie_script()`` is that file, parsed. So with
+the same seed ``cake scenario run`` of the file writes the same ledger as
+``cake scenario brie``.
 
 Script file format (see ``parse_script``)::
 
@@ -40,9 +40,11 @@ Script file format (see ``parse_script``)::
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import random
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Optional
 
 from . import abe
@@ -148,45 +150,15 @@ class ScenarioReport:
         }, indent=2, sort_keys=True)
 
 
+@functools.cache
 def brie_script() -> ScenarioScript:
-    """The import-export exchange: three actors, four documents."""
-    instance = "29837"
-    actors = (
-        ("economic_operator", frozenset({instance, "economic_operator"})),
-        ("courier", frozenset({instance, "courier"})),
-        ("customs", frozenset({instance, "customs"})),
-    )
-    documents = (
-        ScenarioDocument(
-            "transport_order", "economic_operator",
-            "(29837 and ((economic_operator) or (courier)))",
-            b"Transport order: collect consignment 29837 at warehouse 12.",
-        ),
-        ScenarioDocument(
-            "import_declaration", "economic_operator",
-            "(29837 and ((economic_operator) or (customs)))",
-            b"Import declaration: goods, destination country, buyer, courier.",
-        ),
-        ScenarioDocument(
-            "declaration_of_conformity", "customs",
-            "(29837 and ((customs) or (economic_operator) or (courier)))",
-            b"Declaration of conformity: import declaration 29837 verified.",
-        ),
-        ScenarioDocument(
-            "transport_document", "economic_operator",
-            "(29837 and ((economic_operator) or (customs) or (courier)))",
-            b"Transport document: mode, courier, collection and delivery data.",
-        ),
-    )
-    allow = {
-        "transport_order": {"economic_operator", "courier"},
-        "import_declaration": {"economic_operator", "customs"},
-        "declaration_of_conformity": {"economic_operator", "courier", "customs"},
-        "transport_document": {"economic_operator", "courier", "customs"},
-    }
-    expected = {(doc.name, actor): actor in allow[doc.name]
-                for doc in documents for actor, _ in actors}
-    return ScenarioScript(actors, documents, expected, instance)
+    """The import-export exchange: three actors, four documents.
+
+    Parsed once per process from the packaged ``brie.scenario``; every call
+    returns that same script, so callers read it and never change it.
+    """
+    return parse_script(
+        resources.files(__package__).joinpath("brie.scenario").read_text())
 
 
 def run_scenario(script: ScenarioScript, seed: Optional[int] = None) -> ScenarioReport:

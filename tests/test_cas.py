@@ -1,3 +1,4 @@
+import errno
 import fcntl
 import hashlib
 import logging
@@ -9,7 +10,7 @@ import threading
 
 import pytest
 
-from cake import cas, cli, protocol
+from cake import abe, cas, cli, protocol
 from cake.cas import (
     BlobNotFound,
     BlobTooLarge,
@@ -251,6 +252,61 @@ class TestPack:
         assert os.listdir(tmp_path) == []
         store.put(HELLO)
         assert os.listdir(tmp_path) == [cas.PACK_NAME]
+
+
+def failing_with(code: int):
+    def fail(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+    return fail
+
+
+class TestPackFaults:
+    """Every OS error on the pack reaches the caller as StorageFailure."""
+
+    @pytest.mark.parametrize("module,name,code", [
+        (fcntl, "flock", errno.ENOLCK),
+        (os, "fstat", errno.EIO),  # the scan of frames past the index
+    ], ids=["lock", "scan"])
+    def test_a_put_whose_lock_or_scan_fails(self, tmp_path, monkeypatch, module, name,
+                                            code):
+        store = DirectoryBlobStore(tmp_path)
+        monkeypatch.setattr(module, name, failing_with(code))
+        with pytest.raises(StorageFailure, match="cannot persist blob"):
+            store.put(HELLO)
+        monkeypatch.undo()
+        assert store.get(store.put(HELLO)) == HELLO
+
+    def test_a_get_whose_open_fails_other_than_not_found(self, tmp_path):
+        # a symbolic link to itself: the open fails with ELOOP
+        (tmp_path / cas.PACK_NAME).symlink_to(cas.PACK_NAME)
+        with pytest.raises(StorageFailure, match="cannot read blob"):
+            DirectoryBlobStore(tmp_path).get(locator_for(HELLO))
+
+    def test_a_get_whose_read_fails(self, tmp_path):
+        store = DirectoryBlobStore(tmp_path)
+        loc = store.put(HELLO)
+        pack = tmp_path / cas.PACK_NAME
+        pack.unlink()
+        pack.mkdir()  # opens, but the indexed body's pread fails with EISDIR
+        with pytest.raises(StorageFailure, match="cannot read blob"):
+            store.get(loc)
+
+    def test_a_data_manager_session_outlives_a_failed_put(self, tmp_path, monkeypatch):
+        rng = random.Random(1)
+        identities = {role: protocol.Identity.generate(rng)
+                      for role in protocol.SERVICE_ROLES}
+        deployment = protocol.deploy(abe.setup(rng), identities,
+                                     DirectoryBlobStore(tmp_path), (), rng=rng)
+        owner = protocol.Identity.generate(rng)
+        deployment.register(owner)
+        monkeypatch.setattr(fcntl, "flock", failing_with(errno.ENOLCK))
+        with deployment.connect_sdm(owner, rng) as sdm:
+            with pytest.raises(StorageFailure):
+                sdm.store([("doc", "a", b"body")])
+            monkeypatch.undo()
+            message_id, _ = sdm.store([("doc", "a", b"body")])
+        assert deployment.chain.height == 1
+        assert deployment.chain.message_get(message_id)
 
 
 # The header fields of a frame of ``body`` under each header the home's logs

@@ -600,6 +600,29 @@ class TestExitCodes:
         (tmp_path / "home" / "master.key").write_text(text)
         assert cake("ledger", "verify")[0] == cli.EXIT_STORAGE == 72
 
+    def test_no_command_is_a_usage_error_and_help_is_not(self, capsys):
+        assert cli.main([]) == cli.EXIT_USAGE == 64
+        assert "required: command" in capsys.readouterr().err
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: cake")
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:len(data) // 2],
+        lambda data: b"\xff" * len(data),
+        # the holder and the issue time, then a count of zero attributes
+        lambda data: data[:28] + bytes(4),
+    ], ids=["cut-in-half", "garbage", "no-attributes"])
+    def test_a_user_key_that_does_not_parse_is_a_storage_failure(
+            self, cake, stored, tmp_path, capsys, damage):
+        key_file = tmp_path / "home" / "keys" / "owner.key"
+        key_file.write_bytes(damage(key_file.read_bytes()))
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["--home", str(tmp_path / "home"), "read", stored, "--as", "owner",
+                         "--out-dir", str(out_dir)]) == cli.EXIT_STORAGE == 72
+        assert str(key_file) in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_services_without_a_role_are_a_storage_failure(self, cake, stored, tmp_path):
         services = tmp_path / "home" / "services.json"
         roles = json.loads(services.read_text())
@@ -680,7 +703,7 @@ class TestHomeFiles:
         assert (home / "directory.json").read_bytes() == directory
 
 
-BRIE_SCRIPT = Path(__file__).resolve().parents[1] / "scenarios" / "brie.scenario"
+BRIE_SCRIPT = Path(__file__).resolve().parents[1] / "src" / "cake" / "brie.scenario"
 # Customs cannot read the transport order, but this script expects it to.
 MISMATCHED_BRIE = BRIE_SCRIPT.read_text().replace(
     "courier:allow customs:deny", "courier:allow customs:allow", 1)

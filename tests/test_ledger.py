@@ -240,10 +240,15 @@ class TestContracts:
         assert chain.next_nonce(SDM.address) == 2
         assert len(chain.seal_block().transactions) == 1
 
-    def test_an_unknown_method_is_rejected_at_the_seal(self):
+    @pytest.mark.parametrize("sender,contract,method", [
+        (SDM, ledger.CONTRACT_MESSAGE_REGISTRY, "erase"),
+        (SDM, ledger.CONTRACT_MESSAGE_REGISTRY, "certify"),
+        (CERTIFIER, ledger.CONTRACT_ACTOR_REGISTRY, "store"),
+    ], ids=["erase-message", "certify-message", "store-actor"])
+    def test_an_unknown_method_is_rejected_at_the_seal(self, sender, contract, method):
         chain = fresh_chain()
         receipt = chain.submit(ledger.make_transaction(
-            SDM, ledger.CONTRACT_MESSAGE_REGISTRY, "erase",
+            sender, contract, method,
             ledger._encode_store_args(b"id", "loc"), 1))
         chain.seal_block()
         assert (receipt.status, receipt.error) == (ledger.STATUS_REJECTED, "UnknownContract")

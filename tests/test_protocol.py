@@ -499,6 +499,25 @@ class TestSessionBoundary:
         assert record.exc_info is not None
         assert "handler bug" in caplog.text
 
+    def test_a_handshake_that_raises_an_unexpected_error_is_logged_and_closes(
+            self, deployment, client, serve, monkeypatch, caplog):
+        def broken_handshake(transport):
+            raise RuntimeError("handshake bug")
+
+        monkeypatch.setattr(deployment.sdm, "_server_handshake", broken_handshake)
+        transport, thread = serve(deployment.sdm)
+        with caplog.at_level(logging.ERROR, logger="cake.protocol"):
+            with pytest.raises(protocol.TransportClosed):
+                protocol.ServiceClient(client, deployment.sdm.public(), transport,
+                                       random.Random(4))
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        [record] = [r for r in caplog.records if r.name == "cake.protocol"]
+        assert record.getMessage() == "SdmService session failed"
+        assert record.exc_info is not None and "handshake bug" in caplog.text
+        monkeypatch.undo()
+        honest_store(deployment, client)
+
 
 class TestPreAuthFrameLimits:
     def test_in_process_transport_enforces_limit(self, pair):

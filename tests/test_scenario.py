@@ -188,8 +188,13 @@ class TestScriptErrors:
         (ACTOR + ACTOR.replace("[actor a]", "[actor  a]") + DOCUMENT, "validate",
          "duplicate actor"),
         (ACTOR + DOCUMENT.replace("a:allow", ""), "validate", "documents x actors"),
+        (ACTOR + DOCUMENT + DOCUMENT.replace("[document d]", "[document  d]"),
+         "validate", "duplicate document"),
+        (ACTOR + DOCUMENT.replace("policy = x", "policy = (x"), "validate", "policy:"),
+        (ACTOR.replace("attributes = x", "attributes ="), "parse", "no attributes"),
     ], ids=["unknown-section", "missing-key", "bad-expect", "stray-attribute",
-            "duplicate-actor-section", "duplicate-actor-name", "missing-expectation"])
+            "duplicate-actor-section", "duplicate-actor-name", "missing-expectation",
+            "duplicate-document-name", "bad-policy", "actor-without-attributes"])
     def test_raises_with_step(self, text, step, needle):
         with pytest.raises(ScenarioError) as info:
             scenario.parse_script(text)
@@ -203,7 +208,7 @@ class TestScriptErrors:
         assert script.expected_access == {("d", "a"): True}
 
     def test_the_brie_script_file_is_the_built_in_scenario(self):
-        path = Path(__file__).resolve().parents[1] / "scenarios" / "brie.scenario"
+        path = Path(__file__).resolve().parents[1] / "src" / "cake" / "brie.scenario"
         assert scenario.parse_script(path.read_text()) == scenario.brie_script()
 
     def test_validate_rejects_unknown_sender(self):

@@ -58,6 +58,13 @@ text is UTF-8.
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
 
+Entropy: each function that draws takes ``rng``, a ``random.Random``, and
+without one draws from :data:`SYSTEM_RANDOM`, the one system source; a
+seeded generator makes a run reproducible. Every byte draw goes through
+:func:`random_bytes`, so a source that fails raises :class:`EntropyFailure`,
+never a bare ``OSError``; the field elements of a sharing come from
+:mod:`cake.sss`'s ``randrange`` draws.
+
 Trust model: wrap keys are deterministic per attribute, so users certified
 for the same attribute hold identical wrap keys, and colluding holders can
 pool their attributes to satisfy a policy none of them satisfies alone.
@@ -174,11 +181,15 @@ class CiphertextContainer:
     slices: tuple[tuple[str, SliceCiphertext], ...]
 
 
-def _rng_or_system(rng: Optional[random.Random]) -> random.Random:
-    return rng if rng is not None else random.SystemRandom()
+# The entropy source wherever the package's ``rng`` parameters are left out,
+# and of an unseeded scenario run. It keeps no state, so threads share it.
+SYSTEM_RANDOM: random.Random = random.SystemRandom()
 
 
-def _random_bytes(rng: random.Random, n: int) -> bytes:
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """``n`` bytes drawn from ``rng``; raises :class:`EntropyFailure` when the
+    source fails (an ``OSError``) or comes back short. Every byte draw of the
+    package goes through here."""
     try:
         data = rng.randbytes(n)
     except OSError as exc:
@@ -188,9 +199,9 @@ def _random_bytes(rng: random.Random, n: int) -> bytes:
     return data
 
 
-def setup(rng: Optional[random.Random] = None) -> MasterSecret:
+def setup(rng: random.Random = SYSTEM_RANDOM) -> MasterSecret:
     """Provision a fresh authority master secret."""
-    return MasterSecret(_random_bytes(_rng_or_system(rng), KEY_BYTES))
+    return MasterSecret(random_bytes(rng, KEY_BYTES))
 
 
 def _hkdf(ikm: bytes, info: bytes) -> bytes:
@@ -258,7 +269,7 @@ def _share_aad(leaf_index: int, attribute: str) -> bytes:
 
 
 def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
-                  rng: Optional[random.Random] = None) -> SliceCiphertext:
+                  rng: random.Random = SYSTEM_RANDOM) -> SliceCiphertext:
     """Encrypt one slice under an access policy.
 
     The policy is stored in its canonical rendering; the parsed tree's
@@ -267,7 +278,6 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     :class:`policy.PolicySyntaxError` / :class:`policy.InvalidAttributeError`
     for bad policy text.
     """
-    rng = _rng_or_system(rng)
     ast = policy_mod.parse_policy(policy)
     canonical = policy_mod.render_policy(ast)
 
@@ -278,7 +288,7 @@ def encrypt_slice(ms: MasterSecret, policy: str, plaintext: bytes,
     # draw from the system source is a system call, and each one lets other
     # sessions' threads take the interpreter lock from this one. A seeded
     # generator gives the same bytes as one draw per nonce in this order.
-    nonces = _random_bytes(rng, NONCE_BYTES * (len(leaf_values) + 1))
+    nonces = random_bytes(rng, NONCE_BYTES * (len(leaf_values) + 1))
     shares = []
     for index, leaf in enumerate(policy_mod.tree_leaves(ast), start=1):
         nonce = nonces[NONCE_BYTES * (index - 1):NONCE_BYTES * index]
@@ -447,8 +457,8 @@ def _choose(compiled: _CompiledHeader,
     return chosen
 
 
-def new_message_id(rng: Optional[random.Random] = None) -> bytes:
-    return _random_bytes(_rng_or_system(rng), MESSAGE_ID_BYTES)
+def new_message_id(rng: random.Random = SYSTEM_RANDOM) -> bytes:
+    return random_bytes(rng, MESSAGE_ID_BYTES)
 
 
 def check_label(label: str) -> str:
@@ -463,7 +473,7 @@ def check_label(label: str) -> str:
 
 def encrypt_container(ms: MasterSecret, message_id: bytes,
                       slices: list[tuple[str, str, bytes]],
-                      rng: Optional[random.Random] = None) -> CiphertextContainer:
+                      rng: random.Random = SYSTEM_RANDOM) -> CiphertextContainer:
     """Encrypt a multi-slice submission, one policy per slice."""
     if len(message_id) != MESSAGE_ID_BYTES:
         raise ValueError("message id must be 16 bytes")
@@ -472,7 +482,6 @@ def encrypt_container(ms: MasterSecret, message_id: bytes,
     labels = [check_label(label) for label, _, _ in slices]
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("slice labels must be unique within a container")
-    rng = _rng_or_system(rng)
     encrypted = tuple(
         (label, encrypt_slice(ms, policy, data, rng))
         for label, policy, data in slices)

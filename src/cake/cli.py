@@ -28,9 +28,14 @@ part. There is no ``fsync`` yet: a crash of the machine may lose a write.
 ``cake identity new`` reads, changes and writes ``directory.json`` under an
 exclusive ``flock`` on the home directory itself, which no rename replaces,
 and provisioning runs under the same lock and writes ``master.key``, the
-mark of a provisioned home, last. A home file that does not parse, or lacks
-what a command reads from it, fails with :class:`cas.StorageFailure` (exit
-72); so does a user key file in ``keys/`` that does not parse.
+mark of a provisioned home, last. A home file that cannot be read, does not
+parse, or lacks what a command reads from it, fails with
+:class:`cas.StorageFailure` (exit 72); so does a user key file in ``keys/``
+that does not parse. ``cake serve`` reads two home files while it serves:
+``directory.json`` when a handshake claims an unknown address, and
+``chain.bin`` in the key manager before each key request. If either cannot
+be read, the client gets :class:`cas.StorageFailure` for that handshake or
+request, and the service goes on serving.
 
 A home that still has the ``blobs/`` directory of earlier versions, one
 file per blob, is refused with :class:`cas.StorageFailure` (exit 72). A
@@ -161,13 +166,14 @@ T = TypeVar("T")
 
 def _read_home_file(path: Path, parse: Callable[[bytes], T]) -> T:
     """``parse`` of the bytes of the home file ``path``. Raises
-    :class:`cas.StorageFailure` when ``parse`` finds them malformed (text
-    that is not UTF-8 included) or without a field it reads."""
+    :class:`cas.StorageFailure` when the file cannot be read, or when
+    ``parse`` finds its bytes malformed (text that is not UTF-8 included) or
+    without a field it reads."""
     try:
         return parse(path.read_bytes())
-    except (AttributeError, LookupError, TypeError, ValueError, CodecError,
+    except (OSError, AttributeError, LookupError, TypeError, ValueError, CodecError,
             abe.EmptyAttributeSet) as exc:
-        raise cas.StorageFailure(f"{path} is not a file this version reads: {exc!r}") from exc
+        raise cas.StorageFailure(f"{path} cannot be read as a home file: {exc!r}") from exc
 
 
 def _write_file(path: Path, data: bytes) -> None:
@@ -357,8 +363,13 @@ class Home:
 
     def refresh_chain(self, chain: ledger.Chain) -> None:
         """Apply to ``chain``, opened from this home, the blocks another
-        process appended to the chain file since ``chain`` last read it."""
-        with chain.lock, self.chain_file.open("rb") as fh:
+        process appended to the chain file since ``chain`` last read it.
+        Raises :class:`cas.StorageFailure` if the file cannot be opened."""
+        try:
+            fh = self.chain_file.open("rb")
+        except OSError as exc:
+            raise cas.StorageFailure(f"cannot open {self.chain_file}: {exc}") from exc
+        with chain.lock, fh:
             chain.extend(chain.log.read_new(fh.fileno()))
 
     # named identities and keys

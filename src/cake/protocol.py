@@ -103,6 +103,13 @@ Services may serve many sessions concurrently (state per session is local,
 and writes to the chain are serialized by its lock), but a deterministic
 deployment should drive them sequentially with a seeded entropy source, as
 the scenario harness does.
+
+Entropy: every ``rng`` parameter defaults to :data:`abe.SYSTEM_RANDOM`, the
+one system source, and every byte an identity or a handshake draws comes
+from :func:`abe.random_bytes`. A source that fails raises
+:class:`abe.EntropyFailure`; a server whose source fails in the handshake
+sends that error to the client, as for any other refused handshake, and
+serves the next session.
 """
 
 from __future__ import annotations
@@ -226,10 +233,9 @@ class Identity:
         self.kx_public = kx_private.public_key().public_bytes_raw()
 
     @classmethod
-    def generate(cls, rng: Optional[random.Random] = None) -> "Identity":
-        rng = rng if rng is not None else random.SystemRandom()
-        return cls(ledger.Signer.from_seed(rng.randbytes(32)),
-                   X25519PrivateKey.from_private_bytes(rng.randbytes(32)))
+    def generate(cls, rng: random.Random = abe.SYSTEM_RANDOM) -> "Identity":
+        return cls(ledger.Signer.from_seed(abe.random_bytes(rng, 32)),
+                   X25519PrivateKey.from_private_bytes(abe.random_bytes(rng, 32)))
 
     def public(self) -> "PeerIdentity":
         return PeerIdentity(self.address, self.signing_public, self.kx_public)
@@ -487,12 +493,11 @@ def _signing_input(context: bytes, *transcript: bytes) -> bytes:
 
 
 def client_handshake(identity: Identity, server: PeerIdentity, transport: SocketTransport,
-                     rng: Optional[random.Random] = None) -> Session:
+                     rng: random.Random = abe.SYSTEM_RANDOM) -> Session:
     """Run the client side of the handshake and return the sealed session."""
-    rng = rng if rng is not None else random.SystemRandom()
-    ephemeral = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+    ephemeral = X25519PrivateKey.from_private_bytes(abe.random_bytes(rng, 32))
     hello = (bytes([TAG_HELLO]) + identity.address + _x25519_public(ephemeral)
-             + rng.randbytes(NONCE_LEN))
+             + abe.random_bytes(rng, NONCE_LEN))
     transport.send_frame(hello)
 
     challenge = transport.recv_frame()
@@ -603,8 +608,8 @@ class Service:
         if client_signing is None:
             raise UnknownClient(f"no identity registered for {client_address.hex()}")
 
-        ephemeral = X25519PrivateKey.from_private_bytes(self.rng.randbytes(32))
-        challenge_core = _x25519_public(ephemeral) + self.rng.randbytes(NONCE_LEN)
+        ephemeral = X25519PrivateKey.from_private_bytes(abe.random_bytes(self.rng, 32))
+        challenge_core = _x25519_public(ephemeral) + abe.random_bytes(self.rng, NONCE_LEN)
         server_sig = self.identity.signer.sign(
             _signing_input(_SERVER_SIG_CONTEXT, hello, challenge_core))
         challenge = bytes([TAG_CHALLENGE]) + challenge_core + server_sig
@@ -746,7 +751,7 @@ class ServiceClient:
     transport before the error propagates."""
 
     def __init__(self, identity: Identity, server: PeerIdentity, transport: SocketTransport,
-                 rng: Optional[random.Random] = None) -> None:
+                 rng: random.Random = abe.SYSTEM_RANDOM) -> None:
         self.identity = identity
         try:
             self.session = client_handshake(identity, server, transport, rng)
@@ -856,17 +861,17 @@ class Deployment:
         self.directory[identity.address] = identity.signing_public
 
     def connect_sdm(self, identity: Identity,
-                    rng: Optional[random.Random] = None) -> ServiceClient:
+                    rng: random.Random = abe.SYSTEM_RANDOM) -> ServiceClient:
         return ServiceClient(identity, self.sdm.public(),
                              serve_in_background(self.sdm), rng)
 
     def connect_ud(self, identity: Identity,
-                   rng: Optional[random.Random] = None) -> ServiceClient:
+                   rng: random.Random = abe.SYSTEM_RANDOM) -> ServiceClient:
         return ServiceClient(identity, self.ud.public(),
                              serve_in_background(self.ud), rng)
 
     def connect_skm(self, identity: Identity,
-                    rng: Optional[random.Random] = None) -> ServiceClient:
+                    rng: random.Random = abe.SYSTEM_RANDOM) -> ServiceClient:
         return ServiceClient(identity, self.skm.public(),
                              serve_in_background(self.skm), rng)
 
@@ -874,7 +879,7 @@ class Deployment:
 def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
            store: cas.BlobStore, chain_blocks: Iterable[bytes],
            clock: Clock = _system_clock,
-           rng: Optional[random.Random] = None,
+           rng: random.Random = abe.SYSTEM_RANDOM,
            log: Optional[ledger.BlockLog] = None) -> Deployment:
     """Wire a deployment: ``identities`` maps each of :data:`SERVICE_ROLES`
     to its identity; the chain replays ``chain_blocks``, serialized blocks
@@ -882,7 +887,6 @@ def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
     ``log``, and accepts transactions from the data manager and the
     certifier only. Without ``rng``, the services draw from the system
     source."""
-    rng = rng if rng is not None else random.SystemRandom()
     sdm, ud, skm, certifier = (identities[role] for role in SERVICE_ROLES)
     chain = ledger.Chain.load(accounts=[sdm.signing_public, certifier.signing_public],
                               certifiers=[certifier.address], blocks=chain_blocks,
@@ -897,11 +901,10 @@ def deploy(master: abe.MasterSecret, identities: dict[str, Identity],
         certifier)
 
 
-def provision(rng: Optional[random.Random] = None,
+def provision(rng: random.Random = abe.SYSTEM_RANDOM,
               clock: Clock = _system_clock) -> Deployment:
     """Draw a master secret and the :data:`SERVICE_ROLES` identities, in that
     order, and :func:`deploy` them on an empty chain and an in-memory store."""
-    rng = rng if rng is not None else random.SystemRandom()
     master = abe.setup(rng)
     identities = {role: Identity.generate(rng) for role in SERVICE_ROLES}
     return deploy(master, identities, cas.MemoryBlobStore(), (), clock, rng)

@@ -1,14 +1,19 @@
 """End-to-end scenario harness: actors, documents, and an access matrix.
 
 A scenario script names the actors with their certified attributes and the
-documents to exchange, each with a sender, an access policy, and a payload.
-Running it provisions a fresh deployment, certifies every actor through the
-user directory, and stores every document, in script order, through the
-data manager as its sender: each sender opens one session, on its first
-document, and stores all of its documents over it. Every actor then
-requests a key, and each document is fetched once and decrypted with every
-actor's key. The realized access matrix, the notarized ids and locators,
-and the chain verification result land in the report.
+documents to exchange, each with a sender, an access policy, a payload, and
+its expectations: for every actor, whether it may read the document. A
+script is checked when it is built (:meth:`ScenarioScript.validate`), so a
+run never meets an invalid one.
+
+Running a script provisions a fresh deployment, certifies every actor
+through the user directory, and stores every document, in script order,
+through the data manager as its sender: each sender opens one session, on
+its first document, and stores all of its documents over it. Every actor
+then requests a key, and each document is fetched once and decrypted with
+every actor's key. The realized access matrix, the notarized ids and
+locators, and the chain verification result land in the report, beside
+each document's expectations.
 
 With a seeded run the whole exchange is reproducible: identical seeds give
 byte-identical ledgers and identical message ids and locators.
@@ -70,14 +75,20 @@ class ScenarioDocument:
     sender: str
     policy: str
     payload: bytes
+    expect: dict[str, bool]  # actor -> allow
 
 
 @dataclass(frozen=True)
 class ScenarioScript:
+    """Actors, each with its attributes, and documents, in script order.
+
+    It is checked when built (:meth:`validate`), so every script is valid."""
     actors: tuple[tuple[str, frozenset[str]], ...]
     documents: tuple[ScenarioDocument, ...]
-    expected_access: dict[tuple[str, str], bool]  # (document, actor) -> allow
     instance_attribute: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         actor_names = [name for name, _ in self.actors]
@@ -86,8 +97,7 @@ class ScenarioScript:
         doc_names = [d.name for d in self.documents]
         if len(set(doc_names)) != len(doc_names):
             raise ScenarioError("validate", "duplicate document name")
-        held = frozenset().union(*(attrs for _, attrs in self.actors)) \
-            if self.actors else frozenset()
+        held = frozenset().union(*(attrs for _, attrs in self.actors))
         for doc in self.documents:
             if doc.sender not in actor_names:
                 raise ScenarioError("validate",
@@ -103,10 +113,9 @@ class ScenarioScript:
                 raise ScenarioError("validate",
                                     f"document {doc.name} policy mentions "
                                     f"attributes no actor holds: {sorted(stray)}")
-        expected_cells = {(d, a) for d in doc_names for a in actor_names}
-        if set(self.expected_access) != expected_cells:
+        if any(set(doc.expect) != set(actor_names) for doc in self.documents):
             raise ScenarioError("validate",
-                                "expected_access must cover documents x actors")
+                                "expectations must cover documents x actors")
 
 
 @dataclass
@@ -125,9 +134,9 @@ class ScenarioReport:
 
     def mismatches(self) -> list[tuple[str, str]]:
         return [(doc, actor)
-                for doc, row in self.expected.items()
-                for actor, want in row.items()
-                if self.matrix[doc][actor] != want]
+                for doc, row in self.matrix.items()
+                for actor, allowed in row.items()
+                if self.expected[doc][actor] != allowed]
 
     def format_table(self) -> str:
         actors = list(next(iter(self.matrix.values()), {}))
@@ -163,8 +172,7 @@ def brie_script() -> ScenarioScript:
 
 def run_scenario(script: ScenarioScript, seed: Optional[int] = None) -> ScenarioReport:
     """Drive the full exchange and report the realized access matrix."""
-    script.validate()
-    rng = random.Random(seed) if seed is not None else random.SystemRandom()
+    rng = random.Random(seed) if seed is not None else abe.SYSTEM_RANDOM
     deployment = protocol.provision(rng, clock=lambda: SCENARIO_EPOCH)
 
     identities: dict[str, protocol.Identity] = {}
@@ -184,9 +192,8 @@ def run_scenario(script: ScenarioScript, seed: Optional[int] = None) -> Scenario
             step(f"certify/{name}", lambda n=name, a=attrs: ud_client.certify(
                 identities[n].address, a))
 
-    message_ids: dict[str, str] = {}
+    message_ids: dict[str, bytes] = {}
     locators: dict[str, str] = {}
-    raw_ids: dict[str, bytes] = {}
     sdm_clients: dict[str, protocol.ServiceClient] = {}
     try:
         for doc in script.documents:
@@ -197,8 +204,7 @@ def run_scenario(script: ScenarioScript, seed: Optional[int] = None) -> Scenario
             message_id, locator = step(
                 f"store/{doc.name}", lambda d=doc:
                 sdm_clients[d.sender].store([(d.name, d.policy, d.payload)]))
-            raw_ids[doc.name] = message_id
-            message_ids[doc.name] = message_id.hex()
+            message_ids[doc.name] = message_id
             locators[doc.name] = locator
     finally:
         for sdm_client in sdm_clients.values():
@@ -213,19 +219,16 @@ def run_scenario(script: ScenarioScript, seed: Optional[int] = None) -> Scenario
     matrix: dict[str, dict[str, bool]] = {doc.name: {} for doc in script.documents}
     for doc in script.documents:
         container = step(f"read/{doc.name}", lambda d=doc: protocol.fetch_container(
-            deployment.chain, deployment.store, raw_ids[d.name]))
+            deployment.chain, deployment.store, message_ids[d.name]))
         for name, key in user_keys.items():
             results = step(f"read/{doc.name}/{name}", lambda k=key, c=container:
                            abe.decrypt_container(k, c))
             matrix[doc.name][name] = all(body is not None for _, body in results)
 
-    expected = {doc.name: {actor: script.expected_access[(doc.name, actor)]
-                           for actor, _ in script.actors}
-                for doc in script.documents}
     return ScenarioReport(
         matrix=matrix,
-        expected=expected,
-        message_ids=message_ids,
+        expected={doc.name: dict(doc.expect) for doc in script.documents},
+        message_ids={doc: mid.hex() for doc, mid in message_ids.items()},
         locators=locators,
         ledger_height=deployment.chain.height,
         chain_ok=bool(deployment.chain.verify()),
@@ -246,7 +249,6 @@ def parse_script(text: str) -> ScenarioScript:
     instance: Optional[str] = None
     actors: list[tuple[str, frozenset[str]]] = []
     documents: list[ScenarioDocument] = []
-    expectations: dict[str, dict[str, bool]] = {}
 
     for section in parser.sections():
         body = parser[section]
@@ -266,17 +268,12 @@ def parse_script(text: str) -> ScenarioScript:
                     raise ScenarioError("parse", f"document {name} misses {key!r}")
             documents.append(ScenarioDocument(
                 name, body["sender"].strip(), body["policy"].strip(),
-                body["payload"].strip().encode("utf-8")))
-            expectations[name] = _parse_expectations(name, body["expect"])
+                body["payload"].strip().encode("utf-8"),
+                _parse_expectations(name, body["expect"])))
         else:
             raise ScenarioError("parse", f"unknown section [{section}]")
 
-    expected_access = {(doc, actor): allowed
-                       for doc, row in expectations.items()
-                       for actor, allowed in row.items()}
-    script = ScenarioScript(tuple(actors), tuple(documents), expected_access, instance)
-    script.validate()
-    return script
+    return ScenarioScript(tuple(actors), tuple(documents), instance)
 
 
 def _parse_expectations(doc: str, text: str) -> dict[str, bool]:

@@ -230,6 +230,45 @@ class TestServeProcesses:
                                ports[service])
         assert cli.main(["--home", str(home_dir), "ledger", "show", message_id.hex()]) == 0
 
+    def test_a_directory_file_that_cannot_be_read_refuses_as_a_storage_failure(
+            self, tmp_path):
+        home_dir, deployment, _ = home_with(tmp_path, "owner")
+        directory, aside = home_dir / "directory.json", tmp_path / "directory.json"
+        with serving(tmp_path, home_dir) as (proc, ports):
+            directory.rename(aside)
+            for service in ("sdm", "skm"):
+                with pytest.raises(cas.StorageFailure, match="directory.json"):
+                    tcp_client(protocol.Identity.generate(), getattr(deployment, service),
+                               ports[service])
+            aside.rename(directory)
+            assert cli.main(["--home", str(home_dir), "identity", "new", "late"]) == 0
+            sdm = tcp_client(cli.Home(home_dir).identity("late"), deployment.sdm,
+                             ports["sdm"])
+            try:
+                sdm.store([("doc", "a", b"late body")])
+            finally:
+                sdm.close()
+
+    def test_a_chain_file_that_cannot_be_read_fails_a_key_request_as_a_storage_failure(
+            self, tmp_path):
+        home_dir, deployment, [actor] = home_with(tmp_path, "actor")
+        chain_file, aside = home_dir / "chain.bin", tmp_path / "chain.bin"
+        with serving(tmp_path, home_dir) as (proc, ports):
+            ud = tcp_client(deployment.certifier, deployment.ud, ports["ud"])
+            try:
+                ud.certify(actor.address, ["a"])
+            finally:
+                ud.close()
+            skm = tcp_client(actor, deployment.skm, ports["skm"])
+            try:
+                chain_file.rename(aside)
+                with pytest.raises(cas.StorageFailure, match="chain.bin"):
+                    skm.request_key()
+                aside.rename(chain_file)
+                assert skm.request_key().attributes == frozenset({"a"})
+            finally:
+                skm.close()
+
     def test_second_writer_is_refused(self, tmp_path, monkeypatch, capsys):
         for var in ("CAKE_SDM_ADDR", "CAKE_UD_ADDR", "CAKE_SKM_ADDR"):
             monkeypatch.delenv(var, raising=False)

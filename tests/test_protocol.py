@@ -6,6 +6,7 @@ import socket
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -50,10 +51,19 @@ def serve():
     opened = []
 
     def start(service):
-        before = set(threading.enumerate())
-        transport = protocol.serve_in_background(service)
+        # The session thread may end before ``serve_in_background`` returns,
+        # so it is recorded as it starts, not looked for afterwards.
+        started = []
+        thread_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            thread_start(thread)
+
+        with mock.patch.object(threading.Thread, "start", recording_start):
+            transport = protocol.serve_in_background(service)
         opened.append(transport)
-        [thread] = set(threading.enumerate()) - before
+        [thread] = started
         return transport, thread
 
     yield start
@@ -707,6 +717,53 @@ class TestHandshakeRefusals:
         transport.send_frame(bytes([TAG_HELLO]) + signature)
         assert wire_error_code(transport.recv_frame()) == "AuthFailure"
         assert_dropped(transport, thread)
+
+
+class FailingEntropy(random.Random):
+    """A seeded source whose byte draws fail with ``OSError`` from draw
+    number ``fails`` (counted from 0) on."""
+
+    def __init__(self, seed: int, fails: int) -> None:
+        super().__init__(seed)
+        self.draws = 0
+        self.fails = fails
+
+    def randbytes(self, n: int) -> bytes:
+        self.draws += 1
+        if self.draws > self.fails:
+            raise OSError("no entropy")
+        return super().randbytes(n)
+
+
+# Each side of the handshake draws twice (its ephemeral key, then its nonce),
+# and so does an identity (its two keys); ``fails`` picks the draw that fails.
+@pytest.mark.parametrize("fails", [0, 1], ids=["first-draw", "second-draw"])
+class TestEntropyFailures:
+    def test_a_server_whose_source_fails_sends_entropy_failure(
+            self, deployment, client, serve, monkeypatch, fails):
+        monkeypatch.setattr(deployment.sdm, "rng", FailingEntropy(5, fails))
+        transport, thread = serve(deployment.sdm)
+        with pytest.raises(abe.EntropyFailure, match="no entropy"):
+            protocol.ServiceClient(client, deployment.sdm.public(), transport,
+                                   random.Random(4))
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        monkeypatch.undo()
+        honest_store(deployment, client)
+
+    def test_a_client_whose_source_fails_sends_nothing(self, deployment, client, pair,
+                                                       fails):
+        server_side, client_side = pair
+        with pytest.raises(abe.EntropyFailure, match="no entropy"):
+            protocol.client_handshake(client, deployment.sdm.public(), client_side,
+                                      FailingEntropy(3, fails))
+        client_side.close()
+        with pytest.raises(protocol.TransportClosed, match="peer closed"):
+            server_side.recv_frame()
+
+    def test_an_identity_from_a_failing_source_is_an_entropy_failure(self, fails):
+        with pytest.raises(abe.EntropyFailure, match="no entropy"):
+            protocol.Identity.generate(FailingEntropy(1, fails))
 
 
 class TestSessionRefusals:

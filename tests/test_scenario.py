@@ -204,16 +204,22 @@ class TestScriptErrors:
     def test_valid_script_parses(self):
         script = scenario.parse_script(ACTOR + DOCUMENT)
         assert script.actors == (("a", frozenset({"x"})),)
-        assert script.documents == (ScenarioDocument("d", "a", "x", b"p"),)
-        assert script.expected_access == {("d", "a"): True}
+        assert script.documents == (ScenarioDocument("d", "a", "x", b"p", {"a": True}),)
 
     def test_the_brie_script_file_is_the_built_in_scenario(self):
         path = Path(__file__).resolve().parents[1] / "src" / "cake" / "brie.scenario"
         assert scenario.parse_script(path.read_text()) == scenario.brie_script()
 
     def test_validate_rejects_unknown_sender(self):
-        script = ScenarioScript((("a", frozenset({"x"})),),
-                                (ScenarioDocument("d", "b", "x", b"p"),),
-                                {("d", "a"): True})
-        with pytest.raises(ScenarioError, match="is not an actor"):
-            script.validate()
+        with pytest.raises(ScenarioError, match="is not an actor") as info:
+            ScenarioScript((("a", frozenset({"x"})),),
+                           (ScenarioDocument("d", "b", "x", b"p", {"a": True}),))
+        assert info.value.step == "validate"
+
+    @pytest.mark.parametrize("expect", [{}, {"a": True}, {"a": True, "b": False, "c": True}],
+                             ids=["none", "one-missing", "one-stray"])
+    def test_a_script_is_checked_when_built(self, expect):
+        actors = (("a", frozenset({"x"})), ("b", frozenset({"x"})))
+        with pytest.raises(ScenarioError, match="documents x actors") as info:
+            ScenarioScript(actors, (ScenarioDocument("d", "a", "x", b"p", expect),))
+        assert info.value.step == "validate"

@@ -7,8 +7,9 @@ hash-chained ledger. Certified readers obtain attribute-bound keys from the
 key manager and can decrypt exactly the slices whose policies their
 attributes satisfy.
 
-Modules: ``policy`` (formula parsing and compilation), ``sss`` (threshold
-secret sharing), ``abe`` (policy-bound hybrid encryption), ``cas``
+Modules: ``policy`` (formula parsing; the parsed tree is the access tree),
+``sss`` (threshold secret sharing), ``abe`` (policy-bound hybrid
+encryption), ``codec`` (declared binary records), ``cas``
 (content-addressed storage), ``ledger`` (simulated chain and registry
 contracts), ``protocol`` (services, handshake, client), ``scenario``
 (end-to-end harness), ``cli`` (the ``cake`` command).

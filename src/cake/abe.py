@@ -51,9 +51,10 @@ container. A read hashes the header as it is, a store writes it out as it
 is, and decryption reads the nonce and sealed share of a chosen leaf from
 the header bytes at the offsets the memo entry holds.
 
-Containers are parsed in one pass that reads each length in place and
-checks it before taking its field, and checks that each label and policy
-text is UTF-8.
+A container, a slice's payload fields and a user key are each declared
+once as a record of :mod:`cake.codec` fields. Containers are parsed by hand,
+in one pass that reads each length in place and checks it before taking
+its field, and checks that each label and policy text is UTF-8.
 
 Slice labels are single path components (:func:`check_label`), since a
 reader may write each slice to a file of that name.
@@ -88,7 +89,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from . import policy as policy_mod
 from . import sss
-from .codec import CodecError, Reader, Writer, decode_str
+from .codec import BYTES, STR, U64, CodecError, counted, decode, decode_str, encode, raw
 from .errors import CakeError
 
 KEY_BYTES = 32
@@ -541,12 +542,12 @@ def header_hash(ct: SliceCiphertext) -> bytes:
     return _header_digest(ct.header)
 
 
+# A slice is its header, then these: its payload nonce and sealed payload.
+SLICE_PAYLOAD = (BYTES, BYTES)
+
+
 def serialize_slice(ct: SliceCiphertext) -> bytes:
-    w = Writer()
-    w.put_raw(ct.header)
-    w.put_bytes(ct.payload_nonce)
-    w.put_bytes(ct.payload)
-    return w.getvalue()
+    return ct.header + encode(SLICE_PAYLOAD, ct.payload_nonce, ct.payload)
 
 
 _TRUNCATED = "truncated encoding"
@@ -601,14 +602,14 @@ def _parse_slice(data: bytes, pos: int, end: int) -> SliceCiphertext:
                            data[payload_at:pos])
 
 
+# A container's record: its message id, then each slice's label and bytes.
+# :func:`parse_container` reads it in one checked pass of its own.
+CONTAINER = (BYTES, counted(STR, BYTES))
+
+
 def serialize_container(container: CiphertextContainer) -> bytes:
-    w = Writer()
-    w.put_bytes(container.message_id)
-    w.put_u32(len(container.slices))
-    for label, ct in container.slices:
-        w.put_str(label)
-        w.put_bytes(serialize_slice(ct))
-    return w.getvalue()
+    return encode(CONTAINER, container.message_id,
+                  [(label, serialize_slice(ct)) for label, ct in container.slices])
 
 
 def parse_container(data: bytes) -> CiphertextContainer:
@@ -640,24 +641,17 @@ def parse_container(data: bytes) -> CiphertextContainer:
     return CiphertextContainer(message_id=data[4:id_end], slices=tuple(slices))
 
 
+# A user key's record: its holder's 20-byte address, when it was issued, and
+# each attribute's wrap key, sorted by attribute.
+USER_KEY = (raw(20), U64, counted(STR, BYTES))
+
+
 def serialize_user_key(uk: UserKey) -> bytes:
-    w = Writer()
-    w.put_raw(uk.holder)
-    w.put_u64(uk.issued_at)
-    w.put_u32(len(uk.attribute_keys))
-    for name in sorted(uk.attribute_keys):
-        w.put_str(name)
-        w.put_bytes(uk.attribute_keys[name])
-    return w.getvalue()
+    return encode(USER_KEY, uk.holder, uk.issued_at, sorted(uk.attribute_keys.items()))
 
 
 def parse_user_key(data: bytes) -> UserKey:
-    r = Reader(data)
-    holder = r.take_raw(20)
-    issued_at = r.take_u64()
-    count = r.take_u32()
-    keys = {r.take_str(): r.take_bytes() for _ in range(count)}
-    r.expect_end()
+    holder, issued_at, keys = decode(USER_KEY, data)
     if not keys:
         raise EmptyAttributeSet("user key carries no attributes")
-    return UserKey(holder=holder, attribute_keys=keys, issued_at=issued_at)
+    return UserKey(holder=holder, attribute_keys=dict(keys), issued_at=issued_at)

@@ -5,7 +5,8 @@ deployment directory (``--home``, default ``$CAKE_HOME`` or ``./.cake``)
 that is auto-provisioned on first use. When ``CAKE_SDM_ADDR`` /
 ``CAKE_UD_ADDR`` / ``CAKE_SKM_ADDR`` are set (``host:port``), the client
 commands talk to remote services (see ``cake serve``) instead of in-process
-ones.
+ones. A port, there or in an option of ``cake serve``, is 0-65535; any
+other fails with :class:`UsageError` (exit 64) before a socket is opened.
 
 A home holds:
 
@@ -84,10 +85,11 @@ parent is gone; the parent stops it with SIGTERM and reaps it on every way
 out.
 
 Exit codes: 0 success, 64 usage, 65-75 one code per error class. A
-scenario run whose realized access matrix does not match the script's
-expectations prints its report, then fails with
-:class:`scenario.ScenarioError` at step ``matrix`` (exit 74), naming each
-mismatched cell.
+scenario script that is not UTF-8 or does not parse fails with
+:class:`scenario.ScenarioError` at step ``parse`` (exit 74). A scenario run
+whose realized access matrix does not match the script's expectations
+prints its report, then fails with :class:`scenario.ScenarioError` at step
+``matrix`` (exit 74), naming each mismatched cell.
 """
 
 from __future__ import annotations
@@ -422,14 +424,24 @@ def _open_locked(path: Path) -> io.FileIO:
     return fh
 
 
+def _port(text: str) -> int:
+    """``text`` as a TCP port: decimal digits, 0-65535. Otherwise raises
+    ``argparse.ArgumentTypeError``, which the parser reports as a usage
+    error."""
+    if not (text.isascii() and text.isdigit()) or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"a port is 0-65535, got {text!r}")
+    return int(text)
+
+
 def _remote_addr(var: str) -> Optional[tuple[str, int]]:
     value = os.environ.get(var)
     if not value:
         return None
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"{var} must be host:port, got {value!r}")
-    return host, int(port)
+    with contextlib.suppress(argparse.ArgumentTypeError):
+        if host:
+            return host, _port(port)
+    raise UsageError(f"{var} must be host:port with a port of 0-65535, got {value!r}")
 
 
 def _connect(deployment: protocol.Deployment, which: str,
@@ -609,7 +621,11 @@ def cmd_scenario_brie(args: argparse.Namespace, home: Home) -> int:
 
 
 def cmd_scenario_run(args: argparse.Namespace, home: Home) -> int:
-    script = scenario.parse_script(Path(args.script).read_text())
+    try:
+        text = Path(args.script).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise scenario.ScenarioError("parse", f"script is not UTF-8: {exc}") from None
+    script = scenario.parse_script(text)
     return _run_scenario(args, script)
 
 
@@ -762,9 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="host the services over TCP")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--sdm-port", type=int, default=7801)
-    p.add_argument("--ud-port", type=int, default=7802)
-    p.add_argument("--skm-port", type=int, default=7803)
+    p.add_argument("--sdm-port", type=_port, default=7801)
+    p.add_argument("--ud-port", type=_port, default=7802)
+    p.add_argument("--skm-port", type=_port, default=7803)
     p.set_defaults(func=cmd_serve)
 
     return parser

@@ -15,6 +15,10 @@ Contracts:
   locator for an actor; only addresses in the certifier set fixed at
   deployment may write, and re-certification overwrites (last write wins).
 
+Each record of the chain (a transaction, a block, the arguments of each
+contract method) is declared once as a tuple of :mod:`cake.codec` fields,
+which gives both its encoder and its decoder.
+
 The registry keys actors by a salted hash of their address rather than the
 address itself, so the serialized ledger never contains the addresses of
 data owners or readers — only the transaction senders (the data-manager and
@@ -54,7 +58,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .codec import CodecError, Reader, Writer
+from .codec import BYTES, STR, U64, CodecError, counted, decode, encode, raw
 from .errors import CakeError
 
 ADDRESS_BYTES = 20
@@ -69,6 +73,20 @@ STATUS_APPLIED = "applied"
 STATUS_REJECTED = "rejected"
 
 _ACTOR_KEY_SALT = b"cake/actor-registry/v1/"
+
+# The chain's records (see cake.codec). A transaction is its signed fields
+# (sender, contract, method, arguments, sender nonce), then its signature; a
+# block is its body (height, the hash of the block below it, each
+# transaction's bytes), then its hash.
+TX_SIGNED = (raw(ADDRESS_BYTES), STR, STR, BYTES, U64)
+TX_SIGNATURE = (BYTES,)
+TRANSACTION = TX_SIGNED + TX_SIGNATURE
+BLOCK_BODY = (U64, raw(HASH_BYTES), counted(BYTES))
+BLOCK = BLOCK_BODY + (raw(HASH_BYTES),)
+# The arguments of MessageRegistry.store (message id, locator) and of
+# ActorRegistry.certify (actor registry key, metadata locator).
+STORE_ARGS = (BYTES, STR)
+CERTIFY_ARGS = (raw(HASH_BYTES), STR)
 
 
 class LedgerError(CakeError):
@@ -170,17 +188,11 @@ class Transaction:
 
 def _signing_bytes(sender: bytes, contract: str, method: str, args: bytes,
                    sender_nonce: int) -> bytes:
-    w = Writer()
-    w.put_raw(sender)
-    w.put_str(contract)
-    w.put_str(method)
-    w.put_bytes(args)
-    w.put_u64(sender_nonce)
-    return w.getvalue()
+    return encode(TX_SIGNED, sender, contract, method, args, sender_nonce)
 
 
 def _with_signature(signing_bytes: bytes, signature: bytes) -> bytes:
-    return signing_bytes + len(signature).to_bytes(4, "big") + signature
+    return signing_bytes + encode(TX_SIGNATURE, signature)
 
 
 def make_transaction(signer: Signer, contract: str, method: str, args: bytes,
@@ -202,39 +214,18 @@ class Block:
 
 def _block_body(height: int, prev_hash: bytes,
                 transactions: tuple[Transaction, ...]) -> bytes:
-    w = Writer()
-    w.put_u64(height)
-    w.put_raw(prev_hash)
-    w.put_u32(len(transactions))
-    for tx in transactions:
-        w.put_bytes(tx.canonical_bytes())
-    return w.getvalue()
+    return encode(BLOCK_BODY, height, prev_hash, [tx.canonical_bytes() for tx in transactions])
 
 
 def _parse_transaction(data: bytes) -> Transaction:
-    r = Reader(data)
-    tx = Transaction(
-        sender=r.take_raw(ADDRESS_BYTES),
-        contract=r.take_str(),
-        method=r.take_str(),
-        args=r.take_bytes(),
-        sender_nonce=r.take_u64(),
-        signature=r.take_bytes(),
-    )
-    r.expect_end()
+    tx = Transaction(*decode(TRANSACTION, data))
     object.__setattr__(tx, "_encoded", data)
     return tx
 
 
 def parse_block(data: bytes) -> Block:
-    r = Reader(data)
-    height = r.take_u64()
-    prev_hash = r.take_raw(HASH_BYTES)
-    count = r.take_u32()
-    transactions = tuple(_parse_transaction(r.take_bytes()) for _ in range(count))
-    block_hash = r.take_raw(HASH_BYTES)
-    r.expect_end()
-    return Block(height, prev_hash, transactions, block_hash)
+    height, prev_hash, transactions, block_hash = decode(BLOCK, data)
+    return Block(height, prev_hash, tuple(map(_parse_transaction, transactions)), block_hash)
 
 
 @dataclass
@@ -356,14 +347,14 @@ class Chain:
         refuse or whose arguments do not decode raises, and is rejected by
         the caller, so it never stops a block from being sealed or loaded."""
         if tx.contract == CONTRACT_MESSAGE_REGISTRY and tx.method == "store":
-            message_id, locator = _decode_store_args(tx.args)
+            message_id, locator = decode(STORE_ARGS, tx.args)
             if message_id in self._messages:
                 raise AlreadyRecorded(f"message id {message_id.hex()} already recorded")
             self._messages[message_id] = Record(locator, tx.sender, height)
         elif tx.contract == CONTRACT_ACTOR_REGISTRY and tx.method == "certify":
             if tx.sender not in self.certifiers:
                 raise NotCertifier(f"{tx.sender.hex()} is not a certifier")
-            actor_key, locator = _decode_certify_args(tx.args)
+            actor_key, locator = decode(CERTIFY_ARGS, tx.args)
             self._actors[actor_key] = Record(locator, tx.sender, height)
         else:
             raise UnknownContract(f"no method {tx.method!r} on {tx.contract!r}")
@@ -412,7 +403,7 @@ class Chain:
         signatures below ``checked`` as checked if the block at
         ``checked - 1`` recomputes to ``checked_hash``; ``None`` if all do."""
         # A serialized block starts with its height (u64) and link, and ends
-        # with its hash (see _block_body).
+        # with its hash (see BLOCK).
         prev_hash, walked = GENESIS_PREV_HASH, 0
         for height, data in zip(range(self.height), self.log):
             block_hash = hashlib.sha256(data[:-HASH_BYTES]).digest()
@@ -439,13 +430,12 @@ class Chain:
     # -- persistence --------------------------------------------------------
 
     def serialize(self) -> bytes:
-        """The chain file form of the blocks in :attr:`log`: each
-        length-prefixed, in order. The file is append-only: the form of a
-        later run of blocks is appended to it as is."""
-        w = Writer()
-        for data in self.log:
-            w.put_bytes(data)
-        return w.getvalue()
+        """The chain file form of the blocks in :attr:`log`: one ``BYTES``
+        field (length-prefixed) per block, in order. The file is
+        append-only: the form of a later run of blocks is appended to it as
+        is."""
+        blocks = list(self.log)
+        return encode((BYTES,) * len(blocks), *blocks)
 
     def extend(self, blocks: Iterable[bytes]) -> None:
         """Replay ``blocks``, serialized blocks that follow the tip in
@@ -475,41 +465,11 @@ class Chain:
         return chain
 
 
-def _decode_store_args(args: bytes) -> tuple[bytes, str]:
-    r = Reader(args)
-    message_id = r.take_bytes()
-    locator = r.take_str()
-    r.expect_end()
-    return message_id, locator
-
-
-def _encode_store_args(message_id: bytes, locator: str) -> bytes:
-    w = Writer()
-    w.put_bytes(message_id)
-    w.put_str(locator)
-    return w.getvalue()
-
-
-def _decode_certify_args(args: bytes) -> tuple[bytes, str]:
-    r = Reader(args)
-    actor_key = r.take_raw(HASH_BYTES)
-    locator = r.take_str()
-    r.expect_end()
-    return actor_key, locator
-
-
-def _encode_certify_args(actor_key: bytes, locator: str) -> bytes:
-    w = Writer()
-    w.put_raw(actor_key)
-    w.put_str(locator)
-    return w.getvalue()
-
-
 def message_store(chain: Chain, signer: Signer, message_id: bytes,
                   locator: str) -> TxReceipt:
     """Submit a write-once notarization of ``locator`` under ``message_id``."""
     tx = make_transaction(signer, CONTRACT_MESSAGE_REGISTRY, "store",
-                          _encode_store_args(message_id, locator),
+                          encode(STORE_ARGS, message_id, locator),
                           chain.next_nonce(signer.address))
     return chain.submit(tx)
 
@@ -518,7 +478,6 @@ def actor_certify(chain: Chain, signer: Signer, actor: bytes,
                   metadata_locator: str) -> TxReceipt:
     """Submit an actor-metadata certification; upserts the actor's record."""
     tx = make_transaction(signer, CONTRACT_ACTOR_REGISTRY, "certify",
-                          _encode_certify_args(actor_registry_key(actor),
-                                               metadata_locator),
+                          encode(CERTIFY_ARGS, actor_registry_key(actor), metadata_locator),
                           chain.next_nonce(signer.address))
     return chain.submit(tx)

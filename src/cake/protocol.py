@@ -42,11 +42,21 @@ sessions at once and closes any connection past them as it accepts it.
 
 Each service answers one request tag, its ``request_tag``, and replies to
 a request with tag ``request_tag + 1``; a request with any other tag gets a
-:class:`ProtocolError`, and the session goes on. A service reports a failed
+:class:`ProtocolError`, and the session goes on. Each service declares the
+records of its request and of its reply beside its tag (``request`` and
+``reply``, tuples of :mod:`cake.codec` fields), and the client library
+sends and reads the same declarations. The request is decoded before the
+handler runs, and a request whose payload is not exactly its record gets
+:class:`codec.CodecError`, and the session goes on: a key request, whose
+record has no field, with any payload; a certify request that does not
+decode, even from a caller that is not the certifier. The values the
+handler returns are encoded as the reply. A service reports a failed
 request as an error frame that names the exception's class; the client
 raises that :class:`CakeError` subclass with the same message (policy errors
 keep their byte offset), or :class:`RemoteServiceError` when no such class
-is loaded. A handler that fails on any other exception is a bug in the
+is loaded; an error frame is a record too (:data:`ERROR_PAYLOAD`), and one
+with bytes after its last field is a :class:`codec.CodecError` at the
+client. A handler that fails on any other exception is a bug in the
 service: the service logs it with its traceback, sends one error frame
 naming :class:`InternalError` with a fixed message and no traceback, and
 closes the session.
@@ -135,7 +145,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 
 from . import abe, cas, ledger
 from . import policy as policy_mod
-from .codec import Reader, Writer
+from .codec import BYTES, STR, U64, Field, counted, decode, encode, raw
 from .errors import CakeError
 
 # The largest frame either side sends or reads: a blob at the store's cap,
@@ -288,25 +298,17 @@ class ActorMetadata:
     certifier: bytes
 
 
+# Its record: the actor, its attributes (sorted), when and by whom certified.
+ACTOR_METADATA = (raw(ledger.ADDRESS_BYTES), counted(STR), U64, raw(ledger.ADDRESS_BYTES))
+
+
 def serialize_actor_metadata(md: ActorMetadata) -> bytes:
-    w = Writer()
-    w.put_raw(md.actor)
-    w.put_u32(len(md.attributes))
-    for name in sorted(md.attributes):
-        w.put_str(name)
-    w.put_u64(md.certified_at)
-    w.put_raw(md.certifier)
-    return w.getvalue()
+    return encode(ACTOR_METADATA, md.actor, sorted(md.attributes), md.certified_at, md.certifier)
 
 
 def parse_actor_metadata(data: bytes) -> ActorMetadata:
-    r = Reader(data)
-    actor = r.take_raw(ledger.ADDRESS_BYTES)
-    attrs = frozenset(r.take_str() for _ in range(r.take_u32()))
-    certified_at = r.take_u64()
-    certifier = r.take_raw(ledger.ADDRESS_BYTES)
-    r.expect_end()
-    return ActorMetadata(actor, attrs, certified_at, certifier)
+    actor, attributes, certified_at, certifier = decode(ACTOR_METADATA, data)
+    return ActorMetadata(actor, frozenset(attributes), certified_at, certifier)
 
 
 # --- transport ----------------------------------------------------------------
@@ -416,20 +418,18 @@ def _wire_error(code: str, message: str, offset: int) -> CakeError:
     return RemoteServiceError(code, message)
 
 
+# An error frame's payload: the exception's class name, its message and a
+# policy error's byte offset (0 for any other error).
+ERROR_PAYLOAD = (STR, STR, U64)
+
+
 def _encode_error(exc: Exception) -> bytes:
-    w = Writer()
-    w.put_str(type(exc).__name__)
-    w.put_str(str(exc.args[0]) if exc.args else str(exc))
-    w.put_u64(max(getattr(exc, "offset", 0), 0))
-    return w.getvalue()
+    message = str(exc.args[0]) if exc.args else str(exc)
+    return encode(ERROR_PAYLOAD, type(exc).__name__, message, max(getattr(exc, "offset", 0), 0))
 
 
 def _raise_wire_error(payload: bytes) -> None:
-    r = Reader(payload)
-    code = r.take_str()
-    message = r.take_str()
-    offset = r.take_u64()
-    raise _wire_error(code, message, offset)
+    raise _wire_error(*decode(ERROR_PAYLOAD, payload))
 
 
 # --- handshake and sealed session ------------------------------------------------
@@ -530,8 +530,11 @@ class Service:
     Each service declares the fields its handler reads; :func:`deploy`
     builds them."""
 
-    # The one request tag the service answers; it replies with this plus one.
+    # The one request tag the service answers, and the records of its
+    # request and of its reply, which has tag ``request_tag + 1``.
     request_tag: ClassVar[int]
+    request: ClassVar[tuple[Field, ...]]
+    reply: ClassVar[tuple[Field, ...]]
     identity: Identity
     directory: IdentityDirectory
     chain: ledger.Chain
@@ -584,7 +587,8 @@ class Service:
             try:
                 if tag != self.request_tag:
                     raise ProtocolError(f"unexpected request tag {tag:#x}")
-                response = self._handle(session, payload)
+                response = encode(self.reply,
+                                  *self._handle(session, *decode(self.request, payload)))
             except CakeError as exc:
                 session.send(TAG_ERROR, _encode_error(exc))
                 continue
@@ -627,8 +631,9 @@ class Service:
         return Session(transport, hello + challenge + auth, shared, client_address,
                        is_client=False)
 
-    def _handle(self, session: Session, payload: bytes) -> bytes:
-        """The response to one request of tag :attr:`request_tag`."""
+    def _handle(self, session: Session, *request: object) -> tuple:
+        """The values of the reply to one request of tag :attr:`request_tag`,
+        given the values of the request."""
         raise NotImplementedError
 
     def _notarize(self, blob: bytes,
@@ -656,25 +661,18 @@ class SdmService(Service):
     """Secure data manager: encrypt, store, notarize."""
 
     request_tag = TAG_STORE_REQ
+    request = (counted(STR, STR, BYTES),)  # (label, policy, plaintext) slices
+    reply = (BYTES, STR)  # message id, locator
     master: abe.MasterSecret
 
-    def _handle(self, session: Session, payload: bytes) -> bytes:
-        r = Reader(payload)
-        slices = [(r.take_str(), r.take_str(), r.take_bytes())
-                  for _ in range(r.take_u32())]
-        r.expect_end()
-
+    def _handle(self, session: Session, slices: list[tuple[str, str, bytes]]) -> tuple[bytes, str]:
         message_id = abe.new_message_id(self.rng)
         container = abe.encrypt_container(self.master, message_id, slices, self.rng)
         locator = self._notarize(
             abe.serialize_container(container),
             lambda loc: ledger.message_store(self.chain, self.identity.signer,
                                              message_id, loc))
-
-        w = Writer()
-        w.put_bytes(message_id)
-        w.put_str(locator)
-        return w.getvalue()
+        return message_id, locator
 
 
 @dataclass(eq=False, repr=False, kw_only=True)
@@ -687,18 +685,16 @@ class UdService(Service):
     """
 
     request_tag = TAG_CERTIFY_REQ
+    request = (raw(ledger.ADDRESS_BYTES), counted(STR))  # actor, attributes
+    reply = (STR,)  # metadata locator
     certifier: ledger.Signer
     clock: Clock
 
-    def _handle(self, session: Session, payload: bytes) -> bytes:
+    def _handle(self, session: Session, actor: bytes, attributes: list[str]) -> tuple[str]:
         if session.peer_address != self.certifier.address:
             raise ledger.NotCertifier(
                 f"{session.peer_address.hex()} is not a registered certifier")
-        r = Reader(payload)
-        actor = r.take_raw(ledger.ADDRESS_BYTES)
-        attrs = frozenset(policy_mod.normalize_attribute(r.take_str())
-                          for _ in range(r.take_u32()))
-        r.expect_end()
+        attrs = frozenset(map(policy_mod.normalize_attribute, attributes))
         if not attrs:
             raise abe.EmptyAttributeSet("cannot certify an empty attribute set")
 
@@ -706,10 +702,7 @@ class UdService(Service):
         locator = self._notarize(
             serialize_actor_metadata(metadata),
             lambda loc: ledger.actor_certify(self.chain, self.certifier, actor, loc))
-
-        w = Writer()
-        w.put_str(locator)
-        return w.getvalue()
+        return (locator,)
 
 
 @dataclass(eq=False, repr=False, kw_only=True)
@@ -717,6 +710,8 @@ class SkmService(Service):
     """Secure key manager: derive and return attribute-bound user keys."""
 
     request_tag = TAG_KEY_REQ
+    request = ()
+    reply = (BYTES,)  # the user key, as abe.serialize_user_key writes it
     master: abe.MasterSecret
     clock: Clock
     # Run before every key request. A key manager whose chain is a replica
@@ -725,7 +720,7 @@ class SkmService(Service):
     # attributes that were since taken away.
     refresh: Callable[[], None] = lambda: None
 
-    def _handle(self, session: Session, payload: bytes) -> bytes:
+    def _handle(self, session: Session) -> tuple[bytes]:
         self.refresh()
         caller = session.peer_address
         try:
@@ -738,9 +733,7 @@ class SkmService(Service):
             raise cas.IntegrityViolation("metadata does not belong to the caller")
         user_key = abe.keygen(self.master, caller, metadata.attributes,
                               issued_at=self.clock())
-        w = Writer()
-        w.put_bytes(abe.serialize_user_key(user_key))
-        return w.getvalue()
+        return (abe.serialize_user_key(user_key),)
 
 
 # --- client library -----------------------------------------------------------
@@ -776,39 +769,25 @@ class ServiceClient:
             raise ProtocolError(f"unexpected response tag {resp_tag:#x}")
         return resp_payload
 
+    def _request(self, service: type[Service], *request: object) -> list:
+        """Send ``service`` the request of these values; return the values
+        of its reply."""
+        return decode(service.reply,
+                      self._call(service.request_tag, encode(service.request, *request)))
+
     def store(self, slices: list[tuple[str, str, bytes]]) -> tuple[bytes, str]:
         """Submit (label, policy, plaintext) slices; returns (message id, locator)."""
-        w = Writer()
-        w.put_u32(len(slices))
-        for label, policy, data in slices:
-            w.put_str(label)
-            w.put_str(policy)
-            w.put_bytes(data)
-        resp = Reader(self._call(TAG_STORE_REQ, w.getvalue()))
-        message_id = resp.take_bytes()
-        locator = resp.take_str()
-        resp.expect_end()
-        return message_id, locator
+        return tuple(self._request(SdmService, slices))
 
     def certify(self, actor: bytes, attributes: Iterable[str]) -> str:
         """Certify an actor's attribute set; returns the metadata locator."""
-        attrs = sorted(set(attributes))
-        w = Writer()
-        w.put_raw(actor)
-        w.put_u32(len(attrs))
-        for name in attrs:
-            w.put_str(name)
-        resp = Reader(self._call(TAG_CERTIFY_REQ, w.getvalue()))
-        locator = resp.take_str()
-        resp.expect_end()
+        [locator] = self._request(UdService, actor, sorted(set(attributes)))
         return locator
 
     def request_key(self) -> abe.UserKey:
         """Obtain this identity's attribute-bound decryption key."""
-        resp = Reader(self._call(TAG_KEY_REQ, b""))
-        blob = resp.take_bytes()
-        resp.expect_end()
-        return abe.parse_user_key(blob)
+        [key] = self._request(SkmService)
+        return abe.parse_user_key(key)
 
     def close(self) -> None:
         self.session.close()

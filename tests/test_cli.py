@@ -362,12 +362,26 @@ class TestInProcessCommands:
         ("store", "--as", "owner", "--policy", "finance", "--policy", "audit", "{terms}"),
         ("store", "--as", "owner", "--policy", "finance", "--slice", "{terms}"),
         ("certify", "nobody", "sales"),
+        ("serve", "--sdm-port", "99999"),
+        ("serve", "--skm-port", "-1"),
     ], ids=["read-non-hex", "show-non-hex", "store-unknown-as",
             "key-unknown-as", "read-unknown-as", "store-policy-count",
-            "slice-without-equals", "certify-unknown-name"])
+            "slice-without-equals", "certify-unknown-name", "serve-port-too-large",
+            "serve-port-negative"])
     def test_usage_errors(self, cake, stored, tmp_path, args):
         args = [arg.format(terms=tmp_path / "terms.txt") for arg in args]
         assert cake(*args)[0] == cli.EXIT_USAGE == 64
+
+    @pytest.mark.parametrize("addr", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:"])
+    def test_a_service_address_out_of_range_connects_nowhere(self, cake, stored, tmp_path,
+                                                             monkeypatch, addr):
+        def connect(host, port):
+            raise AssertionError(f"connected to {host}:{port}")
+
+        monkeypatch.setattr(protocol, "connect_tcp", connect)
+        monkeypatch.setenv("CAKE_SDM_ADDR", addr)
+        assert cake("store", "--as", "owner", "--policy", "finance",
+                    str(tmp_path / "terms.txt"))[0] == cli.EXIT_USAGE == 64
 
     @pytest.mark.parametrize("args", [
         ("ledger", "show", "00" * 16),
@@ -593,7 +607,7 @@ class TestExitCodes:
         assert cake("key", "request", "--as", "ghost")[0] == cli.EXIT_AUTH == 69
 
     def test_ledger_rejection(self, cake, stored, monkeypatch):
-        def rejecting(self, session, payload):
+        def rejecting(self, session, *request):
             raise protocol.LedgerRejected("transaction rejected: AlreadyRecorded")
 
         monkeypatch.setattr(protocol.UdService, "_handle", rejecting)
@@ -616,7 +630,7 @@ class TestExitCodes:
         assert cake("read", stored, "--as", "owner")[0] == cli.EXIT_STORAGE
 
     def test_unmapped_service_error(self, cake, stored, monkeypatch):
-        def broken(self, session, payload):
+        def broken(self, session, *request):
             raise protocol.ProtocolError("key manager out of order")
 
         monkeypatch.setattr(protocol.SkmService, "_handle", broken)
@@ -780,8 +794,9 @@ class TestScenarioCommand:
 
     def test_a_malformed_script_exits_74_at_parse(self, cake, tmp_path, capsys):
         script = tmp_path / "malformed.scenario"
-        script.write_text("[ledger]\n")
-        capsys.readouterr()
-        assert cli.main(["--home", str(tmp_path / "home"), "scenario", "run",
-                         str(script)]) == cli.EXIT_BAD_REQUEST
-        assert "[parse]" in capsys.readouterr().err
+        for data in (b"[ledger]\n", b"\xff\xfe[ledger]\n"):
+            script.write_bytes(data)
+            capsys.readouterr()
+            assert cli.main(["--home", str(tmp_path / "home"), "scenario", "run",
+                             str(script)]) == cli.EXIT_BAD_REQUEST
+            assert "[parse]" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cake import ledger
+from cake import codec, ledger
 from cake.codec import CodecError
 
 
@@ -234,7 +234,7 @@ class TestContracts:
         chain = fresh_chain()
         ledger.message_store(chain, SDM, b"id-0", "loc-0")
         tx = ledger.make_transaction(SDM, contract, "store",
-                                     ledger._encode_store_args(b"id-1", "loc-1"), nonce)
+                                     codec.encode(ledger.STORE_ARGS, b"id-1", "loc-1"), nonce)
         with pytest.raises(error):
             chain.submit(tx)
         assert chain.next_nonce(SDM.address) == 2
@@ -249,7 +249,7 @@ class TestContracts:
         chain = fresh_chain()
         receipt = chain.submit(ledger.make_transaction(
             sender, contract, method,
-            ledger._encode_store_args(b"id", "loc"), 1))
+            codec.encode(ledger.STORE_ARGS, b"id", "loc"), 1))
         chain.seal_block()
         assert (receipt.status, receipt.error) == (ledger.STATUS_REJECTED, "UnknownContract")
         with pytest.raises(ledger.RecordNotFound):

@@ -13,7 +13,7 @@ import pytest
 import cake.cli  # noqa: F401  (loads every module that defines an error class)
 from cake import abe, cas, ledger, protocol
 from cake import policy as policy_mod
-from cake.codec import Reader, Writer
+from cake.codec import CodecError, Reader, Writer
 from cake.errors import CakeError
 from cake.protocol import (
     TAG_AUTH,
@@ -494,7 +494,7 @@ class TestPolicyNesting:
 class TestSessionBoundary:
     def test_unexpected_handler_error_is_logged_and_closes(
             self, deployment, client, monkeypatch, caplog):
-        def broken_handler(session, payload):
+        def broken_handler(session, *request):
             raise RuntimeError("handler bug")
 
         monkeypatch.setattr(deployment.sdm, "_handle", broken_handler)
@@ -631,7 +631,7 @@ class TestWireErrors:
             self, deployment, client, monkeypatch):
         raised: list[Exception] = []
         monkeypatch.setattr(deployment.sdm, "_handle",
-                            lambda session, payload: raise_(raised[-1]))
+                            lambda session, *request: raise_(raised[-1]))
         sdm = deployment.connect_sdm(client, random.Random(5))
         try:
             for cls in cake_error_classes():
@@ -663,6 +663,13 @@ class TestWireErrors:
             protocol._raise_wire_error(w.getvalue())
         assert type(caught.value) is protocol.RemoteServiceError
         assert caught.value.code == code
+
+    def test_an_error_frame_with_bytes_after_its_fields_is_a_codec_error(self):
+        payload = protocol._encode_error(abe.PolicyNotSatisfied("no key for it"))
+        with pytest.raises(abe.PolicyNotSatisfied, match="no key for it"):
+            protocol._raise_wire_error(payload)
+        with pytest.raises(CodecError):
+            protocol._raise_wire_error(payload + b"\x00")
 
 
 def raise_(exc: Exception):
@@ -816,6 +823,24 @@ class TestServiceRefusals:
                 ud.certify(client.address, ["a"])
         assert deployment.chain.height == 0
 
+    def test_a_certify_that_does_not_decode_is_refused_before_the_certifier_check(
+            self, deployment, client):
+        with deployment.connect_ud(client, random.Random(3)) as ud:
+            with pytest.raises(CodecError):
+                ud._call(TAG_CERTIFY_REQ, client.address)
+            with pytest.raises(ledger.NotCertifier):
+                ud.certify(client.address, ["a"])
+        assert deployment.chain.height == 0
+
+    def test_a_key_request_with_a_payload_is_refused_and_the_session_goes_on(
+            self, deployment, client):
+        with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
+            ud.certify(client.address, ["a"])
+        with deployment.connect_skm(client, random.Random(4)) as skm:
+            with pytest.raises(CodecError):
+                skm._call(TAG_KEY_REQ, b"\x00")
+            assert skm.request_key().attributes == {"a"}
+
     def test_a_certify_with_no_attributes_is_refused(self, deployment, client):
         with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
             with pytest.raises(abe.EmptyAttributeSet):
@@ -870,3 +895,35 @@ class TestSecretsOutOfReprs:
         for text in shown:
             for secret in secrets:
                 assert repr(secret) not in text and secret.hex() not in text
+
+
+class TestGoldenBytes:
+    """The plaintext of every sealed frame in a seeded certify, store and key
+    request, and the key they issue, byte for byte; the seeded ledger is
+    pinned elsewhere."""
+
+    def test_seeded_requests_and_replies_keep_their_bytes(self, deployment, client,
+                                                          monkeypatch):
+        sent: list[tuple[int, bytes]] = []
+        send = protocol.Session.send
+
+        def recording_send(session, tag, payload):
+            sent.append((tag, bytes(payload)))
+            send(session, tag, payload)
+
+        monkeypatch.setattr(protocol.Session, "send", recording_send)
+        with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
+            ud.certify(client.address, ["c", "a", "b"])
+        with deployment.connect_sdm(client, random.Random(4)) as sdm:
+            sdm.store([("terms", "a and (b or z)", b"body one"), ("note", "c", b"")])
+        with deployment.connect_skm(client, random.Random(5)) as skm:
+            key = skm.request_key()
+        assert [tag for tag, _ in sent] == [TAG_CERTIFY_REQ, TAG_CERTIFY_REQ + 1,
+                                            TAG_STORE_REQ, TAG_STORE_REQ + 1,
+                                            TAG_KEY_REQ, TAG_KEY_REQ + 1]
+        framed = b"".join(bytes([tag]) + len(payload).to_bytes(4, "big") + payload
+                          for tag, payload in sent)
+        assert hashlib.sha256(framed).hexdigest() == \
+            "61215384d77f34061fcc951836faf87cf78f59ba62cf4d58adc6dfb06d4cfbb6"
+        assert hashlib.sha256(abe.serialize_user_key(key)).hexdigest() == \
+            "ba3b6a9357921dbcff62de3db944e0bb45134a264bfa00771371f711b72c8a4a"

@@ -10,12 +10,17 @@ the same :class:`BlobStore` interface.
 
 :class:`BlobStore` holds the rules every backing store shares. A put of more
 than :data:`MAX_BLOB_BYTES` (64 MiB) raises :class:`BlobTooLarge`; the limit
-is a module constant, read at each put. Every read re-hashes the returned
-bytes: a blob that no longer matches its locator raises
-:class:`IntegrityViolation` instead of being returned. Two stores sit
-behind it: :class:`MemoryBlobStore`, a dict, and :class:`DirectoryBlobStore`,
-one append-only pack file per deployment home (a log with an in-memory
-index, as in Bitcask).
+is a module constant, read at each put. A put hashes its own immutable
+copy of the bytes, so what a store keeps cannot change behind it. A read
+re-hashes the returned bytes unless they are that very object, which
+cannot have changed since it was hashed; so returned bytes always hash to
+the locator. Every :class:`DirectoryBlobStore` read (``pread`` returns new
+bytes) and a :class:`MemoryBlobStore` entry replaced since its put are
+re-hashed, and a blob that no longer matches its locator raises
+:class:`IntegrityViolation` instead of being returned. Two stores sit behind it:
+:class:`MemoryBlobStore`, a dict, and :class:`DirectoryBlobStore`, one
+append-only pack file per deployment home (a log with an in-memory index,
+as in Bitcask).
 
 :class:`FrameLog` owns the framing of the home's append-only files, the
 pack and the chain file: it writes every frame header, and holds the scan
@@ -238,14 +243,19 @@ class BlobStore:
         :class:`BlobTooLarge` for a blob over :data:`MAX_BLOB_BYTES`."""
         if len(data) > MAX_BLOB_BYTES:
             raise BlobTooLarge(f"blob of {len(data)} bytes exceeds cap {MAX_BLOB_BYTES}")
+        data = bytes(data)  # the store keeps what was hashed; no copy of bytes
         loc = locator_for(data)
         self._write(loc, data)
         return loc
 
     def get(self, loc: Locator) -> bytes:
-        """Fetch and verify: returned bytes always re-hash to the locator."""
+        """Fetch and verify: returned bytes always hash to the locator.
+
+        Bytes that are the very object a put of this store hashed are
+        returned unhashed: ``bytes`` cannot change, so they still hash to
+        the locator. Any other bytes are re-hashed."""
         data = self._read(loc)
-        if hashlib.sha256(data).digest() != loc.digest:
+        if data is not self._hashed(loc) and hashlib.sha256(data).digest() != loc.digest:
             raise IntegrityViolation(f"stored blob no longer matches {loc}")
         return data
 
@@ -255,15 +265,27 @@ class BlobStore:
     def _read(self, loc: Locator) -> bytes:
         raise NotImplementedError
 
+    def _hashed(self, loc: Locator) -> bytes | None:
+        """The bytes object a put of this store hashed for ``loc`` and still
+        holds, or ``None``: a store that reads new bytes holds none."""
+        return None
+
 
 class MemoryBlobStore(BlobStore):
-    """Dict-backed store for tests and throwaway deployments."""
+    """Dict-backed store for tests and throwaway deployments. A get of a
+    blob as its put stored it is not re-hashed."""
 
     def __init__(self) -> None:
         self._blobs: dict[bytes, bytes] = {}
+        # digest -> the object put hashed; an entry of _blobs replaced since
+        # is no longer that object, so its get re-hashes it
+        self._put: dict[bytes, bytes] = {}
 
     def _write(self, loc: Locator, data: bytes) -> None:
-        self._blobs[loc.digest] = data
+        self._blobs[loc.digest] = self._put[loc.digest] = data
+
+    def _hashed(self, loc: Locator) -> bytes | None:
+        return self._put.get(loc.digest)
 
     def _read(self, loc: Locator) -> bytes:
         try:
@@ -293,7 +315,8 @@ class DirectoryBlobStore(BlobStore):
     the chain file, the append does not ``fsync``.
 
     A get reads the body with ``pread``, and :meth:`BlobStore.get` re-hashes
-    it. Descriptors are opened per call and closed before it returns.
+    it every time, so a bit flipped after an earlier read is still caught.
+    Descriptors are opened per call and closed before it returns.
     """
 
     def __init__(self, root: str | Path) -> None:

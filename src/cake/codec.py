@@ -10,11 +10,13 @@ Each record is declared once, as a tuple of fields, and that one tuple
 gives both its encoder and its decoder: :func:`encode` writes one value per
 field, and :func:`decode` reads the values back and refuses bytes after the
 last field. The field kinds are :data:`U32`, :data:`U64`, :data:`BYTES`,
-:data:`STR`, :func:`raw` and :func:`counted`. Each is a :class:`Field`, a
-:class:`Writer` method and a :class:`Reader` method: those two classes are
-the primitives every record is built from. Outside this module, only
-``abe``'s slice-header encoder and container parse lay out fields by hand:
-the settled header encoding, and the read path's one checked pass.
+:data:`STR`, :func:`raw` and :func:`counted`. Each is a :class:`Field`
+over a :class:`Writer` method and a :class:`Reader` method: those two
+classes are the primitives every record is built from. A :func:`raw` field
+refuses a value of another width at encode, so every record written reads
+back. Outside this module, only ``abe``'s slice-header encoder and
+container parse lay out fields by hand: the settled header encoding, and
+the read path's one checked pass.
 """
 
 from __future__ import annotations
@@ -122,8 +124,13 @@ STR = Field(Writer.put_str, Reader.take_str)
 
 
 def raw(n: int) -> Field:
-    """A field of exactly ``n`` bytes, with no length on the wire."""
-    return Field(Writer.put_raw, methodcaller("take_raw", n), n)
+    """A field of exactly ``n`` bytes, with no length on the wire; a value
+    of any other length raises :class:`CodecError` at encode."""
+    def put(w: Writer, data: bytes) -> None:
+        if len(data) != n:
+            raise CodecError(f"{len(data)} bytes for a field of {n}")
+        w.put_raw(data)
+    return Field(put, methodcaller("take_raw", n), n)
 
 
 def counted(*fields: Field) -> Field:

@@ -535,6 +535,11 @@ class TestSerialization:
         with pytest.raises(abe.EmptyAttributeSet):
             abe.parse_user_key(blob)
 
+    @pytest.mark.parametrize("width", [19, 21])
+    def test_a_user_key_whose_holder_is_not_20_bytes_is_not_written(self, width):
+        with pytest.raises(CodecError, match=f"{width} bytes for a field of 20"):
+            abe.serialize_user_key(abe.UserKey(bytes(width), {"a": bytes(32)}, 0))
+
     def test_user_key_roundtrip(self, ms):
         key = make_key(ms, {"courier", "29837"})
         parsed = abe.parse_user_key(abe.serialize_user_key(key))

@@ -52,6 +52,16 @@ def store(request, tmp_path):
     return DirectoryBlobStore(tmp_path)
 
 
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """The list of ``hashlib.sha256`` calls from here on, one None each."""
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(cas.hashlib, "sha256",
+                        lambda *args: (calls.append(None), sha256(*args))[1])
+    return calls
+
+
 class TestPut:
     def test_digest_matches_known_vector(self, store):
         loc = store.put(HELLO)
@@ -99,6 +109,21 @@ class TestGet:
         with pytest.raises(IntegrityViolation):
             store.get(loc)
 
+    def test_a_store_keeps_what_was_put_when_the_caller_changes_it(self, store):
+        data = bytearray(b"important bytes")
+        loc = store.put(data)
+        data[0] ^= 0x01
+        for _ in range(2):
+            assert store.get(loc) == b"important bytes"
+
+    def test_a_bit_flipped_after_a_directory_read_is_caught(self, tmp_path):
+        store = DirectoryBlobStore(tmp_path)
+        loc = store.put(b"important bytes")
+        assert store.get(loc) == b"important bytes"
+        flip_pack_bit(tmp_path, FRAME_HEADER + 3, 0x40)
+        with pytest.raises(IntegrityViolation):
+            store.get(loc)
+
     def test_sampled_bit_flips_all_detected(self, tmp_path):
         store = DirectoryBlobStore(tmp_path)
         data = random.Random(2).randbytes(1024)
@@ -111,6 +136,38 @@ class TestGet:
                 store.get(loc)
             flip_pack_bit(tmp_path, FRAME_HEADER + bit // 8, 1 << (bit % 8))
         assert store.get(loc) == data
+
+
+class TestHashOnce:
+    """A get re-hashes the bytes it returns unless they are the very bytes
+    object a put of the store hashed."""
+
+    DATA = random.Random(4).randbytes(500)
+
+    def test_a_memory_blob_as_its_put_stored_it_is_not_rehashed(self, sha256_calls):
+        store = MemoryBlobStore()
+        loc = store.put(self.DATA)
+        assert len(sha256_calls) == 1
+        for _ in range(3):
+            assert store.get(loc) == self.DATA
+        assert len(sha256_calls) == 1
+
+    def test_a_replaced_memory_entry_of_the_same_value_is_rehashed(self, sha256_calls):
+        store = MemoryBlobStore()
+        loc = store.put(self.DATA)
+        same = bytes(bytearray(self.DATA))
+        assert same is not store._blobs[loc.digest]
+        store._blobs[loc.digest] = same
+        for n in range(1, 4):
+            assert store.get(loc) == self.DATA
+            assert len(sha256_calls) == 1 + n
+
+    def test_every_directory_get_is_rehashed(self, tmp_path, sha256_calls):
+        store = DirectoryBlobStore(tmp_path)
+        loc = store.put(self.DATA)
+        for n in range(1, 4):
+            assert store.get(loc) == self.DATA
+            assert len(sha256_calls) == 1 + n
 
 
 def put_fifty(root, tag: bytes, barrier) -> None:

@@ -173,6 +173,15 @@ def test_a_record_is_laid_out_as_the_writer_lays_out_its_fields():
     assert decode(fields, w.getvalue()) == list(values)
 
 
+def test_a_raw_field_refuses_a_value_of_another_width():
+    for value in (b"", b"xy", b"wxyz"):
+        with pytest.raises(CodecError):
+            encode((raw(3),), value)
+    with pytest.raises(CodecError):
+        encode((counted(raw(3)),), [b"xyz", b"xy"])
+    assert encode((raw(3),), b"xyz") == b"xyz"
+
+
 def test_a_counted_entry_with_the_wrong_number_of_values_is_refused():
     with pytest.raises(CodecError):
         encode((counted(STR, BYTES),), [("name", b"key", b"extra")])

@@ -841,6 +841,22 @@ class TestServiceRefusals:
                 skm._call(TAG_KEY_REQ, b"\x00")
             assert skm.request_key().attributes == {"a"}
 
+    def test_a_certify_of_an_actor_of_another_width_is_not_sent(self, deployment, client,
+                                                               monkeypatch):
+        sent = []
+        send = protocol.Session.send
+        monkeypatch.setattr(protocol.Session, "send",
+                            lambda session, tag, payload: (sent.append(tag),
+                                                           send(session, tag, payload)))
+        with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
+            with pytest.raises(CodecError):
+                ud.certify(client.address + b"\x00", ["a"])
+            assert sent == []
+            ud.certify(client.address, ["a"])
+        assert sent == [TAG_CERTIFY_REQ, TAG_CERTIFY_REQ + 1]
+        assert deployment.chain.height == 1
+        deployment.chain.actor_get(client.address)
+
     def test_a_certify_with_no_attributes_is_refused(self, deployment, client):
         with deployment.connect_ud(deployment.certifier, random.Random(3)) as ud:
             with pytest.raises(abe.EmptyAttributeSet):
